@@ -2,7 +2,7 @@
 sub-quadratic drivers on general (finite or truncated-infinite) time intervals.
 
 Layout:
-    paths       time grids, Brownian bundles, regression of conditional means
+    paths       time grids, Brownian bundles, conditional-expectation projectors
     constants   explicit constants of the a-priori bounds (log-space safe)
     generators  drivers, builtin examples, truncation / reflection / theta transforms
     conditions  sampled verdicts for the structural growth and convexity conditions
@@ -19,9 +19,9 @@ from .bounds import (BoundCheckResult, ComparisonPolicy, MomentEstimate, fhat_pr
 from .conditions import (ConditionReport, SampleCloud, build_cloud, check_growth,
                          check_theta_convexity, check_y_regularity, check_z_regularity,
                          subexp_moment_estimate)
-from .constants import (ConstantSet, LogValue, beta_integral, bound_constant_K,
-                        bound_constant_Kp, conjugate_exponent, derive_constants, khat,
-                        k_threshold, mu_schedule, theta_constants, young_margin)
+from .constants import (ConstantSet, LogValue, beta_integral, conjugate_exponent,
+                        derive_constants, khat, k_threshold, mu_schedule, theta_constants,
+                        young_margin)
 from .envelopes import (EnvelopeConstruction, ScalarFunction, construct_A2_envelope,
                         construct_A2_shift, construct_A3_envelope, lemmaA1_check,
                         lemmaA2_check, lemmaA3_check, lemma_samples, remainder_check)
@@ -29,8 +29,7 @@ from .generators import (CoefficientProfile, Generator, TerminalData, Truncation
                          builtin_example_1, builtin_example_2, make_generator,
                          make_terminal, reflect_generator, theta_difference_generator,
                          truncate_generator, truncate_terminal)
-from .paths import (PathBundle, RegressionBasis, TimeGrid, build_grid, regress_conditional,
-                    sample_paths)
+from .paths import PathBundle, RegressionBasis, TimeGrid, build_grid, sample_paths
 from .solver import (LadderResult, SolutionField, ThetaResidual, picard_solve,
                      solve_bounded, solve_ladder, theta_residual)
 

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionViolationError
-from .paths import regress_conditional
 
 _LOG_CAP = 700.0
 
@@ -220,17 +219,16 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     times, lhs_t, rhs_t, se_t, mmin, mmed = [], [], [], [], [], []
     for j in idx:
         t = float(grid.nodes[j])
-        feats = basis.features(t, levels[:, j, :])
-        _, q_fit = regress_conditional(tail_q[:, j], feats)
-        q_fit = np.maximum(q_fit, 0.0)
-        se_q = _fit_se(tail_q[:, j], q_fit, feats.shape[1])
+        proj = basis.projector(t, levels[:, j, :])
+        q_fit = np.maximum(proj.fit(tail_q[:, j]), 0.0)
+        se_q = _fit_se(tail_q[:, j], q_fit, proj.n_features)
         y = sol.Y[:, j]
         ypart = np.maximum(y, 0.0) ** power if one_sided else np.abs(y) ** power
         log_lhs = np.logaddexp(ypart, np.log(np.maximum(q_fit, 1e-300)))
 
         big = np.minimum(K_float * (xi_eff + tail_f[:, j]) ** power, _LOG_CAP)
-        _, big_fit = regress_conditional(big, feats)
-        se_big = _fit_se(big, big_fit, feats.shape[1])
+        big_fit = proj.fit(big)
+        se_big = _fit_se(big, big_fit, proj.n_features)
         log_rhs = log_K + big_fit
 
         margins = log_rhs - log_lhs

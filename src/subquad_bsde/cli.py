@@ -379,9 +379,8 @@ def _cmd_solve(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
         out, Y=sol.Y, Z=sol.Z, nodes=grid.nodes,
-        meta=json.dumps({"generator": args.generator, "alpha": args.alpha,
-                         "beta": args.beta if isinstance(args.beta, (int, float)) else None,
-                         "gamma": args.gamma if isinstance(args.gamma, (int, float)) else None,
+        meta=json.dumps({"generator": args.generator, "expression": args.expression,
+                         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
                          "dims": args.dims, "paths": args.paths, "seed": args.seed,
                          "steps": args.steps, "horizon": args.horizon,
                          "scheme": args.scheme, "basis": args.basis,
@@ -412,8 +411,8 @@ def _load_solution(path: str):
 
 def _cmd_verify_bounds(args) -> int:
     sol, meta = _load_solution(args.run)
-    gen = make_generator(meta["generator"], meta["alpha"], beta=meta["beta"] or 0.5,
-                         gamma=meta["gamma"] or 0.25, d=meta["dims"])
+    gen = make_generator(meta["generator"], meta["alpha"], beta=meta["beta"],
+                         gamma=meta["gamma"], d=meta["dims"], expression=meta.get("expression"))
     prof = gen.profile
     constants = derive_constants(meta["alpha"], meta["horizon"], prof.beta, prof.gamma)
     xi = make_terminal(meta["terminal"], value=meta["terminal_value"],

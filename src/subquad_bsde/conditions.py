@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .bounds import MomentEstimate
+from .bounds import MomentEstimate, log_mean_exp
 from .errors import ConfigurationError, InvalidCoefficientError, UnsupportedDimensionError
 from .generators import Generator, reflect_generator
 
@@ -332,13 +332,11 @@ def subexp_moment_estimate(samples: np.ndarray, p: float, alpha_star: float) -> 
     if np.any(samples < 0.0):
         raise ValueError("samples must be nonnegative")
     logs = p * samples ** (2.0 / alpha_star)
-    top = float(logs.max())
-    w = np.exp(logs - top)
-    mean_w = float(w.mean())
+    log_value, se_rel = log_mean_exp(logs)
     n = len(logs)
-    se_rel = float(w.std(ddof=1) / (mean_w * math.sqrt(n))) if n > 1 else 0.0
     k = max(1, n // 100)
-    tail_share = float(np.sort(w)[-k:].sum() / max(w.sum(), 1e-300))
-    return MomentEstimate(log_value=top + math.log(mean_w), se_rel=se_rel, p=p,
+    log_top, _ = log_mean_exp(np.sort(logs)[-k:])
+    tail_share = (k / n) * math.exp(log_top - log_value)
+    return MomentEstimate(log_value=log_value, se_rel=se_rel, p=p,
                           transform=f"exp({p:g}*x^(2/{alpha_star:g}))",
                           heavy_tail=bool(tail_share > 0.5 and n >= 100))

@@ -149,33 +149,6 @@ def mu_schedule(alpha: float, gamma: Callable[[float], float],
     return mu
 
 
-def bound_constant_K(alpha: float, T: float, beta, gamma, mu0: float = 1.0) -> LogValue:
-    """K = exp(mu(T) k^{2/alpha*})  v  mu(T) e^{A(T)}, as a log-space value."""
-    A_T = beta_integral(beta, T)
-    mu = mu_schedule(alpha, gamma, lambda s: beta_integral(beta, s), mu0)
-    mu_T = mu(T)
-    k = k_threshold(alpha)
-    astar = conjugate_exponent(alpha)
-    left = mu_T * k ** (2.0 / astar)
-    right = math.log(mu_T) + A_T
-    return LogValue(max(left, right))
-
-
-def bound_constant_Kp(p: float, alpha: float, T: float, beta, gamma, mu0: float = 1.0) -> LogValue:
-    """Order-p version: ((p/(p-1))^p ((8 mu(T))^p e^{pA(T)} + 1) e^{p mu(T) k^{2/alpha*}}) v (p mu(T) e^{A(T)})."""
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    A_T = beta_integral(beta, T)
-    mu = mu_schedule(alpha, gamma, lambda s: beta_integral(beta, s), mu0)
-    mu_T = mu(T)
-    k = k_threshold(alpha)
-    astar = conjugate_exponent(alpha)
-    log_bracket = np.logaddexp(p * (math.log(8.0 * mu_T) + A_T), 0.0)
-    left = p * math.log(p / (p - 1.0)) + log_bracket + p * mu_T * k ** (2.0 / astar)
-    right = math.log(p * mu_T) + A_T
-    return LogValue(max(float(left), right))
-
-
 def theta_constants(p: float, gamma, alpha: float, T: float,
                     concavity_grid: int = 2001) -> tuple[float, float]:
     """(delta_p, k_alpha) for the theta-difference moment step.
@@ -269,9 +242,11 @@ def derive_constants(alpha: float, T: float, beta, gamma, mu0: float = 1.0,
     mu = mu_schedule(alpha, gamma, A, mu0, weighted_integral=gamma_weighted_integral)
     mu_T, A_T = mu(T), A(T)
     k = k_threshold(alpha)
+    # K = exp(mu(T) k^{2/alpha*})  v  mu(T) e^{A(T)}
     log_K = LogValue(max(mu_T * k ** (2.0 / astar), math.log(mu_T) + A_T))
 
     def K_p(p: float) -> LogValue:
+        """((p/(p-1))^p ((8 mu(T))^p e^{pA(T)} + 1) e^{p mu(T) k^{2/alpha*}})  v  p mu(T) e^{A(T)}."""
         if p <= 1.0:
             raise ValueError("p must exceed 1")
         log_bracket = float(np.logaddexp(p * (math.log(8.0 * mu_T) + A_T), 0.0))

@@ -117,13 +117,65 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
     return PathBundle(grid=grid, dims=dims, count=count, increments=increments, seed=seed)
 
 
+class _SVDProjector:
+    """Orthogonal projection onto the feature columns, factored once.
+
+    SVD based so rank-deficient feature matrices project onto the true column
+    span in the minimum-norm sense instead of failing.
+    """
+
+    def __init__(self, features: np.ndarray):
+        u, s, vt = np.linalg.svd(features, full_matrices=False)
+        keep = s > s[0] * max(features.shape) * np.finfo(float).eps if s[0] > 0 else s > -1.0
+        self.u = u[:, keep]
+        self.s = s[keep]
+        self.vt = vt[keep]
+        self.n_features = features.shape[1]
+
+    def fit(self, values: np.ndarray) -> np.ndarray:
+        return self.u @ (self.u.T @ values)
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        return self.vt.T @ ((self.u.T @ values) / self.s)
+
+
+class _PartitionProjector:
+    """Partition-basis projection: per-bin means, no factorization needed.
+
+    Matches the minimum-norm least squares on one-hot bin columns exactly
+    (empty bins fit zero) at a fraction of the cost of factoring them.
+    """
+
+    def __init__(self, idx: np.ndarray, size: int):
+        self.idx = idx
+        self.size = size
+        self.counts = np.bincount(idx, minlength=size).astype(float)
+        self.n_features = size
+
+    def _means(self, col: np.ndarray) -> np.ndarray:
+        sums = np.bincount(self.idx, weights=col, minlength=self.size)
+        return sums / np.maximum(self.counts, 1.0)
+
+    def fit(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            return self._means(values)[self.idx]
+        out = np.empty_like(values)
+        for c in range(values.shape[1]):
+            out[:, c] = self._means(values[:, c])[self.idx]
+        return out
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        return self._means(np.asarray(values, dtype=float))
+
+
 @dataclass(frozen=True)
 class RegressionBasis:
     """Feature map used to project path data onto a conditional-expectation proxy.
 
     kind ``polynomial``: per-coordinate monomials 1, x_c, ..., x_c^degree.
-    kind ``piecewise-constant-bins``: one-hot bin indicators over [lo, hi]
-    (scalar state only); values outside the range fall into the edge bins.
+    kind ``piecewise-constant-bins``: bin indicators over [lo, hi] (scalar
+    state only); values outside the range fall into the edge bins.
     """
 
     kind: str = "polynomial"
@@ -139,21 +191,32 @@ class RegressionBasis:
         if self.kind == "piecewise-constant-bins" and not self.hi > self.lo:
             raise ValueError("bin range must satisfy hi > lo")
 
+    def projector(self, t: float, state: np.ndarray):
+        """Least-squares projection onto the basis evaluated at per-path states.
+
+        The result's ``fit(values)`` returns the fitted values (the
+        conditional-expectation proxy) and ``coefficients(values)`` the
+        minimum-norm coefficients; ``values`` may carry extra columns.
+        """
+        state = np.atleast_2d(np.asarray(state, dtype=float))
+        if state.shape[0] == 0:
+            raise ValueError("regression needs at least one sample")
+        if self.kind == "piecewise-constant-bins":
+            return _PartitionProjector(self.bin_indices(state), self.size)
+        return _SVDProjector(self.features(t, state))
+
     def features(self, t: float, state: np.ndarray) -> np.ndarray:
-        """Feature matrix for per-path states, shape (n_paths, n_features)."""
+        """Monomial feature matrix for per-path states, shape (n_paths, n_features)."""
+        if self.kind != "polynomial":
+            raise ValueError("feature matrices only exist for the polynomial basis")
         state = np.atleast_2d(np.asarray(state, dtype=float))
         n, d = state.shape
-        if self.kind == "polynomial":
-            cols = [np.ones(n)]
-            for c in range(d):
-                xc = state[:, c]
-                for p in range(1, self.size + 1):
-                    cols.append(xc ** p)
-            return np.stack(cols, axis=1)
-        idx = self.bin_indices(state)
-        out = np.zeros((n, self.size))
-        out[np.arange(n), idx] = 1.0
-        return out
+        cols = [np.ones(n)]
+        for c in range(d):
+            xc = state[:, c]
+            for p in range(1, self.size + 1):
+                cols.append(xc ** p)
+        return np.stack(cols, axis=1)
 
     def bin_indices(self, state: np.ndarray) -> np.ndarray:
         """Bin assignment per path (partition basis only); edges clip outliers."""
@@ -164,19 +227,3 @@ class RegressionBasis:
             raise ValueError("piecewise-constant bins require a scalar state")
         edges = np.linspace(self.lo, self.hi, self.size + 1)
         return np.clip(np.searchsorted(edges, state[:, 0], side="right") - 1, 0, self.size - 1)
-
-
-def regress_conditional(targets: np.ndarray, features: np.ndarray):
-    """Least-squares projection of targets onto the feature columns.
-
-    Rank-deficient systems (e.g. empty bins) are solved in the minimum-norm
-    sense rather than rejected.  Returns (coefficients, fitted values).
-    """
-    targets = np.asarray(targets, dtype=float)
-    features = np.asarray(features, dtype=float)
-    if targets.size == 0 or features.size == 0:
-        raise ValueError("regression needs at least one sample")
-    if features.ndim != 2 or targets.shape[0] != features.shape[0]:
-        raise ValueError("one feature row is required per target")
-    coef, _, _, _ = np.linalg.lstsq(features, targets, rcond=None)
-    return coef, features @ coef

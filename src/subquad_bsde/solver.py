@@ -25,58 +25,6 @@ _FP_TOL = 1e-10
 _FP_MAX_ITER = 200
 
 
-class _Projector:
-    """Orthogonal projection onto the feature columns, factored once per step.
-
-    SVD based so rank-deficient feature matrices (empty bins) project onto the
-    true column span in the minimum-norm sense instead of failing.
-    """
-
-    def __init__(self, features: np.ndarray):
-        u, s, vt = np.linalg.svd(features, full_matrices=False)
-        keep = s > s[0] * max(features.shape) * np.finfo(float).eps if s[0] > 0 else s > -1.0
-        self.u = u[:, keep]
-        self.s = s[keep]
-        self.vt = vt[keep]
-        self.n_features = features.shape[1]
-
-    def fit(self, values: np.ndarray) -> np.ndarray:
-        return self.u @ (self.u.T @ values)
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return self.vt.T @ ((self.u.T @ values) / self.s)
-
-
-class _BinProjector:
-    """Partition-basis projection: per-bin means, no factorization needed.
-
-    Matches the minimum-norm least squares exactly (empty bins fit zero) at a
-    fraction of the cost of an SVD on one-hot columns.
-    """
-
-    def __init__(self, idx: np.ndarray, size: int):
-        self.idx = idx
-        self.size = size
-        self.counts = np.bincount(idx, minlength=size).astype(float)
-        self.n_features = size
-
-    def _means(self, col: np.ndarray) -> np.ndarray:
-        sums = np.bincount(self.idx, weights=col, minlength=self.size)
-        return sums / np.maximum(self.counts, 1.0)
-
-    def fit(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            return self._means(values)[self.idx]
-        out = np.empty_like(values)
-        for c in range(values.shape[1]):
-            out[:, c] = self._means(values[:, c])[self.idx]
-        return out
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return self._means(np.asarray(values, dtype=float))
-
-
 @dataclass(frozen=True)
 class SolutionField:
     """Discretized (Y, Z) on a path bundle; Y has N+1 nodes, Z has N steps.
@@ -129,21 +77,24 @@ def _terminal_values(xi: TerminalData, bundle: PathBundle) -> np.ndarray:
 
 def _projectors(grid: TimeGrid, bundle: PathBundle, basis: RegressionBasis) -> list:
     levels = bundle.levels()
-    if basis.kind == "piecewise-constant-bins":
-        return [_BinProjector(basis.bin_indices(levels[:, j, :]), basis.size)
-                for j in range(grid.steps)]
-    return [_Projector(basis.features(float(grid.nodes[j]), levels[:, j, :]))
-            for j in range(grid.steps)]
+    return [basis.projector(float(grid.nodes[j]), levels[:, j, :]) for j in range(grid.steps)]
 
 
-def _z_step(proj: _Projector, y_next: np.ndarray, m_fit: np.ndarray,
+def _fit_noise(step_noise_sq: np.ndarray) -> np.ndarray:
+    """Per-node fit noise: root of the step variances accumulated to the horizon."""
+    fit_noise = np.zeros(len(step_noise_sq) + 1)
+    fit_noise[:-1] = np.sqrt(np.cumsum(step_noise_sq[::-1])[::-1])
+    return fit_noise
+
+
+def _z_step(proj, y_next: np.ndarray, m_fit: np.ndarray,
             db: np.ndarray, dt: float) -> np.ndarray:
     # centered martingale-increment estimator: E_t[(Y_{t+dt} - E_t Y_{t+dt}) dB] / dt
     centered = y_next - m_fit
     return proj.fit(centered[:, None] * db) / dt
 
 
-def _bin_implicit(g, t, b, m_fit, z, dt, basis) -> np.ndarray:
+def _bin_implicit(g, t, b, m_fit, z, dt, idx, step) -> np.ndarray:
     """Exact implicit value update for the partition basis.
 
     On the fitted manifold every path of a bin shares one value c, so the
@@ -151,7 +102,6 @@ def _bin_implicit(g, t, b, m_fit, z, dt, basis) -> np.ndarray:
     """
     from scipy.optimize import brentq
 
-    idx = basis.bin_indices(b[:, :1])
     y = m_fit.copy()
     for bin_id in np.unique(idx):
         rows = np.flatnonzero(idx == bin_id)
@@ -168,7 +118,7 @@ def _bin_implicit(g, t, b, m_fit, z, dt, basis) -> np.ndarray:
             radius *= 2.0
             lo, hi = mb - radius, mb + radius
         else:
-            raise SolverDivergedError(-1, radius)
+            raise SolverDivergedError(step, radius)
         y[rows] = brentq(resid, lo, hi, xtol=1e-12)
     return y
 
@@ -223,16 +173,14 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
                 raise SolverDivergedError(j, gap)
             # partition basis: one scalar equation per bin, solved by a
             # bracketed root finder (robust against kink-induced cycles)
-            y = _bin_implicit(g, t, b, m_fit, Z[:, j, :], dt, basis)
+            y = _bin_implicit(g, t, b, m_fit, Z[:, j, :], dt, proj.idx, j)
             gval = g(t, b, y, Z[:, j, :])
         Y[:, j] = y
         resid = Y[:, j + 1] + dt * gval - y     # spread the value fit had to average out
         step_noise_sq[j] = np.var(resid) * proj.n_features / M
 
-    fit_noise = np.zeros(N + 1)
-    fit_noise[:-1] = np.sqrt(np.cumsum(step_noise_sq[::-1])[::-1])
     return SolutionField(Y=Y, Z=Z, grid=grid, bundle=bundle, basis=basis,
-                         method="backward-regression", fit_noise=fit_noise)
+                         method="backward-regression", fit_noise=_fit_noise(step_noise_sq))
 
 
 def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -282,28 +230,31 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         gap = float(max(np.max(np.abs(Y_new - Y)), np.max(np.abs(Z_new - Z))))
         Y, Z = Y_new, Z_new
         if gap < tol:
-            fit_noise = np.zeros(N + 1)
-            fit_noise[:-1] = np.sqrt(np.cumsum(step_noise_sq[::-1])[::-1])
             return SolutionField(Y=Y, Z=Z, grid=grid, bundle=bundle, basis=basis,
-                                 method="picard", fit_noise=fit_noise)
+                                 method="picard", fit_noise=_fit_noise(step_noise_sq))
     raise IterationLimitError(max_iter, gap)
 
 
-def consistency_residual(sol: SolutionField, g: Generator) -> np.ndarray:
-    """Max fitted one-step residual per step: how far (Y, Z) are from the
-    discrete equation after projecting onto the basis."""
+def _fitted_residual(sol: SolutionField, g: Generator, U: np.ndarray,
+                     V: np.ndarray) -> np.ndarray:
+    """Max over paths of the projected one-step residual of (U, V) under ``g``,
+    per step, on the grid, bundle and basis of ``sol``."""
     grid, bundle = sol.grid, sol.bundle
     levels = bundle.levels()
     out = np.empty(grid.steps)
     for j in range(grid.steps):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
-        gval = g(t, levels[:, j, :], sol.Y[:, j], sol.Z[:, j, :])
-        r = (sol.Y[:, j] - sol.Y[:, j + 1] - gval * dt
-             + (sol.Z[:, j, :] * bundle.increments[:, j, :]).sum(axis=1))
-        feats = sol.basis.features(t, levels[:, j, :])
-        coef = np.linalg.lstsq(feats, r, rcond=None)[0]
-        out[j] = float(np.max(np.abs(feats @ coef)))
+        gval = g(t, levels[:, j, :], U[:, j], V[:, j, :])
+        r = (U[:, j] - U[:, j + 1] - gval * dt
+             + (V[:, j, :] * bundle.increments[:, j, :]).sum(axis=1))
+        out[j] = float(np.max(np.abs(sol.basis.projector(t, levels[:, j, :]).fit(r))))
     return out
+
+
+def consistency_residual(sol: SolutionField, g: Generator) -> np.ndarray:
+    """Max fitted one-step residual per step: how far (Y, Z) are from the
+    discrete equation after projecting onto the basis."""
+    return _fitted_residual(sol, g, sol.Y, sol.Z)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +379,5 @@ def theta_residual(sol: SolutionField, sol_prime: SolutionField, theta: float,
         return ThetaResidual(theta=theta, dU=dU, dV=dV, consistency=np.zeros(sol.grid.steps))
 
     dg = theta_difference_generator(g, g_prime, theta, sol.grid, sol_prime.Y, sol_prime.Z)
-    grid, bundle = sol.grid, sol.bundle
-    levels = bundle.levels()
-    out = np.empty(grid.steps)
-    for j in range(grid.steps):
-        t, dt = float(grid.nodes[j]), float(grid.dt[j])
-        dgval = dg(t, levels[:, j, :], dU[:, j], dV[:, j, :])
-        r = (dU[:, j] - dU[:, j + 1] - dgval * dt
-             + (dV[:, j, :] * bundle.increments[:, j, :]).sum(axis=1))
-        feats = sol.basis.features(t, levels[:, j, :])
-        coef = np.linalg.lstsq(feats, r, rcond=None)[0]
-        out[j] = float(np.max(np.abs(feats @ coef)))
-    return ThetaResidual(theta=theta, dU=dU, dV=dV, consistency=out)
+    return ThetaResidual(theta=theta, dU=dU, dV=dV,
+                         consistency=_fitted_residual(sol, dg, dU, dV))

@@ -202,3 +202,32 @@ def test_verify_bounds_writes_csv(tmp_path, capsys):
     assert rc == 0
     header = csv_file.read_text().splitlines()[0]
     assert header == "time,log_lhs,log_rhs,se,verdict"
+
+
+def test_verify_bounds_uses_saved_zero_coefficients(tmp_path, monkeypatch):
+    import subquad_bsde.cli as cli
+    sol_file = str(tmp_path / "z.npz")
+    assert main(["solve", "--generator", "example1", "--beta", "0", "--gamma", "0",
+                 "--steps", "6", "--paths", "800", "--ladder", "2", "2", "--seed", "2",
+                 "--out", sol_file]) == 0
+    seen = []
+    real = cli.make_generator
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_generator", spy)
+    main(["verify-bounds", "--run", sol_file, "--bound", "sup"])
+    assert seen and seen[-1]["beta"] == 0.0 and seen[-1]["gamma"] == 0.0
+
+
+def test_verify_bounds_on_custom_expression_solve(tmp_path, capsys):
+    sol_file = str(tmp_path / "e.npz")
+    assert main(["solve", "--generator", "custom-expression",
+                 "--expression", "0 - abs(y) + 0.1*z1", "--terminal", "constant",
+                 "--terminal-value", "1.0", "--steps", "6", "--paths", "1000",
+                 "--ladder", "2", "2", "--seed", "3", "--out", sol_file]) == 0
+    capsys.readouterr()
+    rc = main(["verify-bounds", "--run", sol_file, "--bound", "sup"])
+    assert rc == 0, capsys.readouterr().err

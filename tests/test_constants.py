@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subquad_bsde.constants import (LogValue, beta_integral, bound_constant_K,
-                                    bound_constant_Kp, conjugate_exponent, derive_constants,
-                                    k_threshold, khat, mu_schedule, theta_constants,
-                                    young_margin)
+from subquad_bsde.constants import (LogValue, beta_integral, conjugate_exponent,
+                                    derive_constants, k_threshold, khat, mu_schedule,
+                                    theta_constants, young_margin)
 from subquad_bsde.errors import InvalidCoefficientError
 
 ZERO = lambda t: 0.0 * np.asarray(t, dtype=float)
@@ -115,7 +114,7 @@ def test_mu_schedule_rejects_small_mu0():
 
 
 def test_bound_constant_K_zero_coefficients():
-    K = bound_constant_K(1.5, 1.0, ZERO, ZERO)
+    K = derive_constants(1.5, 1.0, ZERO, ZERO).log_K
     # mu(T) = 1, k^{2/alpha*} = 12, A(T) = 0
     assert K.log == pytest.approx(12.0)
     assert float(K) == pytest.approx(math.exp(12.0), rel=1e-9)
@@ -124,13 +123,13 @@ def test_bound_constant_K_zero_coefficients():
 def test_bound_constant_K_monotone_in_T():
     beta = lambda t: 0.2 + 0.0 * t
     gamma = lambda t: 0.3 + 0.0 * t
-    logs = [bound_constant_K(1.5, T, beta, gamma).log for T in (0.5, 1.0, 2.0, 4.0)]
+    logs = [derive_constants(1.5, T, beta, gamma).log_K.log for T in (0.5, 1.0, 2.0, 4.0)]
     assert all(b >= a for a, b in zip(logs, logs[1:]))
     assert logs[0] >= 0.0          # K >= 1 always
 
 
 def test_bound_constant_Kp_zero_coefficients():
-    Kp = bound_constant_Kp(2.0, 1.5, 1.0, ZERO, ZERO)
+    Kp = derive_constants(1.5, 1.0, ZERO, ZERO).K_p(2.0)
     # (p/(p-1))^p ((8 mu)^p e^{pA} + 1) e^{p mu k^{2/a*}} = 4 * 65 * e^24
     assert Kp.log == pytest.approx(math.log(4.0 * 65.0) + 24.0)
 
@@ -138,15 +137,15 @@ def test_bound_constant_Kp_zero_coefficients():
 def test_bound_constant_Kp_blows_up_near_one():
     # the (p/(p-1))^p factor diverges as p -> 1, but it only overtakes the
     # e^{p mu k^{2/a*}} factor once p - 1 is tiny
-    logs = [bound_constant_Kp(1.0 + eps, 1.5, 1.0, ZERO, ZERO).log
+    logs = [derive_constants(1.5, 1.0, ZERO, ZERO).K_p(1.0 + eps).log
             for eps in (1e-3, 1e-6, 1e-9, 1e-12)]
     assert all(b > a for a, b in zip(logs, logs[1:]))
-    assert logs[-1] > bound_constant_Kp(2.0, 1.5, 1.0, ZERO, ZERO).log
+    assert logs[-1] > derive_constants(1.5, 1.0, ZERO, ZERO).K_p(2.0).log
 
 
 def test_bound_constant_Kp_right_branch():
     for p in (1.5, 2.0, 5.0):
-        Kp = bound_constant_Kp(p, 1.5, 1.0, ZERO, ZERO)
+        Kp = derive_constants(1.5, 1.0, ZERO, ZERO).K_p(p)
         assert Kp.log >= math.log(p) - 1e-12   # >= p mu(T) e^{A(T)} with mu=1, A=0
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subquad_bsde.paths import RegressionBasis, build_grid, regress_conditional, sample_paths
+from subquad_bsde.paths import RegressionBasis, build_grid, sample_paths
 
 
 def test_uniform_grid_nodes():
@@ -80,29 +80,31 @@ def test_levels_start_at_zero_and_cumulate():
     assert np.allclose(lv[:, -1, :], bundle.increments.sum(axis=1))
 
 
+POLY1 = RegressionBasis("polynomial", 1)
+BINS = RegressionBasis("piecewise-constant-bins", 8, lo=-1.0, hi=1.0)
+
+
 def test_constant_regression():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 500)
-    feats = np.stack([np.ones(500), x], axis=1)
-    _, fitted = regress_conditional(np.full(500, 3.7), feats)
-    assert np.allclose(fitted, 3.7, atol=1e-12)
+    for basis in (POLY1, BINS):
+        fitted = basis.projector(0.0, x[:, None]).fit(np.full(500, 3.7))
+        assert np.allclose(fitted, 3.7, atol=1e-12), basis.kind
 
 
 def test_exact_linear_fit():
     rng = np.random.default_rng(1)
     x = rng.uniform(-2, 2, 1000)
-    feats = np.stack([np.ones(1000), x], axis=1)
-    coef, fitted = regress_conditional(2.0 * x, feats)
-    assert np.allclose(coef, [0.0, 2.0], atol=1e-10)
-    assert np.allclose(fitted, 2.0 * x, atol=1e-10)
+    proj = POLY1.projector(0.0, x[:, None])
+    assert np.allclose(proj.coefficients(2.0 * x), [0.0, 2.0], atol=1e-10)
+    assert np.allclose(proj.fit(2.0 * x), 2.0 * x, atol=1e-10)
 
 
 def test_bin_regression_matches_analytic_bin_means():
     rng = np.random.default_rng(2)
     x = rng.uniform(0.0, 1.0, 100_000)
     basis = RegressionBasis("piecewise-constant-bins", 10, lo=0.0, hi=1.0)
-    feats = basis.features(0.0, x[:, None])
-    _, fitted = regress_conditional(x ** 2, feats)
+    fitted = basis.projector(0.0, x[:, None]).fit(x ** 2)
     midpoints = (np.floor(x * 10) + 0.5) / 10.0
     assert np.max(np.abs(fitted - midpoints ** 2)) < 0.02
 
@@ -110,31 +112,68 @@ def test_bin_regression_matches_analytic_bin_means():
 def test_regression_idempotent():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(2000)
-    feats = np.stack([np.ones(2000), x, x ** 2], axis=1)
-    _, fitted = regress_conditional(np.sin(x), feats)
-    _, refit = regress_conditional(fitted, feats)
-    assert np.max(np.abs(refit - fitted)) < 1e-10
+    for basis in (RegressionBasis("polynomial", 2), BINS):
+        proj = basis.projector(0.0, x[:, None])
+        fitted = proj.fit(np.sin(x))
+        refit = proj.fit(fitted)
+        assert np.max(np.abs(refit - fitted)) < 1e-10, basis.kind
 
 
 def test_rank_deficient_minimum_norm():
-    # duplicate column: lstsq must not fail, coefficients are minimum norm
+    # two identical state coordinates give duplicate columns [1, x, x]: the
+    # projection must not fail, coefficients are minimum norm
     rng = np.random.default_rng(4)
     x = rng.standard_normal(300)
-    feats = np.stack([x, x], axis=1)
-    coef, fitted = regress_conditional(2.0 * x, feats)
-    assert np.allclose(fitted, 2.0 * x, atol=1e-10)
-    assert np.allclose(coef, [1.0, 1.0], atol=1e-10)
+    proj = POLY1.projector(0.0, np.stack([x, x], axis=1))
+    assert np.allclose(proj.fit(2.0 * x), 2.0 * x, atol=1e-10)
+    assert np.allclose(proj.coefficients(2.0 * x), [0.0, 1.0, 1.0], atol=1e-10)
 
 
 def test_empty_bin_fits_zero():
     basis = RegressionBasis("piecewise-constant-bins", 4, lo=0.0, hi=1.0)
     x = np.array([0.1, 0.1, 0.9])        # middle bins empty
-    feats = basis.features(0.0, x[:, None])
-    coef, fitted = regress_conditional(np.array([1.0, 1.0, 5.0]), feats)
-    assert np.allclose(fitted, [1.0, 1.0, 5.0])
+    proj = basis.projector(0.0, x[:, None])
+    values = np.array([1.0, 1.0, 5.0])
+    coef = proj.coefficients(values)
+    assert np.allclose(proj.fit(values), [1.0, 1.0, 5.0])
     assert coef[1] == 0.0 and coef[2] == 0.0
 
 
 def test_regression_rejects_empty_input():
-    with pytest.raises(ValueError):
-        regress_conditional(np.array([]), np.zeros((0, 2)))
+    for basis in (POLY1, BINS):
+        with pytest.raises(ValueError):
+            basis.projector(0.0, np.zeros((0, 1)))
+
+
+def _dense_reference(design, values):
+    coef = np.linalg.lstsq(design, values, rcond=None)[0]
+    return coef, design @ coef
+
+
+def test_bin_projector_matches_dense_one_hot_least_squares():
+    # bins 0, 3 and 5 of 6 are empty: the one-hot design is rank deficient
+    basis = RegressionBasis("piecewise-constant-bins", 6, lo=0.0, hi=6.0)
+    rng = np.random.default_rng(5)
+    x = rng.choice([1.5, 2.5, 4.5], size=400) + rng.uniform(-0.4, 0.4, 400)
+    values = np.stack([np.sin(x) + rng.standard_normal(400), x ** 2], axis=1)
+    idx = basis.bin_indices(x[:, None])
+    coef_ref, fit_ref = _dense_reference(np.eye(basis.size)[idx], values)
+    proj = basis.projector(0.0, x[:, None])
+    assert set(np.unique(idx)) == {1, 2, 4}
+    assert np.allclose(proj.fit(values), fit_ref, rtol=0.0, atol=1e-12)
+    for c in range(values.shape[1]):
+        assert np.allclose(proj.coefficients(values[:, c]), coef_ref[:, c], rtol=0.0, atol=1e-12)
+
+
+def test_polynomial_projector_matches_dense_least_squares_when_rank_deficient():
+    basis = RegressionBasis("polynomial", 2)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(500)
+    state = np.stack([x, x], axis=1)
+    design = basis.features(0.0, state)
+    assert np.linalg.matrix_rank(design) < design.shape[1]
+    values = np.exp(-x ** 2) + 0.1 * rng.standard_normal(500)
+    coef_ref, fit_ref = _dense_reference(design, values)
+    proj = basis.projector(0.0, state)
+    assert np.allclose(proj.fit(values), fit_ref, rtol=0.0, atol=1e-10)
+    assert np.allclose(proj.coefficients(values), coef_ref, rtol=0.0, atol=1e-10)

@@ -104,6 +104,17 @@ def test_solver_divergence_reports_step(grid24, bundle24, poly_basis):
     assert err.value.step_index == grid24.steps - 1
 
 
+def test_bin_fallback_divergence_reports_step(grid24, bundle24, bins_basis):
+    # y = E[Y_next] + 2 y has no bracketable root per bin, so the bin
+    # fallback gives up on the first step it solves
+    dt = float(grid24.dt[0])
+    g = sq.make_generator("linear", 1.5, b_y=2.0 / dt, b_z=0.0)
+    with pytest.raises(SolverDivergedError) as err:
+        sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
+                         grid24, bundle24, bins_basis, fp_max_iter=2)
+    assert err.value.step_index == grid24.steps - 1
+
+
 def test_picard_iteration_limit(grid24, bundle24, poly_basis):
     g = sq.make_generator("linear", 1.5, b_y=0.0, b_z=0.5)
     with pytest.raises(IterationLimitError) as err:
