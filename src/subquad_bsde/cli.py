@@ -371,7 +371,7 @@ def _cmd_solve(args) -> int:
                        bound=args.terminal_bound, shift=args.terminal_shift)
     grid = build_grid(args.horizon, args.steps, args.scheme)
     bundle = sample_paths(grid, args.dims, args.paths, args.seed)
-    basis = RegressionBasis(args.basis, args.basis_size)
+    basis = RegressionBasis(args.basis, args.basis_size, lo=args.basis_lo, hi=args.basis_hi)
     n_max, q_max = args.ladder
     ladder = solve_ladder(gen, xi, grid, bundle, basis, n_max=n_max, q_max=q_max)
     sol = ladder.final
@@ -385,6 +385,7 @@ def _cmd_solve(args) -> int:
                          "steps": args.steps, "horizon": args.horizon,
                          "scheme": args.scheme, "basis": args.basis,
                          "basis_size": args.basis_size,
+                         "basis_lo": args.basis_lo, "basis_hi": args.basis_hi,
                          "terminal": args.terminal,
                          "terminal_bound": args.terminal_bound,
                          "terminal_value": args.terminal_value,
@@ -402,7 +403,9 @@ def _load_solution(path: str):
     meta = json.loads(str(data["meta"]))
     grid = build_grid(meta["horizon"], meta["steps"], meta["scheme"])
     bundle = sample_paths(grid, meta["dims"], meta["paths"], meta["seed"])
-    basis = RegressionBasis(meta["basis"], meta["basis_size"])
+    # files written before the range was saved were solved on [-5, 5]
+    basis = RegressionBasis(meta["basis"], meta["basis_size"],
+                            lo=meta.get("basis_lo", -5.0), hi=meta.get("basis_hi", 5.0))
     from .solver import SolutionField
     sol = SolutionField(Y=data["Y"], Z=data["Z"], grid=grid, bundle=bundle, basis=basis,
                         method="loaded")
@@ -515,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--basis", default="polynomial",
                     choices=("polynomial", "piecewise-constant-bins"))
     sp.add_argument("--basis-size", type=int, default=3)
+    sp.add_argument("--basis-lo", type=float, default=-5.0)
+    sp.add_argument("--basis-hi", type=float, default=5.0)
     sp.add_argument("--out", default="solution.npz")
     sp.set_defaults(fn=_cmd_solve)
 

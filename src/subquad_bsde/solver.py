@@ -94,33 +94,55 @@ def _z_step(proj, y_next: np.ndarray, m_fit: np.ndarray,
     return proj.fit(centered[:, None] * db) / dt
 
 
-def _bin_implicit(g, t, b, m_fit, z, dt, idx, step) -> np.ndarray:
-    """Exact implicit value update for the partition basis.
+def _bin_step(g: Generator, t: float, b: np.ndarray, z: np.ndarray, proj,
+              y_next: np.ndarray, dt: float, step: int, fp_tol: float,
+              fp_max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit value update on the partition basis, all bins at once.
 
-    On the fitted manifold every path of a bin shares one value c, so the
-    update is a scalar root problem per bin: c = mean(Y_next) + dt * mean g(c).
+    After one update y is constant within each bin, so the step is the scalar
+    root problem r(c) = m + dt * mean_bin g(c) - c = 0 per bin, with m the bin
+    means of ``y_next``.  The first sweep takes the fixed-point step c + r(c);
+    later sweeps take per-bin secant steps, bisecting the tightest bracket
+    seen (r > 0 at lo, r < 0 at hi) when a step would leave it.  Each sweep is
+    one driver call over all paths; bins with |r| < ``fp_tol`` stay frozen.
+    A residual that does not decrease means dt * dg/dy >= 1: the step is
+    ill-posed.  Returns the per-path values and the driver evaluated there.
     """
-    from scipy.optimize import brentq
-
-    y = m_fit.copy()
-    for bin_id in np.unique(idx):
-        rows = np.flatnonzero(idx == bin_id)
-        mb = float(m_fit[rows[0]])
-
-        def resid(c):
-            return mb + dt * float(np.mean(g(t, b[rows], np.full(len(rows), c), z[rows]))) - c
-
-        radius = 1.0 + dt * abs(float(np.mean(g(t, b[rows], np.full(len(rows), mb), z[rows]))))
-        lo, hi = mb - radius, mb + radius
-        for _ in range(60):
-            if resid(lo) >= 0.0 and resid(hi) <= 0.0:
-                break
-            radius *= 2.0
-            lo, hi = mb - radius, mb + radius
+    m = proj.coefficients(y_next)
+    c = m.copy()
+    lo = np.full_like(m, -np.inf)
+    hi = np.full_like(m, np.inf)
+    done = np.zeros(m.shape, dtype=bool)
+    c_prev = r_prev = None
+    for _ in range(fp_max_iter):
+        gval = g(t, b, c[proj.idx], z)
+        if not np.all(np.isfinite(gval)):
+            raise PreconditionViolationError(f"driver produced non-finite values at step {step}")
+        r = m + dt * proj.coefficients(gval) - c
+        done |= np.abs(r) < fp_tol
+        if done.all():
+            return c[proj.idx], gval
+        lo = np.where(r > 0.0, np.maximum(lo, c), lo)
+        hi = np.where(r < 0.0, np.minimum(hi, c), hi)
+        a = np.flatnonzero(~done)
+        if c_prev is None:
+            nxt = c[a] + r[a]
         else:
-            raise SolverDivergedError(step, radius)
-        y[rows] = brentq(resid, lo, hi, xtol=1e-12)
-    return y
+            dc, dr = c[a] - c_prev[a], r[a] - r_prev[a]
+            moved = dc != 0.0
+            if np.any(dc[moved] * dr[moved] >= 0.0):
+                raise SolverDivergedError(step, float(np.max(np.abs(r[a]))))
+            # an unmoved bin keeps c, which sits on its bracket, so it bisects
+            nxt = c[a] - r[a] * dc / np.where(moved, dr, 1.0)
+            inside = (lo[a] < nxt) & (nxt < hi[a])
+            # a bracket stays one-sided only while r keeps its sign; there the
+            # fixed-point step c + r moves towards the root
+            two_sided = np.isfinite(lo[a]) & np.isfinite(hi[a])
+            fallback = np.where(two_sided, 0.5 * (lo[a] + hi[a]), c[a] + r[a])
+            nxt = np.where(inside, nxt, fallback)
+        c_prev, r_prev = c.copy(), r
+        c[a] = nxt
+    raise SolverDivergedError(step, float(np.max(np.abs(r[~done]))))
 
 
 def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -129,8 +151,10 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     """Backward sweep for problems with bounded (e.g. truncated) data.
 
     Per step: Z from the centered martingale-increment regression, then the
-    implicit value update y = fit(Y_next + g(t, y, Z) dt) iterated to ``fp_tol``
-    with 0.5 damping whenever the iteration stops contracting.  Only sampled
+    implicit value update y = fit(Y_next + g(t, y, Z) dt) solved to ``fp_tol``
+    within ``fp_max_iter`` driver sweeps: on the partition basis as one
+    safeguarded secant per bin (see ``_bin_step``), otherwise iterated with 0.5
+    damping whenever the iteration stops contracting.  Only sampled
     finiteness of the inputs is enforced; boundedness is the caller's contract.
     """
     _check_inputs(grid, bundle)
@@ -151,30 +175,29 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
         m_fit = proj.fit(Y[:, j + 1])
         Z[:, j, :] = _z_step(proj, Y[:, j + 1], m_fit, db, dt)
 
-        y = m_fit.copy()
-        prev_gap = math.inf
-        for _ in range(fp_max_iter):
-            gval = g(t, b, y, Z[:, j, :])
-            if not np.all(np.isfinite(gval)):
-                raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
-            y_new = m_fit + dt * proj.fit(gval)
-            gap = float(np.max(np.abs(y_new - y)))
-            if gap > 0.9 * prev_gap:
-                # damp whenever the iteration stops contracting; steep drivers
-                # near a kink otherwise ping-pong at constant amplitude
-                y_new = 0.5 * (y_new + y)
-                gap = float(np.max(np.abs(y_new - y)))
-            y = y_new
-            if gap < fp_tol:
-                break
-            prev_gap = gap
+        if basis.kind == "piecewise-constant-bins":
+            y, gval = _bin_step(g, t, b, Z[:, j, :], proj, Y[:, j + 1], dt, j,
+                                fp_tol, fp_max_iter)
         else:
-            if basis.kind != "piecewise-constant-bins":
+            y = m_fit.copy()
+            prev_gap = math.inf
+            for _ in range(fp_max_iter):
+                gval = g(t, b, y, Z[:, j, :])
+                if not np.all(np.isfinite(gval)):
+                    raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
+                y_new = m_fit + dt * proj.fit(gval)
+                gap = float(np.max(np.abs(y_new - y)))
+                if gap > 0.9 * prev_gap:
+                    # damp whenever the iteration stops contracting; steep drivers
+                    # near a kink otherwise ping-pong at constant amplitude
+                    y_new = 0.5 * (y_new + y)
+                    gap = float(np.max(np.abs(y_new - y)))
+                y = y_new
+                if gap < fp_tol:
+                    break
+                prev_gap = gap
+            else:
                 raise SolverDivergedError(j, gap)
-            # partition basis: one scalar equation per bin, solved by a
-            # bracketed root finder (robust against kink-induced cycles)
-            y = _bin_implicit(g, t, b, m_fit, Z[:, j, :], dt, proj.idx, j)
-            gval = g(t, b, y, Z[:, j, :])
         Y[:, j] = y
         resid = Y[:, j + 1] + dt * gval - y     # spread the value fit had to average out
         step_noise_sq[j] = np.var(resid) * proj.n_features / M

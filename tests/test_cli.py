@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -231,3 +232,36 @@ def test_verify_bounds_on_custom_expression_solve(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["verify-bounds", "--run", sol_file, "--bound", "sup"])
     assert rc == 0, capsys.readouterr().err
+
+
+def test_solve_basis_range_saved_and_reloaded(tmp_path, monkeypatch):
+    import subquad_bsde.cli as cli
+    from subquad_bsde import RegressionBasis
+    sol_file = str(tmp_path / "b.npz")
+    assert main(["solve", "--generator", "example2", "--basis", "piecewise-constant-bins",
+                 "--basis-size", "12", "--basis-lo", "-2.5", "--basis-hi", "2.5",
+                 "--steps", "6", "--paths", "1000", "--ladder", "2", "2", "--seed", "4",
+                 "--out", sol_file]) == 0
+    expected = RegressionBasis("piecewise-constant-bins", 12, lo=-2.5, hi=2.5)
+    assert cli._load_solution(sol_file)[0].basis == expected
+
+    # the comparison check re-solves on the basis the run was solved on
+    seen = []
+    real = cli.solve_bounded
+
+    def spy(*args, **kwargs):
+        seen.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_bounded", spy)
+    main(["verify-bounds", "--run", sol_file, "--bound", "comparison"])
+    assert seen and all(basis == expected for basis in seen)
+
+    # files saved without the range were solved on the default [-5, 5]
+    data = dict(np.load(sol_file))
+    meta = json.loads(str(data.pop("meta")))
+    del meta["basis_lo"], meta["basis_hi"]
+    old_file = str(tmp_path / "old.npz")
+    np.savez_compressed(old_file, meta=json.dumps(meta), **data)
+    loaded = cli._load_solution(old_file)[0].basis
+    assert (loaded.lo, loaded.hi) == (-5.0, 5.0)

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 import subquad_bsde as sq
@@ -105,14 +107,77 @@ def test_solver_divergence_reports_step(grid24, bundle24, poly_basis):
 
 
 def test_bin_fallback_divergence_reports_step(grid24, bundle24, bins_basis):
-    # y = E[Y_next] + 2 y has no bracketable root per bin, so the bin
-    # fallback gives up on the first step it solves
+    # y = E[Y_next] + 2 y has a root per bin, but its residual increases
+    # (dt * dg/dy = 2 >= 1), so the per-bin secant rejects the ill-posed
+    # step on the first step it solves instead of returning that root
     dt = float(grid24.dt[0])
     g = sq.make_generator("linear", 1.5, b_y=2.0 / dt, b_z=0.0)
     with pytest.raises(SolverDivergedError) as err:
         sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
                          grid24, bundle24, bins_basis, fp_max_iter=2)
     assert err.value.step_index == grid24.steps - 1
+
+
+def test_bin_sweep_cap_reports_step(grid24, bundle24, bins_basis):
+    g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.0)
+    with pytest.raises(SolverDivergedError) as err:
+        sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
+                         grid24, bundle24, bins_basis, fp_max_iter=1)
+    assert err.value.step_index == grid24.steps - 1
+
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_non_finite_driver_names_step(grid24, bundle24, basis_fixture, request):
+    # finite on the last half of the horizon, NaN from t < 1/2 on: the first
+    # step that sees it (backwards) is the one with node 11/24
+    def fn(t, b, y, z):
+        return np.full(np.shape(y), np.nan if t < 0.5 else 0.0)
+
+    g = dataclasses.replace(sq.make_generator("zero", 1.5), fn=fn)
+    with pytest.raises(PreconditionViolationError, match=r"at step 11\b"):
+        sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
+                         grid24, bundle24, request.getfixturevalue(basis_fixture))
+
+
+def test_bin_step_matches_brentq_reference(example1):
+    # example 1 at the rung (1, 16) on a bundle where a damped path-level
+    # fixed point cycles near the cube-root kink at 0-; the per-bin roots
+    # are checked bin by bin against brentq
+    grid = sq.build_grid(1.0, 24, "uniform")
+    bundle = sq.sample_paths(grid, 1, 3000, 8)
+    basis = sq.RegressionBasis("piecewise-constant-bins", 30, lo=-4.8, hi=4.8)
+    idx = TruncationIndex(1, 16)
+    g = truncate_generator(example1, idx)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return g.fn(*args)
+
+    sol = sq.solve_bounded(dataclasses.replace(g, fn=counted),
+                           truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0), idx),
+                           grid, bundle, basis)
+    assert all(rows == bundle.count for rows in calls)
+    assert len(calls) <= 6 * grid.steps
+
+    levels = bundle.levels()
+    for j in range(grid.steps):
+        t, dt = float(grid.nodes[j]), float(grid.dt[j])
+        b, z = levels[:, j, :], sol.Z[:, j, :]
+        proj = basis.projector(t, b)
+        m = proj.coefficients(sol.Y[:, j + 1])
+        for k in np.unique(proj.idx):
+            rows = np.flatnonzero(proj.idx == k)
+
+            def resid(c):
+                return m[k] + dt * float(np.mean(g(t, b[rows], np.full(len(rows), c),
+                                                   z[rows]))) - c
+
+            lo, hi = m[k] - 1.0, m[k] + 1.0
+            while resid(lo) < 0.0 or resid(hi) > 0.0:
+                lo, hi = lo - (hi - lo), hi + (hi - lo)
+            root = brentq(resid, lo, hi, xtol=1e-14)
+            assert np.all(np.abs(sol.Y[rows, j] - root) < 1e-9)
 
 
 def test_picard_iteration_limit(grid24, bundle24, poly_basis):
