@@ -60,6 +60,13 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class BoundCheckResult:
+    """Per-time outcome of one bound check.
+
+    The comparison check reuses the three value fields: ``log_lhs`` holds the
+    per-node max gap Y - Y', ``log_rhs`` the allowance eps and ``se`` the
+    per-node violation fraction; ``columns`` names them accordingly.
+    """
+
     bound_id: str
     times: np.ndarray
     log_lhs: np.ndarray          # per checked time, at the tightest path
@@ -74,6 +81,14 @@ class BoundCheckResult:
     @property
     def satisfied(self) -> bool:
         return self.verdict == "satisfied"
+
+    def columns(self) -> dict:
+        """CSV columns, one row per checked time, headed by what each value is."""
+        names = (("gap_max", "eps", "violation_fraction") if self.bound_id == "comparison"
+                 else ("log_lhs", "log_rhs", "se"))
+        values = (self.log_lhs, self.log_rhs, self.se)
+        return {"time": self.times, **dict(zip(names, values)),
+                "verdict": [self.verdict] * len(self.times)}
 
 
 def _classify(margins: np.ndarray, ses: np.ndarray) -> str:

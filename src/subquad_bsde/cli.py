@@ -29,7 +29,7 @@ from .expressions import ExpressionError, compile_time_function
 from .families import FAMILY_REGISTRY
 from .generators import (GENERATOR_IDS, TERMINAL_IDS, TruncationIndex, make_generator,
                          make_terminal, truncate_generator, truncate_terminal)
-from .paths import RegressionBasis, build_grid, sample_paths
+from .paths import RegressionBasis, as_step_major, build_grid, sample_paths
 from .solver import solve_bounded, solve_ladder
 
 _CONDITION_IDS = ("EX1", "EX1prime", "EX2", "A1", "A5", "A2i", "A2ii", "monotone-limit",
@@ -277,9 +277,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
                 f"(rel se {chk.moment.se_rel!r}); jensen consistent: {chk.jensen_consistent}")
 
     for r in report.bound_results:
-        _write_csv(outdir / f"bound_{r.bound_id}.csv", {
-            "time": r.times, "log_lhs": r.log_lhs, "log_rhs": r.log_rhs,
-            "se": r.se, "verdict": [r.verdict] * len(r.times)})
+        _write_csv(outdir / f"bound_{r.bound_id}.csv", r.columns())
 
     report.wall_clock = time.perf_counter() - started
     _write_report(outdir / "report.txt", report)
@@ -407,8 +405,9 @@ def _load_solution(path: str):
     basis = RegressionBasis(meta["basis"], meta["basis_size"],
                             lo=meta.get("basis_lo", -5.0), hi=meta.get("basis_hi", 5.0))
     from .solver import SolutionField
-    sol = SolutionField(Y=data["Y"], Z=data["Z"], grid=grid, bundle=bundle, basis=basis,
-                        method="loaded")
+    # the solvers' layout, whatever order the file was written in
+    sol = SolutionField(Y=as_step_major(data["Y"]), Z=as_step_major(data["Z"]), grid=grid,
+                        bundle=bundle, basis=basis, method="loaded")
     return sol, meta
 
 
@@ -447,9 +446,7 @@ def _cmd_verify_bounds(args) -> int:
     else:
         raise ConfigurationError(f"unknown bound {args.bound!r}; ids: {', '.join(_BOUND_IDS)}")
     if args.out:
-        _write_csv(Path(args.out), {"time": r.times, "log_lhs": r.log_lhs,
-                                    "log_rhs": r.log_rhs, "se": r.se,
-                                    "verdict": [r.verdict] * len(r.times)})
+        _write_csv(Path(args.out), r.columns())
     print(f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(r.margin_min))!r})")
     return 0 if r.verdict == "satisfied" else 1
 

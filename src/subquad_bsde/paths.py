@@ -69,11 +69,27 @@ def build_grid(horizon: float, steps: int, scheme: str = "uniform",
     return TimeGrid(horizon=horizon, nodes=nodes, truncated_from_infinite=truncated_from_infinite)
 
 
+def step_major_empty(shape: tuple) -> np.ndarray:
+    """Uninitialised per-path field of path-major ``shape`` (paths, steps, ...),
+    stored step-major: time is the outer axis in memory, so ``x[:, j]`` is
+    one contiguous block."""
+    return np.empty((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
+
+
+def as_step_major(values: np.ndarray) -> np.ndarray:
+    """A per-path field in the layout of ``step_major_empty``; no copy if it
+    already is."""
+    return np.ascontiguousarray(values.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 @dataclass(frozen=True)
 class PathBundle:
     """Brownian increments for ``count`` paths on a shared grid.
 
     ``increments`` has shape (count, steps, dims) with per-step variance dt_j.
+    It and ``levels()`` are stored step-major (time is the outer axis in
+    memory) behind these path-major shapes, so the per-step slice
+    ``x[:, j, :]`` that every solver step reads is one contiguous block.
     """
 
     grid: TimeGrid
@@ -86,8 +102,11 @@ class PathBundle:
     def levels(self) -> np.ndarray:
         """Brownian values at the grid nodes, shape (count, steps + 1, dims)."""
         if "levels" not in self._levels:
-            lv = np.zeros((self.count, self.grid.steps + 1, self.dims))
-            np.cumsum(self.increments, axis=1, out=lv[:, 1:, :])
+            lv = step_major_empty((self.count, self.grid.steps + 1, self.dims))
+            lv[:, 0, :] = 0.0
+            # the running sum step by step: each add reads and writes contiguous blocks
+            for j in range(self.grid.steps):
+                np.add(lv[:, j, :], self.increments[:, j, :], out=lv[:, j + 1, :])
             self._levels["levels"] = lv
         return self._levels["levels"]
 
@@ -110,7 +129,7 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
     if count < 1:
         raise ValueError("count must be >= 1")
     sqrt_dt = np.sqrt(grid.dt)[None, :, None]
-    increments = np.empty((count, grid.steps, dims))
+    increments = step_major_empty((count, grid.steps, dims))
     for i in range(count):
         increments[i] = _path_stream(seed, i).standard_normal((grid.steps, dims))
     increments *= sqrt_dt

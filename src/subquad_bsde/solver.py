@@ -19,7 +19,7 @@ import numpy as np
 from .errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
 from .generators import (Generator, TerminalData, TruncationIndex,
                          theta_difference_generator, truncate_generator, truncate_terminal)
-from .paths import PathBundle, RegressionBasis, TimeGrid
+from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
 _FP_TOL = 1e-10
 _FP_MAX_ITER = 200
@@ -28,6 +28,11 @@ _FP_MAX_ITER = 200
 @dataclass(frozen=True)
 class SolutionField:
     """Discretized (Y, Z) on a path bundle; Y has N+1 nodes, Z has N steps.
+
+    ``Y`` has shape (paths, N+1) and ``Z`` (paths, N, dims).  The solvers
+    store both step-major (time is the outer axis in memory), like
+    ``PathBundle.increments``, so each per-step slice ``Y[:, j]`` or
+    ``Z[:, j, :]`` is contiguous.
 
     ``fit_noise`` is the accumulated standard error of the per-step value
     regressions from each node to the horizon: the honest statistical scale
@@ -160,8 +165,8 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     _check_inputs(grid, bundle)
     levels = bundle.levels()
     M, N = bundle.count, grid.steps
-    Y = np.empty((M, N + 1))
-    Z = np.empty((M, N, bundle.dims))
+    Y = step_major_empty((M, N + 1))
+    Z = step_major_empty((M, N, bundle.dims))
     Y[:, N] = _terminal_values(xi, bundle)
     projs = _projectors(grid, bundle, basis)
     step_noise_sq = np.zeros(N)
@@ -221,8 +226,8 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     xi_vals = _terminal_values(xi, bundle)
     projs = _projectors(grid, bundle, basis)
 
-    Y = np.zeros((M, N + 1))
-    Z = np.zeros((M, N, bundle.dims))
+    Y = step_major_empty((M, N + 1))
+    Z = step_major_empty((M, N, bundle.dims))
     Y[:, N] = xi_vals
     for j in reversed(range(N)):       # driver-free warm start
         m_fit = projs[j].fit(Y[:, j + 1])
@@ -230,12 +235,15 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         Z[:, j, :] = _z_step(projs[j], Y[:, j + 1], m_fit,
                              bundle.increments[:, j, :], float(grid.dt[j]))
 
+    # the next iterate is written into a second pair of buffers; the two pairs
+    # swap after each sweep and both keep the terminal values in column N
+    Y_new = np.empty_like(Y)
+    Z_new = np.empty_like(Z)
+    Y_new[:, N] = xi_vals
     gap = math.inf
+    step_gap = np.empty(N)
     step_noise_sq = np.zeros(N)
     for _ in range(max_iter):
-        Y_new = np.empty_like(Y)
-        Z_new = np.empty_like(Z)
-        Y_new[:, N] = xi_vals
         for j in reversed(range(N)):
             t = float(grid.nodes[j])
             dt = float(grid.dt[j])
@@ -249,9 +257,12 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
             Z_new[:, j, :] = _z_step(proj, Y_new[:, j + 1], m_fit,
                                      bundle.increments[:, j, :], dt)
             step_noise_sq[j] = np.var(target - Y_new[:, j]) * proj.n_features / M
-        # the driver reads both fields, so both must settle
-        gap = float(max(np.max(np.abs(Y_new - Y)), np.max(np.abs(Z_new - Z))))
-        Y, Z = Y_new, Z_new
+            # the driver reads both fields, so both must settle
+            step_gap[j] = np.maximum(np.max(np.abs(Y_new[:, j] - Y[:, j])),
+                                     np.max(np.abs(Z_new[:, j, :] - Z[:, j, :])))
+        gap = float(np.max(step_gap))
+        Y, Y_new = Y_new, Y
+        Z, Z_new = Z_new, Z
         if gap < tol:
             return SolutionField(Y=Y, Z=Z, grid=grid, bundle=bundle, basis=basis,
                                  method="picard", fit_noise=_fit_noise(step_noise_sq))

@@ -265,3 +265,52 @@ def test_solve_basis_range_saved_and_reloaded(tmp_path, monkeypatch):
     np.savez_compressed(old_file, meta=json.dumps(meta), **data)
     loaded = cli._load_solution(old_file)[0].basis
     assert (loaded.lo, loaded.hi) == (-5.0, 5.0)
+
+
+def test_bound_csv_headers(tmp_path):
+    # the comparison check writes its own columns; the log-space bounds share theirs
+    log_space = "time,log_lhs,log_rhs,se,verdict"
+    comparison = "time,gap_max,eps,violation_fraction,verdict"
+    cfg = parse_config(SMALL_RUN.replace("pointwise, comparison", "pointwise, sup, comparison"))
+    cfg.out = str(tmp_path / "run")
+    run_experiment(cfg)
+    for name, header in (("bound_pointwise-two-sided.csv", log_space),
+                         ("bound_sup-p2.csv", log_space),
+                         ("bound_comparison.csv", comparison)):
+        assert (Path(cfg.out) / name).read_text().splitlines()[0] == header, name
+
+    sol_file = str(tmp_path / "s.npz")
+    assert main(["solve", "--generator", "example2", "--steps", "6", "--paths", "1000",
+                 "--ladder", "2", "2", "--seed", "1", "--out", sol_file]) == 0
+    for bound, header in (("pointwise", log_space), ("pointwise-one-sided", log_space),
+                          ("sup", log_space), ("comparison", comparison)):
+        csv_file = tmp_path / f"{bound}.csv"
+        main(["verify-bounds", "--run", sol_file, "--bound", bound, "--out", str(csv_file)])
+        assert csv_file.read_text().splitlines()[0] == header, bound
+
+
+def test_loaded_fields_are_step_major_and_path_major_files_still_load(tmp_path, capsys):
+    import subquad_bsde.cli as cli
+    sol_file = str(tmp_path / "s.npz")
+    assert main(["solve", "--generator", "example1", "--steps", "6", "--paths", "1000",
+                 "--ladder", "2", "2", "--seed", "6", "--out", sol_file]) == 0
+    # a file as the path-major layout wrote it: C-order Y (paths, N+1) and Z (paths, N, d)
+    data = dict(np.load(sol_file))
+    old_file = str(tmp_path / "c_order.npz")
+    np.savez_compressed(old_file, Y=np.ascontiguousarray(data["Y"]),
+                        Z=np.ascontiguousarray(data["Z"]), nodes=data["nodes"], meta=data["meta"])
+    assert np.load(old_file)["Y"].flags.c_contiguous
+
+    new, old = cli._load_solution(sol_file)[0], cli._load_solution(old_file)[0]
+    assert np.array_equal(new.Y, old.Y) and np.array_equal(new.Z, old.Z)
+    for sol in (new, old):
+        assert all(sol.Y[:, j].flags.c_contiguous for j in range(sol.Y.shape[1]))
+        assert all(sol.Z[:, j, :].flags.c_contiguous for j in range(sol.Z.shape[1]))
+
+    capsys.readouterr()
+    verdicts = []
+    for path in (sol_file, old_file):
+        rc = main(["verify-bounds", "--run", path, "--bound", "pointwise"])
+        verdicts.append((rc, capsys.readouterr().out))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == 0 and "satisfied" in verdicts[0][1]

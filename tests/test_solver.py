@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 import subquad_bsde as sq
+from subquad_bsde import solver
 from subquad_bsde.errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
 from subquad_bsde.generators import TruncationIndex, truncate_generator, truncate_terminal
 from subquad_bsde.solver import consistency_residual, theta_residual
@@ -186,6 +187,83 @@ def test_picard_iteration_limit(grid24, bundle24, poly_basis):
         sq.picard_solve(g, sq.make_terminal("bt"), grid24, bundle24, poly_basis,
                         max_iter=1, tol=1e-12)
     assert err.value.gap > 0.0
+
+
+def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
+    """Reference Picard loop: fresh Y/Z buffers every sweep, gap over the whole
+    field.  Returns (Y, Z, fit_noise, gap); fit_noise is None without convergence."""
+    levels = bundle.levels()
+    M, N = bundle.count, grid.steps
+    xi_vals = solver._terminal_values(xi, bundle)
+    projs = solver._projectors(grid, bundle, basis)
+    # step-major like the solver: the rank-1 projector at node 0 sums a
+    # contiguous column in another order than a strided one
+    Y = np.zeros((N + 1, M)).T
+    Z = np.zeros((N, M, bundle.dims)).transpose(1, 0, 2)
+    Y[:, N] = xi_vals
+    for j in reversed(range(N)):
+        m_fit = projs[j].fit(Y[:, j + 1])
+        Y[:, j] = m_fit
+        Z[:, j, :] = solver._z_step(projs[j], Y[:, j + 1], m_fit,
+                                    bundle.increments[:, j, :], float(grid.dt[j]))
+    gap = math.inf
+    step_noise_sq = np.zeros(N)
+    for _ in range(max_iter):
+        Y_new = np.empty_like(Y)
+        Z_new = np.empty_like(Z)
+        Y_new[:, N] = xi_vals
+        for j in reversed(range(N)):
+            t, dt, proj = float(grid.nodes[j]), float(grid.dt[j]), projs[j]
+            frozen = g(t, levels[:, j, :], Y[:, j], Z[:, j, :])
+            m_fit = proj.fit(Y_new[:, j + 1])
+            target = Y_new[:, j + 1] + dt * frozen
+            Y_new[:, j] = proj.fit(target)
+            Z_new[:, j, :] = solver._z_step(proj, Y_new[:, j + 1], m_fit,
+                                            bundle.increments[:, j, :], dt)
+            step_noise_sq[j] = np.var(target - Y_new[:, j]) * proj.n_features / M
+        gap = float(max(np.max(np.abs(Y_new - Y)), np.max(np.abs(Z_new - Z))))
+        Y, Z = Y_new, Z_new
+        if gap < tol:
+            return Y, Z, solver._fit_noise(step_noise_sq), gap
+    return Y, Z, None, gap
+
+
+def test_picard_reused_buffers_match_fresh_buffer_reference(grid24, poly_basis):
+    bundle = sq.sample_paths(grid24, 1, 3000, 17)
+    g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    Y, Z, fit_noise, _ = _picard_fresh_buffers(g, xi, grid24, bundle, poly_basis)
+    assert fit_noise is not None
+    sol = sq.picard_solve(g, xi, grid24, bundle, poly_basis)
+    assert np.array_equal(sol.Y, Y)
+    assert np.array_equal(sol.Z, Z)
+    assert np.array_equal(sol.fit_noise, fit_noise)
+
+    _, _, _, gap = _picard_fresh_buffers(g, xi, grid24, bundle, poly_basis, max_iter=1)
+    with pytest.raises(IterationLimitError) as err:
+        sq.picard_solve(g, xi, grid24, bundle, poly_basis, max_iter=1)
+    assert err.value.gap == gap
+
+
+def test_per_step_slices_are_contiguous(poly_basis):
+    # the step-major layout: every per-step slice a solver step reads or
+    # writes is one contiguous block
+    grid = sq.build_grid(1.0, 6, "uniform")
+    bundle = sq.sample_paths(grid, 2, 300, 5)
+    levels = bundle.levels()
+    for j in range(grid.steps):
+        assert bundle.increments[:, j, :].flags.c_contiguous
+    for j in range(grid.steps + 1):
+        assert levels[:, j, :].flags.c_contiguous
+    g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
+    xi = sq.TerminalData(lambda b: np.atleast_2d(b)[:, 0], "bt1")
+    for sol in (sq.solve_bounded(g, xi, grid, bundle, poly_basis),
+                sq.picard_solve(g, xi, grid, bundle, poly_basis)):
+        assert sol.Y.shape == (300, 7) and sol.Z.shape == (300, 6, 2)
+        for j in range(grid.steps + 1):
+            assert sol.Y[:, j].flags.c_contiguous, (sol.method, j)
+        for j in range(grid.steps):
+            assert sol.Z[:, j, :].flags.c_contiguous, (sol.method, j)
 
 
 def test_non_finite_terminal_rejected(grid24, bundle24, poly_basis):
