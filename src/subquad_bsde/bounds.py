@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionViolationError
+from .paths import step_major_empty
 
 _LOG_CAP = 700.0
 
@@ -163,7 +164,10 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
         from .errors import InvalidCoefficientError
         raise InvalidCoefficientError(f"Jensen majorant needs 0 < int(gamma) < inf, got {total}")
     zn = np.sqrt((np.asarray(z_prime, dtype=float) ** 2).sum(axis=2))
-    ln_int = (np.log(math.e + zn) ** half) @ weights
+    ln_term = np.add(zn, math.e)
+    np.log(ln_term, out=ln_term)
+    ln_term **= half
+    ln_int = ln_term @ weights
     log_ln, se_ln = log_mean_exp(p * ln_int ** (2.0 / alpha_star))
     ln_moment = MomentEstimate(log_ln, se_ln, p, transform="exp(p*(int gamma*ln-term)^(2/a*))")
 
@@ -188,13 +192,13 @@ def _decile_indices(grid) -> np.ndarray:
 
 
 def _tail_forcing(f_process, grid, levels) -> np.ndarray:
-    """Per-path cumulative forcing integrals int_{t_j}^T f ds, shape (M, N+1)."""
-    M = levels.shape[0]
-    vals = np.empty((M, grid.steps))
-    for j in range(grid.steps):
-        vals[:, j] = np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]), dtype=float)
-    tail = np.zeros((M, grid.steps + 1))
-    tail[:, :-1] = np.cumsum((vals * grid.dt[None, :])[:, ::-1], axis=1)[:, ::-1]
+    """Per-path cumulative forcing integrals int_{t_j}^T f ds, shape (M, N+1),
+    stored step-major: summed from the horizon back, one step at a time."""
+    tail = step_major_empty((levels.shape[0], grid.steps + 1))
+    tail[:, -1] = 0.0
+    for j in reversed(range(grid.steps)):
+        f_dt = np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]), dtype=float) * grid.dt[j]
+        np.add(tail[:, j + 1], f_dt, out=tail[:, j])
     return tail
 
 
@@ -215,8 +219,9 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     """
     if variant not in ("two-sided", "one-sided"):
         raise ValueError(f"unknown variant {variant!r}")
-    grid, bundle, basis = sol.grid, sol.bundle, sol.basis
+    grid, bundle = sol.grid, sol.bundle
     levels = bundle.levels()
+    projs = bundle.projectors(sol.basis)
     one_sided = variant == "one-sided"
     power = 2.0 / constants.alpha_star
     log_K = constants.log_K.log
@@ -224,17 +229,22 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
 
     xi_eff = np.maximum(xi_values, 0.0) if one_sided else np.abs(xi_values)
     tail_f = _tail_forcing(f_process, grid, levels)
-    zsq = (sol.Z ** 2).sum(axis=2) * grid.dt[None, :]
-    if one_sided:
-        zsq = zsq * (sol.Y[:, :-1] > 0.0)
-    tail_q = np.zeros((bundle.count, grid.steps + 1))
-    tail_q[:, :-1] = np.cumsum(zsq[:, ::-1], axis=1)[:, ::-1]
+    # quadratic variation to the horizon, summed back one step at a time; kept
+    # path-major because its columns go straight into the SVD fit, whose BLAS
+    # summation order depends on the stride of its input
+    tail_q = np.empty((bundle.count, grid.steps + 1))
+    tail_q[:, -1] = 0.0
+    for j in reversed(range(grid.steps)):
+        q = (sol.Z[:, j, :] ** 2).sum(axis=1) * grid.dt[j]
+        if one_sided:
+            q *= sol.Y[:, j] > 0.0
+        np.add(tail_q[:, j + 1], q, out=tail_q[:, j])
 
     idx = _decile_indices(grid)
     times, lhs_t, rhs_t, se_t, mmin, mmed = [], [], [], [], [], []
     for j in idx:
         t = float(grid.nodes[j])
-        proj = basis.projector(t, levels[:, j, :])
+        proj = projs[j]
         q_fit = np.maximum(proj.fit(tail_q[:, j]), 0.0)
         se_q = _fit_se(tail_q[:, j], q_fit, proj.n_features)
         y = sol.Y[:, j]
@@ -349,15 +359,21 @@ def verify_comparison(sol, sol_prime, policy: ComparisonPolicy = ComparisonPolic
     eps = np.full(sol.grid.steps + 1, policy.c * math.sqrt(float(np.max(sol.grid.dt))) + policy.extra)
     if policy.use_fit_noise:
         eps = eps + 3.0 * (sol.noise_scale() + sol_prime.noise_scale())
-    gap = sol.Y - sol_prime.Y          # should be <= eps everywhere
-    violations = gap > eps[None, :]
-    fraction = float(violations.mean())
-    worst = float(gap.max())
-    per_time = violations.mean(axis=0)
+    M, nodes = sol.Y.shape
+    gap_max = np.empty(nodes)
+    margin_median = np.empty(nodes)
+    counts = np.empty(nodes, dtype=np.int64)
+    for j in range(nodes):
+        gap = sol.Y[:, j] - sol_prime.Y[:, j]          # should be <= eps everywhere
+        counts[j] = np.count_nonzero(gap > eps[j])
+        gap_max[j] = gap.max()
+        np.subtract(eps[j], gap, out=gap)
+        margin_median[j] = np.median(gap, overwrite_input=True)
+    fraction = float(counts.sum() / (M * nodes))
     verdict = "satisfied" if fraction <= policy.max_violation_fraction else "violated"
-    margins = eps - gap.max(axis=0)
     return BoundCheckResult(bound_id="comparison", times=sol.grid.nodes.copy(),
-                            log_lhs=gap.max(axis=0), log_rhs=eps,
-                            se=per_time, margin_min=margins,
-                            margin_median=np.median(eps[None, :] - gap, axis=0),
-                            verdict=verdict, violation_fraction=fraction, worst_gap=worst)
+                            log_lhs=gap_max, log_rhs=eps,
+                            se=counts / M, margin_min=eps - gap_max,
+                            margin_median=margin_median,
+                            verdict=verdict, violation_fraction=fraction,
+                            worst_gap=float(gap_max.max()))

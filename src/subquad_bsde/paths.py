@@ -90,6 +90,7 @@ class PathBundle:
     It and ``levels()`` are stored step-major (time is the outer axis in
     memory) behind these path-major shapes, so the per-step slice
     ``x[:, j, :]`` that every solver step reads is one contiguous block.
+    ``levels()`` and ``projectors(basis)`` are built on first use and kept.
     """
 
     grid: TimeGrid
@@ -97,29 +98,35 @@ class PathBundle:
     count: int
     increments: np.ndarray
     seed: int
-    _levels: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def levels(self) -> np.ndarray:
         """Brownian values at the grid nodes, shape (count, steps + 1, dims)."""
-        if "levels" not in self._levels:
+        if "levels" not in self._cache:
             lv = step_major_empty((self.count, self.grid.steps + 1, self.dims))
             lv[:, 0, :] = 0.0
             # the running sum step by step: each add reads and writes contiguous blocks
             for j in range(self.grid.steps):
                 np.add(lv[:, j, :], self.increments[:, j, :], out=lv[:, j + 1, :])
-            self._levels["levels"] = lv
-        return self._levels["levels"]
+            self._cache["levels"] = lv
+        return self._cache["levels"]
+
+    def projectors(self, basis: RegressionBasis) -> list:
+        """Per-step projectors of ``basis`` at the states of steps 0..N-1.
+
+        Every solve and check on this bundle regresses at the same states, so
+        the list is factored once per basis and shared by all of them.
+        """
+        key = ("projectors", basis)
+        if key not in self._cache:
+            levels, nodes = self.levels(), self.grid.nodes
+            self._cache[key] = [basis.projector(float(nodes[j]), levels[:, j, :])
+                                for j in range(self.grid.steps)]
+        return self._cache[key]
 
     def terminal(self) -> np.ndarray:
         """Brownian values at the horizon, shape (count, dims)."""
         return self.levels()[:, -1, :]
-
-
-def _path_stream(seed: int, index: int) -> np.random.Generator:
-    # Counter-based keying: the stream is a pure function of (seed, index),
-    # independent of how many other paths exist or the order they are drawn.
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle:
@@ -130,8 +137,18 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
         raise ValueError("count must be >= 1")
     sqrt_dt = np.sqrt(grid.dt)[None, :, None]
     increments = step_major_empty((count, grid.steps, dims))
+    # Counter-based keying: path i is the stream of Philox(key=[seed, i]), a
+    # pure function of (seed, i), independent of how many other paths exist or
+    # the order they are drawn.  One bit generator is re-keyed per path to
+    # that fresh state (counter 0, empty buffer) instead of being rebuilt.
+    bitgen = np.random.Philox(0)
+    draw = np.random.Generator(bitgen)
+    state = bitgen.state
     for i in range(count):
-        increments[i] = _path_stream(seed, i).standard_normal((grid.steps, dims))
+        state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
+                          "key": np.array([seed, i], dtype=np.uint64)}
+        bitgen.state = state
+        increments[i] = draw.standard_normal((grid.steps, dims))
     increments *= sqrt_dt
     return PathBundle(grid=grid, dims=dims, count=count, increments=increments, seed=seed)
 
@@ -230,12 +247,15 @@ class RegressionBasis:
             raise ValueError("feature matrices only exist for the polynomial basis")
         state = np.atleast_2d(np.asarray(state, dtype=float))
         n, d = state.shape
-        cols = [np.ones(n)]
+        # one contiguous row per feature; x^p is the running product x^(p-1) * x
+        rows = np.empty((1 + d * self.size, n))
+        rows[0] = 1.0
         for c in range(d):
-            xc = state[:, c]
-            for p in range(1, self.size + 1):
-                cols.append(xc ** p)
-        return np.stack(cols, axis=1)
+            first = 1 + c * self.size
+            rows[first] = state[:, c]
+            for k in range(first + 1, first + self.size):
+                np.multiply(rows[k - 1], rows[first], out=rows[k])
+        return rows.T
 
     def bin_indices(self, state: np.ndarray) -> np.ndarray:
         """Bin assignment per path (partition basis only); edges clip outliers."""

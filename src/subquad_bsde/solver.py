@@ -80,11 +80,6 @@ def _terminal_values(xi: TerminalData, bundle: PathBundle) -> np.ndarray:
     return values
 
 
-def _projectors(grid: TimeGrid, bundle: PathBundle, basis: RegressionBasis) -> list:
-    levels = bundle.levels()
-    return [basis.projector(float(grid.nodes[j]), levels[:, j, :]) for j in range(grid.steps)]
-
-
 def _fit_noise(step_noise_sq: np.ndarray) -> np.ndarray:
     """Per-node fit noise: root of the step variances accumulated to the horizon."""
     fit_noise = np.zeros(len(step_noise_sq) + 1)
@@ -168,7 +163,7 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     Y = step_major_empty((M, N + 1))
     Z = step_major_empty((M, N, bundle.dims))
     Y[:, N] = _terminal_values(xi, bundle)
-    projs = _projectors(grid, bundle, basis)
+    projs = bundle.projectors(basis)
     step_noise_sq = np.zeros(N)
 
     for j in reversed(range(N)):
@@ -224,7 +219,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     levels = bundle.levels()
     M, N = bundle.count, grid.steps
     xi_vals = _terminal_values(xi, bundle)
-    projs = _projectors(grid, bundle, basis)
+    projs = bundle.projectors(basis)
 
     Y = step_major_empty((M, N + 1))
     Z = step_major_empty((M, N, bundle.dims))
@@ -275,13 +270,14 @@ def _fitted_residual(sol: SolutionField, g: Generator, U: np.ndarray,
     per step, on the grid, bundle and basis of ``sol``."""
     grid, bundle = sol.grid, sol.bundle
     levels = bundle.levels()
+    projs = bundle.projectors(sol.basis)
     out = np.empty(grid.steps)
     for j in range(grid.steps):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
         gval = g(t, levels[:, j, :], U[:, j], V[:, j, :])
         r = (U[:, j] - U[:, j + 1] - gval * dt
              + (V[:, j, :] * bundle.increments[:, j, :]).sum(axis=1))
-        out[j] = float(np.max(np.abs(sol.basis.projector(t, levels[:, j, :]).fit(r))))
+        out[j] = float(np.max(np.abs(projs[j].fit(r))))
     return out
 
 
@@ -407,8 +403,12 @@ def theta_residual(sol: SolutionField, sol_prime: SolutionField, theta: float,
         raise ValueError("theta must lie in (0, 1)")
     if not np.array_equal(sol.grid.nodes, sol_prime.grid.nodes) or sol.Y.shape != sol_prime.Y.shape:
         raise ValueError("solutions must live on the same grid and bundle")
-    dU = (sol.Y - theta * sol_prime.Y) / (1.0 - theta)
-    dV = (sol.Z - theta * sol_prime.Z) / (1.0 - theta)
+    dU = np.multiply(sol_prime.Y, theta)
+    np.subtract(sol.Y, dU, out=dU)
+    dU /= 1.0 - theta
+    dV = np.multiply(sol_prime.Z, theta)
+    np.subtract(sol.Z, dV, out=dV)
+    dV /= 1.0 - theta
     if g is None or g_prime is None:
         return ThetaResidual(theta=theta, dU=dU, dV=dV, consistency=np.zeros(sol.grid.steps))
 

@@ -229,3 +229,154 @@ def test_moment_estimate_validation():
     assert m.overflowed and m.value == math.inf and m.standard_error == math.inf
     with pytest.raises(ValueError):
         MomentEstimate(log_value=1.0, se_rel=-0.1, p=2.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-equality with the whole-field formulas the checks were first written with
+# ---------------------------------------------------------------------------
+
+def _whole_field_tail(per_step):
+    # per-path sums to the horizon as one reversed cumsum over a (M, N) field
+    tail = np.zeros((per_step.shape[0], per_step.shape[1] + 1))
+    tail[:, :-1] = np.cumsum(per_step[:, ::-1], axis=1)[:, ::-1]
+    return tail
+
+
+def _pointwise_reference(sol, constants, xi_values, f_process, variant):
+    """The pointwise check with whole-field tails and a projector per decile step."""
+    from subquad_bsde.bounds import _decile_indices, _fit_se
+    grid, bundle, basis = sol.grid, sol.bundle, sol.basis
+    levels = bundle.levels()
+    one_sided = variant == "one-sided"
+    power = 2.0 / constants.alpha_star
+    log_K = constants.log_K.log
+    K_float = math.exp(min(log_K, 700.0))
+    xi_eff = np.maximum(xi_values, 0.0) if one_sided else np.abs(xi_values)
+    f_vals = np.stack([np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]), dtype=float)
+                       for j in range(grid.steps)], axis=1)
+    tail_f = _whole_field_tail(f_vals * grid.dt[None, :])
+    zsq = (sol.Z ** 2).sum(axis=2) * grid.dt[None, :]
+    if one_sided:
+        zsq = zsq * (sol.Y[:, :-1] > 0.0)
+    tail_q = _whole_field_tail(zsq)
+    rows = []
+    for j in _decile_indices(grid):
+        t = float(grid.nodes[j])
+        proj = basis.projector(t, levels[:, j, :])
+        q_fit = np.maximum(proj.fit(tail_q[:, j]), 0.0)
+        se_q = _fit_se(tail_q[:, j], q_fit, proj.n_features)
+        y = sol.Y[:, j]
+        ypart = np.maximum(y, 0.0) ** power if one_sided else np.abs(y) ** power
+        log_lhs = np.logaddexp(ypart, np.log(np.maximum(q_fit, 1e-300)))
+        big = np.minimum(K_float * (xi_eff + tail_f[:, j]) ** power, 700.0)
+        big_fit = proj.fit(big)
+        se_big = _fit_se(big, big_fit, proj.n_features)
+        log_rhs = log_K + big_fit
+        margins = log_rhs - log_lhs
+        se_lhs = se_q / np.maximum(np.exp(log_lhs), 1e-300)
+        se_comb = np.sqrt(se_lhs ** 2 + se_big ** 2)
+        worst = int(np.argmin(margins))
+        rows.append((t, log_lhs[worst], log_rhs[worst], se_comb[worst], margins.min(),
+                     np.median(margins)))
+    return tail_f, [np.asarray(col) for col in zip(*rows)]
+
+
+@pytest.fixture(scope="module")
+def example1_pair(example1):
+    # truncated example 1 with terminals xi <= xi + 1, on an odd path count so
+    # the per-node medians take a single middle element
+    grid = sq.build_grid(1.0, 24, "uniform")
+    bundle = sq.sample_paths(grid, 1, 2001, 13)
+    idx = TruncationIndex(16, 16)
+    gt = truncate_generator(example1, idx)
+    xi = truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0), idx)
+    xi_hi = truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0, shift=1.0), idx)
+    return {basis.kind: (sq.solve_bounded(gt, xi, grid, bundle, basis),
+                         sq.solve_bounded(gt, xi_hi, grid, bundle, basis), xi)
+            for basis in (sq.RegressionBasis("polynomial", 3),
+                          sq.RegressionBasis("piecewise-constant-bins", 20, lo=-4.5, hi=4.5))}
+
+
+@pytest.mark.parametrize("variant", ["two-sided", "one-sided"])
+@pytest.mark.parametrize("kind", ["polynomial", "piecewise-constant-bins"])
+def test_pointwise_bound_matches_whole_field_reference(example1, example1_pair, kind, variant):
+    from subquad_bsde.bounds import _tail_forcing
+    sol, _, xi = example1_pair[kind]
+    prof = example1.profile
+    cs = sq.derive_constants(1.5, 1.0, prof.beta, prof.gamma)
+    xi_vals = xi(sol.bundle.terminal())
+    tail_f, expected = _pointwise_reference(sol, cs, xi_vals, prof.f, variant)
+    assert np.array_equal(_tail_forcing(prof.f, sol.grid, sol.bundle.levels()), tail_f)
+    r = verify_pointwise_bound(sol, cs, xi_vals, prof.f, variant)
+    got = (r.times, r.log_lhs, r.log_rhs, r.se, r.margin_min, r.margin_median)
+    for name, a, b in zip(("times", "lhs", "rhs", "se", "min", "median"), got, expected):
+        assert np.array_equal(a, b), name
+
+
+def test_pointwise_bound_matches_whole_field_reference_in_two_dims():
+    grid = sq.build_grid(1.0, 12, "uniform")
+    bundle = sq.sample_paths(grid, 2, 1500, 21)
+    g = sq.make_generator("linear", 1.5, b_y=-0.5, b_z=0.5)
+    xi = sq.TerminalData(lambda b: np.clip(np.atleast_2d(b)[:, 0] - 0.3, -2.0, 2.0), "bt1")
+    sol = sq.solve_bounded(g, xi, grid, bundle, sq.RegressionBasis("polynomial", 2))
+    cs = sq.derive_constants(1.5, 1.0, ZERO, ZERO)
+    f = lambda t, b: 0.2 + np.abs(np.atleast_2d(b)[:, 1])
+    xi_vals = xi(bundle.terminal())
+    for variant in ("two-sided", "one-sided"):
+        _, expected = _pointwise_reference(sol, cs, xi_vals, f, variant)
+        r = verify_pointwise_bound(sol, cs, xi_vals, f, variant)
+        got = (r.times, r.log_lhs, r.log_rhs, r.se, r.margin_min, r.margin_median)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), variant
+
+
+def _comparison_reference(sol, sol_prime, policy):
+    eps = np.full(sol.grid.steps + 1,
+                  policy.c * math.sqrt(float(np.max(sol.grid.dt))) + policy.extra)
+    if policy.use_fit_noise:
+        eps = eps + 3.0 * (sol.noise_scale() + sol_prime.noise_scale())
+    gap = sol.Y - sol_prime.Y
+    violations = gap > eps[None, :]
+    arrays = (gap.max(axis=0), eps, violations.mean(axis=0), eps - gap.max(axis=0),
+              np.median(eps[None, :] - gap, axis=0))
+    return arrays, float(violations.mean()), float(gap.max())
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "piecewise-constant-bins"])
+def test_comparison_matches_whole_field_reference(example1_pair, kind):
+    lo, hi, _ = example1_pair[kind]
+    for a, b, policy in ((lo, hi, ComparisonPolicy()),
+                         (hi, lo, ComparisonPolicy()),
+                         (hi, lo, ComparisonPolicy(c=0.0, extra=1.0, use_fit_noise=False))):
+        arrays, fraction, worst = _comparison_reference(a, b, policy)
+        r = verify_comparison(a, b, policy)
+        got = (r.log_lhs, r.log_rhs, r.se, r.margin_min, r.margin_median)
+        for name, x, y in zip(("gap_max", "eps", "per_time", "min", "median"), got, arrays):
+            assert np.array_equal(x, y), name
+        assert r.violation_fraction == fraction and r.worst_gap == worst
+    assert 0.0 < r.violation_fraction < 1.0
+
+
+def test_comparison_median_matches_reference_on_even_path_count(grid24, bundle24, poly_basis):
+    g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
+    a = sq.solve_bounded(g, sq.make_terminal("clamp-bt", bound=2.0), grid24, bundle24, poly_basis)
+    b = sq.solve_bounded(g, sq.make_terminal("clamp-bt", bound=1.0), grid24, bundle24, poly_basis)
+    assert bundle24.count % 2 == 0
+    arrays, fraction, _ = _comparison_reference(a, b, ComparisonPolicy())
+    r = verify_comparison(a, b)
+    assert np.array_equal(r.margin_median, arrays[4]) and np.array_equal(r.se, arrays[2])
+    assert r.violation_fraction == fraction
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "piecewise-constant-bins"])
+def test_fhat_moment_log_term_matches_whole_field_reference(example1, example1_pair, kind):
+    lo, _, _ = example1_pair[kind]
+    prof = example1.profile
+    gamma = prof.convexity_tier()[2]
+    astar = sq.derive_constants(1.5, 1.0, prof.beta, prof.gamma).alpha_star
+    check = verify_fhat_moment(fhat_process(prof, lo), lo.grid, 2.0, astar,
+                               gamma=gamma, z_prime=lo.Z)
+    weights = np.asarray([float(gamma(t)) for t in lo.grid.nodes[:-1]]) * lo.grid.dt
+    zn = np.sqrt((lo.Z ** 2).sum(axis=2))
+    ln_int = (np.log(math.e + zn) ** (astar / 2.0)) @ weights
+    log_ln, se_ln = log_mean_exp(2.0 * ln_int ** (2.0 / astar))
+    assert check.ln_moment.log_value == log_ln and check.ln_moment.se_rel == se_ln

@@ -177,3 +177,53 @@ def test_polynomial_projector_matches_dense_least_squares_when_rank_deficient():
     proj = basis.projector(0.0, state)
     assert np.allclose(proj.fit(values), fit_ref, rtol=0.0, atol=1e-10)
     assert np.allclose(proj.coefficients(values), coef_ref, rtol=0.0, atol=1e-10)
+
+
+def _per_path_philox_reference(grid, dims, count, seed):
+    # the sampler as first written: a fresh Philox(key=[seed, i]) per path
+    out = np.empty((count, grid.steps, dims))
+    for i in range(count):
+        key = np.array([seed, i], dtype=np.uint64)
+        out[i] = np.random.Generator(np.random.Philox(key=key)).standard_normal((grid.steps, dims))
+    return out * np.sqrt(grid.dt)[None, :, None]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("count", [1, 37])
+def test_rekeyed_sampler_matches_per_path_philox(dims, count):
+    grid = build_grid(1.0, 8, "geometric", ratio=0.7)
+    bundle = sample_paths(grid, dims, count, 2024)
+    assert np.array_equal(bundle.increments, _per_path_philox_reference(grid, dims, count, 2024))
+
+
+def test_bundle_projectors_built_once_per_basis():
+    grid = build_grid(1.0, 6, "uniform")
+    bundle = sample_paths(grid, 1, 200, 3)
+    projs = bundle.projectors(POLY1)
+    assert len(projs) == grid.steps
+    assert bundle.projectors(POLY1) is projs
+    assert bundle.projectors(RegressionBasis("polynomial", 1)) is projs   # equal basis, same set
+    other = bundle.projectors(BINS)
+    assert other is not projs and other is bundle.projectors(BINS)
+
+
+@pytest.mark.parametrize("basis", [RegressionBasis("polynomial", 4), BINS], ids=["poly", "bins"])
+def test_bundle_projector_fits_match_fresh_projectors(basis):
+    grid = build_grid(1.0, 6, "uniform")
+    bundle = sample_paths(grid, 1, 500, 11)
+    levels = bundle.levels()
+    values = np.sin(3.0 * levels[:, -1, 0])
+    for j, proj in enumerate(bundle.projectors(basis)):
+        fresh = basis.projector(float(grid.nodes[j]), levels[:, j, :])
+        assert np.array_equal(proj.fit(values), fresh.fit(values)), j
+        assert np.array_equal(proj.coefficients(values), fresh.coefficients(values)), j
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_features_match_powers(dims):
+    basis = RegressionBasis("polynomial", 5)
+    state = np.random.default_rng(7).uniform(-3.0, 3.0, (400, dims))
+    expected = [np.ones(400)] + [state[:, c] ** p for c in range(dims) for p in range(1, 6)]
+    features = basis.features(0.0, state)
+    assert features.shape == (400, 1 + 5 * dims)
+    np.testing.assert_allclose(features, np.stack(expected, axis=1), rtol=1e-14, atol=0.0)

@@ -195,7 +195,7 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
     levels = bundle.levels()
     M, N = bundle.count, grid.steps
     xi_vals = solver._terminal_values(xi, bundle)
-    projs = solver._projectors(grid, bundle, basis)
+    projs = bundle.projectors(basis)
     # step-major like the solver: the rank-1 projector at node 0 sums a
     # contiguous column in another order than a strided one
     Y = np.zeros((N + 1, M)).T
@@ -337,6 +337,24 @@ def test_theta_residual_identities(grid24, bundle24, poly_basis, example2):
     xi_vals = xi_lo(bundle24.terminal())
     assert np.all(np.maximum(tr.dU[:, -1], 0.0) <= np.maximum(xi_vals, 0.0) + 1e-12)
     assert tr.consistency.max() < 1.0
+
+
+def test_theta_residual_matches_whole_field_reference(grid24, bundle24, example2):
+    idx = TruncationIndex(16, 16)
+    gt = truncate_generator(example2, idx)
+    xi_lo = truncate_terminal(sq.make_terminal("clamp-bt", bound=2.0), idx)
+    xi_hi = truncate_terminal(sq.make_terminal("clamp-bt", bound=2.0, shift=1.0), idx)
+    for basis in (sq.RegressionBasis("polynomial", 3),
+                  sq.RegressionBasis("piecewise-constant-bins", 20, lo=-4.5, hi=4.5)):
+        lo = sq.solve_bounded(gt, xi_lo, grid24, bundle24, basis)
+        hi = sq.solve_bounded(gt, xi_hi, grid24, bundle24, basis)
+        theta = 0.7
+        dU = (lo.Y - theta * hi.Y) / (1.0 - theta)
+        dV = (lo.Z - theta * hi.Z) / (1.0 - theta)
+        tr = theta_residual(lo, hi, theta, g=gt, g_prime=gt)
+        assert np.array_equal(tr.dU, dU) and np.array_equal(tr.dV, dV), basis.kind
+        dg = sq.theta_difference_generator(gt, gt, theta, grid24, hi.Y, hi.Z)
+        assert np.array_equal(tr.consistency, solver._fitted_residual(lo, dg, dU, dV)), basis.kind
 
 
 def test_theta_residual_rejects_mismatch(grid24, bundle24, poly_basis):
