@@ -16,9 +16,9 @@ Layout:
 from .bounds import (BoundCheckResult, ComparisonPolicy, MomentEstimate, fhat_process,
                      verify_comparison, verify_fhat_moment, verify_pointwise_bound,
                      verify_sup_bound)
-from .conditions import (ConditionReport, SampleCloud, build_cloud, check_growth,
-                         check_theta_convexity, check_y_regularity, check_z_regularity,
-                         subexp_moment_estimate)
+from .conditions import (ConditionReport, SampleCloud, build_cloud, check_condition,
+                         check_growth, check_theta_convexity, check_y_regularity,
+                         check_z_regularity, subexp_moment_estimate)
 from .constants import (ConstantSet, LogValue, beta_integral, conjugate_exponent,
                         derive_constants, khat, k_threshold, mu_schedule, theta_constants,
                         young_margin)

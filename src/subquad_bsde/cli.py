@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from configparser import ConfigParser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +30,8 @@ from .families import FAMILY_REGISTRY
 from .generators import (GENERATOR_IDS, TERMINAL_IDS, TruncationIndex, make_generator,
                          make_terminal, truncate_generator, truncate_terminal)
 from .paths import RegressionBasis, as_step_major, build_grid, sample_paths
-from .solver import solve_bounded, solve_ladder
+from .solver import SolutionField, solve_bounded, solve_ladder
 
-_CONDITION_IDS = ("EX1", "EX1prime", "EX2", "A1", "A5", "A2i", "A2ii", "monotone-limit",
-                  "A3i", "A3ii", "A4", "A6i", "A6ii",
-                  "UN-i", "UN-ii", "UNprime-i", "UNprime-ii")
 _BOUND_IDS = ("pointwise", "pointwise-one-sided", "sup", "comparison", "fhat-moment")
 
 
@@ -73,6 +70,9 @@ class ExperimentConfig:
         return compile_time_function(self.gamma)
 
 
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; reports every validation error, not just the first."""
     parser = ConfigParser()
@@ -86,41 +86,23 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     errors = []
 
-    def take(key, conv, attr=None):
-        if key in raw:
+    # every key converts like its default, except the two lists
+    convert = {"ladder": lambda s: tuple(int(v) for v in s.replace(",", " ").split()),
+               "checks": lambda s: tuple(v.strip() for v in s.split(",") if v.strip())}
+    for f in fields(ExperimentConfig):
+        if f.name in raw:
             try:
-                setattr(cfg, attr or key, conv(raw.pop(key)))
+                setattr(cfg, f.name, convert.get(f.name, type(f.default))(raw.pop(f.name)))
             except (TypeError, ValueError) as exc:
-                errors.append(f"{key}: {exc}")
-
-    take("generator", str)
-    take("expression", str)
-    take("terminal", str)
-    take("terminal_value", float)
-    take("terminal_bound", float)
-    take("terminal_shift", float)
-    take("alpha", float)
-    take("beta", str)
-    take("gamma", str)
-    take("dims", int)
-    take("horizon", float)
-    take("steps", int)
-    take("scheme", str)
-    take("paths", int)
-    take("seed", int)
-    take("basis", str)
-    take("basis_size", int)
-    take("basis_lo", float)
-    take("basis_hi", float)
-    take("p", float)
-    take("cloud_samples", int)
-    take("comparison_shift", float)
-    take("out", str)
-    take("ladder", lambda s: tuple(int(v) for v in s.replace(",", " ").split()))
-    take("checks", lambda s: tuple(v.strip() for v in s.split(",") if v.strip()))
+                errors.append(f"{f.name}: {exc}")
     for key in raw:
         errors.append(f"unknown key {key!r}")
+    return _validate(cfg, errors)
 
+
+def _validate(cfg: ExperimentConfig, errors=()) -> ExperimentConfig:
+    """``cfg`` when it describes a runnable experiment; otherwise raise every problem found."""
+    errors = list(errors)
     if cfg.generator not in GENERATOR_IDS:
         errors.append(f"unknown generator {cfg.generator!r}; catalog: {', '.join(GENERATOR_IDS)}")
     if cfg.generator == "custom-expression" and not cfg.expression:
@@ -140,8 +122,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if any(v < 1 for v in cfg.ladder):
         errors.append("ladder levels must be positive integers")
     for c in cfg.checks:
-        if c not in _CONDITION_IDS and c not in _BOUND_IDS:
-            errors.append(f"unknown check {c!r}; conditions: {', '.join(_CONDITION_IDS)}; "
+        if c not in cond_mod.CONDITION_IDS and c not in _BOUND_IDS:
+            errors.append(f"unknown check {c!r}; conditions: {', '.join(cond_mod.CONDITION_IDS)}; "
                           f"bounds: {', '.join(_BOUND_IDS)}")
     for key, fn in (("beta", ExperimentConfig.beta_fn), ("gamma", ExperimentConfig.gamma_fn)):
         try:
@@ -161,13 +143,17 @@ class ReportDocument:
     bound_results: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     ladder: dict = field(default_factory=dict)
+    fhat_checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     wall_clock: float = 0.0
 
     @property
     def any_violation(self) -> bool:
-        return (any(r.verdict == "fail" for r in self.condition_reports)
-                or any(r.verdict == "violated" for r in self.bound_results))
+        """True unless every check passed: exit 0 claims that all of them were satisfied,
+        so an inconclusive or indeterminate verdict counts as well."""
+        return (any(r.verdict != "pass" for r in self.condition_reports)
+                or any(r.verdict != "satisfied" for r in self.bound_results)
+                or any(not c.jensen_consistent for c in self.fhat_checks))
 
 
 def _fmt(x) -> str:
@@ -231,50 +217,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     xi_vals = truncate_terminal(xi, idx)(bundle.terminal())
 
     for check in cfg.checks:
-        if check in ("EX1", "EX1prime", "EX2", "A1", "A5"):
-            report.condition_reports.append(cond_mod.check_growth(gen, check, cloud))
-        elif check in ("A2i", "A2ii", "monotone-limit"):
-            report.condition_reports.append(cond_mod.check_y_regularity(gen, check, cloud))
-        elif check in ("A3i", "A3ii", "A4", "A6i", "A6ii"):
-            report.condition_reports.append(cond_mod.check_z_regularity(gen, check, cloud))
-        elif check.startswith("UN"):
-            report.condition_reports.append(cond_mod.check_theta_convexity(gen, check, cloud))
-        elif check == "pointwise":
-            r = bounds_mod.verify_pointwise_bound(sol, constants, xi_vals, prof.f, "two-sided")
-            report.bound_results.append(r)
-        elif check == "pointwise-one-sided":
-            r = bounds_mod.verify_pointwise_bound(sol, constants, xi_vals, prof.f, "one-sided")
-            report.bound_results.append(r)
-        elif check == "sup":
-            r = bounds_mod.verify_sup_bound(sol, constants, xi_vals, prof.f, p=cfg.p)
-            report.bound_results.append(r)
-        elif check == "comparison":
-            xi_hi = make_terminal(cfg.terminal, value=cfg.terminal_value,
-                                  bound=cfg.terminal_bound,
-                                  shift=cfg.terminal_shift + cfg.comparison_shift)
-            sol_hi = solve_bounded(truncate_generator(gen, idx), truncate_terminal(xi_hi, idx),
-                                   grid, bundle, basis)
-            xi_hi_vals = truncate_terminal(xi_hi, idx)(bundle.terminal())
-            try:
-                r = bounds_mod.verify_comparison(sol, sol_hi, xi_values=xi_vals,
-                                                 xi_prime_values=xi_hi_vals)
-            except PreconditionViolationError as exc:
-                r = bounds_mod.BoundCheckResult(
-                    bound_id="comparison", times=grid.nodes.copy(),
-                    log_lhs=np.zeros(grid.steps + 1), log_rhs=np.zeros(grid.steps + 1),
-                    se=np.zeros(grid.steps + 1), margin_min=np.zeros(grid.steps + 1),
-                    margin_median=np.zeros(grid.steps + 1), verdict="violated",
-                    violation_fraction=1.0, worst_gap=float("nan"))
-                report.notes.append(f"comparison hypothesis violated: {exc} "
-                                    f"(witnesses {exc.witnesses[:3]})")
-            report.bound_results.append(r)
-        elif check == "fhat-moment":
-            fh = bounds_mod.fhat_process(prof, sol)
-            chk = bounds_mod.verify_fhat_moment(fh, grid, cfg.p, constants.alpha_star,
-                                                gamma=prof.convexity_tier()[2], z_prime=sol.Z)
-            report.notes.append(
-                f"fhat-moment: log value {chk.moment.log_value!r} "
-                f"(rel se {chk.moment.se_rel!r}); jensen consistent: {chk.jensen_consistent}")
+        if check in cond_mod.CONDITION_IDS:
+            report.condition_reports.append(cond_mod.check_condition(gen, check, cloud))
+        else:
+            _check_bound(report, check, gen, constants, sol, xi_vals, idx)
 
     for r in report.bound_results:
         _write_csv(outdir / f"bound_{r.bound_id}.csv", r.columns())
@@ -282,6 +228,53 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     report.wall_clock = time.perf_counter() - started
     _write_report(outdir / "report.txt", report)
     return report
+
+
+def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol, xi_vals,
+                 idx: TruncationIndex) -> None:
+    """Run bound check ``bound_id`` on the solved field ``sol`` and record it in ``report``.
+
+    ``xi_vals`` are the terminal values truncated at ``idx``, the rung ``sol`` was solved on;
+    the problem itself is ``report.config``.
+    """
+    cfg, prof = report.config, gen.profile
+    if bound_id in ("pointwise", "pointwise-one-sided"):
+        side = "two-sided" if bound_id == "pointwise" else "one-sided"
+        report.bound_results.append(
+            bounds_mod.verify_pointwise_bound(sol, constants, xi_vals, prof.f, side))
+    elif bound_id == "sup":
+        report.bound_results.append(
+            bounds_mod.verify_sup_bound(sol, constants, xi_vals, prof.f, p=cfg.p))
+    elif bound_id == "comparison":
+        # the allowance includes both fields' regression noise, so a field without it
+        # would be compared on a narrower allowance than a fresh solve gets
+        if sol.fit_noise is None:
+            raise ConfigurationError("the solution has no 'fit_noise' array, which the comparison "
+                                     "check needs; re-solve it with `subquad-bsde solve`")
+        shifted = replace(cfg, terminal_shift=cfg.terminal_shift + cfg.comparison_shift)
+        xi_hi = truncate_terminal(_build_terminal(shifted), idx)
+        sol_hi = solve_bounded(truncate_generator(gen, idx), xi_hi, sol.grid, sol.bundle, sol.basis)
+        try:
+            r = bounds_mod.verify_comparison(sol, sol_hi, xi_values=xi_vals,
+                                             xi_prime_values=xi_hi(sol.bundle.terminal()))
+        except PreconditionViolationError as exc:
+            nodes = sol.grid.steps + 1
+            r = bounds_mod.BoundCheckResult(
+                bound_id="comparison", times=sol.grid.nodes.copy(),
+                log_lhs=np.zeros(nodes), log_rhs=np.zeros(nodes), se=np.zeros(nodes),
+                margin_min=np.zeros(nodes), margin_median=np.zeros(nodes), verdict="violated",
+                violation_fraction=1.0, worst_gap=float("nan"))
+            report.notes.append(f"comparison hypothesis violated: {exc} "
+                                f"(witnesses {exc.witnesses[:3]})")
+        report.bound_results.append(r)
+    else:                                        # "fhat-moment"; ids come from _BOUND_IDS
+        fh = bounds_mod.fhat_process(prof, sol)
+        chk = bounds_mod.verify_fhat_moment(fh, sol.grid, cfg.p, constants.alpha_star,
+                                            gamma=prof.convexity_tier()[2], z_prime=sol.Z)
+        report.fhat_checks.append(chk)
+        report.notes.append(f"fhat moment: log value {chk.moment.log_value!r} "
+                            f"(rel se {chk.moment.se_rel!r}); "
+                            f"jensen consistent: {chk.jensen_consistent}")
 
 
 def _condition_block(r) -> str:
@@ -342,53 +335,34 @@ def _cmd_run(args) -> int:
     return 1 if report.any_violation else 0
 
 
+def _config_from_flags(args, **keys) -> ExperimentConfig:
+    """The validated experiment that a subcommand's flags describe; flags are named as keys."""
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
+    return _validate(ExperimentConfig(**flags, **keys))
+
+
 def _cmd_check_conditions(args) -> int:
-    gen = make_generator(args.generator, args.alpha, beta=args.beta, gamma=args.gamma,
-                         d=args.dims, expression=args.expression)
-    cloud = cond_mod.build_cloud(args.horizon, args.dims, args.samples,
-                                 args.strategy, seed=args.seed)
-    cond = args.condition
-    if cond in ("EX1", "EX1prime", "EX2", "A1", "A5"):
-        r = cond_mod.check_growth(gen, cond, cloud)
-    elif cond in ("A2i", "A2ii", "monotone-limit"):
-        r = cond_mod.check_y_regularity(gen, cond, cloud)
-    elif cond in ("A3i", "A3ii", "A4", "A6i", "A6ii"):
-        r = cond_mod.check_z_regularity(gen, cond, cloud)
-    elif cond.startswith("UN"):
-        r = cond_mod.check_theta_convexity(gen, cond, cloud)
-    else:
-        raise ConfigurationError(f"unknown condition {cond!r}")
-    print(_condition_block(r))
-    return 0 if r.verdict == "pass" else 1
+    cfg = _config_from_flags(args, checks=(args.condition,))
+    cloud = cond_mod.build_cloud(cfg.horizon, cfg.dims, cfg.cloud_samples,
+                                 args.strategy, seed=cfg.seed)
+    report = ReportDocument(config=cfg, condition_reports=[
+        cond_mod.check_condition(_build_generator(cfg), args.condition, cloud)])
+    print(_condition_block(report.condition_reports[0]))
+    return 1 if report.any_violation else 0
 
 
 def _cmd_solve(args) -> int:
-    gen = make_generator(args.generator, args.alpha, beta=args.beta, gamma=args.gamma,
-                         d=args.dims, expression=args.expression)
-    xi = make_terminal(args.terminal, value=args.terminal_value,
-                       bound=args.terminal_bound, shift=args.terminal_shift)
-    grid = build_grid(args.horizon, args.steps, args.scheme)
-    bundle = sample_paths(grid, args.dims, args.paths, args.seed)
-    basis = RegressionBasis(args.basis, args.basis_size, lo=args.basis_lo, hi=args.basis_hi)
-    n_max, q_max = args.ladder
-    ladder = solve_ladder(gen, xi, grid, bundle, basis, n_max=n_max, q_max=q_max)
+    cfg = _config_from_flags(args)
+    grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
+    bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
+    n_max, q_max = args.final_rung
+    ladder = solve_ladder(_build_generator(cfg), _build_terminal(cfg), grid, bundle,
+                          _build_basis(cfg), n_max=n_max, q_max=q_max)
     sol = ladder.final
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        out, Y=sol.Y, Z=sol.Z, nodes=grid.nodes,
-        meta=json.dumps({"generator": args.generator, "expression": args.expression,
-                         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-                         "dims": args.dims, "paths": args.paths, "seed": args.seed,
-                         "steps": args.steps, "horizon": args.horizon,
-                         "scheme": args.scheme, "basis": args.basis,
-                         "basis_size": args.basis_size,
-                         "basis_lo": args.basis_lo, "basis_hi": args.basis_hi,
-                         "terminal": args.terminal,
-                         "terminal_bound": args.terminal_bound,
-                         "terminal_value": args.terminal_value,
-                         "terminal_shift": args.terminal_shift,
-                         "n_max": n_max, "q_max": q_max}))
+    np.savez_compressed(out, Y=sol.Y, Z=sol.Z, nodes=grid.nodes, fit_noise=sol.fit_noise,
+                        meta=json.dumps(vars(cfg) | {"n_max": n_max, "q_max": q_max}))
     _write_csv(out.with_suffix(".csv"), sol.summary())
     print(f"ladder violations {ladder.violations}/{ladder.comparisons} "
           f"({100 * ladder.violation_fraction:.4f}%), gaps {list(ladder.diagonal_gaps)}")
@@ -397,58 +371,41 @@ def _cmd_solve(args) -> int:
 
 
 def _load_solution(path: str):
+    """The saved field, the config it was solved for, and the truncation of its final rung.
+
+    A key the file lacks takes the config default; files written before the whole
+    config was saved hold beta and gamma as numbers, which load as their text.
+    """
     data = np.load(path if path.endswith(".npz") else path + ".npz", allow_pickle=False)
     meta = json.loads(str(data["meta"]))
-    grid = build_grid(meta["horizon"], meta["steps"], meta["scheme"])
-    bundle = sample_paths(grid, meta["dims"], meta["paths"], meta["seed"])
-    # files written before the range was saved were solved on [-5, 5]
-    basis = RegressionBasis(meta["basis"], meta["basis_size"],
-                            lo=meta.get("basis_lo", -5.0), hi=meta.get("basis_hi", 5.0))
-    from .solver import SolutionField
+    cfg = ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in meta.items() if k in _CONFIG_KEYS})
+    cfg.beta, cfg.gamma = str(cfg.beta), str(cfg.gamma)
+    grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
+    bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     # the solvers' layout, whatever order the file was written in
     sol = SolutionField(Y=as_step_major(data["Y"]), Z=as_step_major(data["Z"]), grid=grid,
-                        bundle=bundle, basis=basis, method="loaded")
-    return sol, meta
+                        bundle=bundle, basis=_build_basis(cfg), method="loaded",
+                        fit_noise=data.get("fit_noise"))
+    return sol, cfg, TruncationIndex(meta["n_max"], meta["q_max"])
 
 
 def _cmd_verify_bounds(args) -> int:
-    sol, meta = _load_solution(args.run)
-    gen = make_generator(meta["generator"], meta["alpha"], beta=meta["beta"],
-                         gamma=meta["gamma"], d=meta["dims"], expression=meta.get("expression"))
+    sol, cfg, idx = _load_solution(args.run)
+    cfg.p = args.p
+    gen = _build_generator(cfg)
     prof = gen.profile
-    constants = derive_constants(meta["alpha"], meta["horizon"], prof.beta, prof.gamma)
-    xi = make_terminal(meta["terminal"], value=meta["terminal_value"],
-                       bound=meta["terminal_bound"], shift=meta["terminal_shift"])
-    idx = TruncationIndex(meta["n_max"], meta["q_max"])
-    xi_vals = truncate_terminal(xi, idx)(sol.bundle.terminal())
-
-    if args.bound == "pointwise":
-        r = bounds_mod.verify_pointwise_bound(sol, constants, xi_vals, prof.f, "two-sided")
-    elif args.bound == "pointwise-one-sided":
-        r = bounds_mod.verify_pointwise_bound(sol, constants, xi_vals, prof.f, "one-sided")
-    elif args.bound == "sup":
-        r = bounds_mod.verify_sup_bound(sol, constants, xi_vals, prof.f, p=args.p)
-    elif args.bound == "fhat-moment":
-        fh = bounds_mod.fhat_process(prof, sol)
-        chk = bounds_mod.verify_fhat_moment(fh, sol.grid, args.p, constants.alpha_star,
-                                            gamma=prof.convexity_tier()[2], z_prime=sol.Z)
-        print(f"fhat moment: log value {chk.moment.log_value!r} "
-              f"(rel se {chk.moment.se_rel!r}); jensen consistent: {chk.jensen_consistent}")
-        return 0 if chk.jensen_consistent else 1
-    elif args.bound == "comparison":
-        xi_hi = make_terminal(meta["terminal"], value=meta["terminal_value"],
-                              bound=meta["terminal_bound"], shift=meta["terminal_shift"] + 1.0)
-        gen_t = truncate_generator(gen, idx)
-        sol_hi = solve_bounded(gen_t, truncate_terminal(xi_hi, idx), sol.grid, sol.bundle, sol.basis)
-        sol_lo = solve_bounded(gen_t, truncate_terminal(xi, idx), sol.grid, sol.bundle, sol.basis)
-        r = bounds_mod.verify_comparison(sol_lo, sol_hi, xi_values=xi_vals,
-                                         xi_prime_values=truncate_terminal(xi_hi, idx)(sol.bundle.terminal()))
-    else:
-        raise ConfigurationError(f"unknown bound {args.bound!r}; ids: {', '.join(_BOUND_IDS)}")
-    if args.out:
-        _write_csv(Path(args.out), r.columns())
-    print(f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(r.margin_min))!r})")
-    return 0 if r.verdict == "satisfied" else 1
+    constants = derive_constants(cfg.alpha, cfg.horizon, prof.beta, prof.gamma)
+    xi_vals = truncate_terminal(_build_terminal(cfg), idx)(sol.bundle.terminal())
+    report = ReportDocument(config=cfg)
+    _check_bound(report, args.bound, gen, constants, sol, xi_vals, idx)
+    for r in report.bound_results:
+        if args.out:
+            _write_csv(Path(args.out), r.columns())
+        print(f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(r.margin_min))!r})")
+    for note in report.notes:
+        print(note)
+    return 1 if report.any_violation else 0
 
 
 def _cmd_lemma_tests(args) -> int:
@@ -485,18 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_generator_args(sp):
         sp.add_argument("--generator", default="example1", choices=GENERATOR_IDS)
-        sp.add_argument("--expression", default=None)
+        sp.add_argument("--expression", default="")
         sp.add_argument("--alpha", type=float, default=1.5)
-        sp.add_argument("--beta", type=float, default=0.5)
-        sp.add_argument("--gamma", type=float, default=0.25)
+        sp.add_argument("--beta", default="0.5", help="constant or expression of t")
+        sp.add_argument("--gamma", default="0.25", help="constant or expression of t")
         sp.add_argument("--dims", type=int, default=1)
         sp.add_argument("--horizon", type=float, default=1.0)
         sp.add_argument("--seed", type=int, default=7)
 
     sp = sub.add_parser("check-conditions", help="sampled verdict for one structural condition")
     add_generator_args(sp)
-    sp.add_argument("--condition", required=True)
-    sp.add_argument("--samples", type=int, default=20000)
+    sp.add_argument("--condition", required=True, choices=cond_mod.CONDITION_IDS)
+    sp.add_argument("--samples", type=int, default=20000, dest="cloud_samples")
     sp.add_argument("--strategy", default="random",
                     choices=("random", "grid", "adversarial-corner"))
     sp.set_defaults(fn=_cmd_check_conditions)
@@ -511,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", default="uniform", choices=("uniform", "geometric"))
     sp.add_argument("--paths", type=int, default=20000)
     sp.add_argument("--ladder", type=int, nargs=2, default=(16, 16),
-                    metavar=("N_MAX", "Q_MAX"))
+                    metavar=("N_MAX", "Q_MAX"), dest="final_rung")
     sp.add_argument("--basis", default="polynomial",
                     choices=("polynomial", "piecewise-constant-bins"))
     sp.add_argument("--basis-size", type=int, default=3)

@@ -20,6 +20,12 @@ from .generators import Generator, reflect_generator
 
 MARGIN_RTOL = 1e-9
 
+_GROWTH_IDS = ("EX1", "EX1prime", "EX2", "A1", "A5")
+_Y_REGULARITY_IDS = ("A2i", "A2ii", "monotone-limit")
+_Z_REGULARITY_IDS = ("A3i", "A3ii", "A4", "A6i", "A6ii")
+_THETA_CONVEXITY_IDS = ("UN-i", "UN-ii", "UNprime-i", "UNprime-ii")
+CONDITION_IDS = _GROWTH_IDS + _Y_REGULARITY_IDS + _Z_REGULARITY_IDS + _THETA_CONVEXITY_IDS
+
 
 @dataclass(frozen=True)
 class SampleCloud:
@@ -276,7 +282,7 @@ def check_theta_convexity(g: Generator, variant: str, cloud: SampleCloud) -> Con
     Uses the profile's convexity-tier coefficients, which may be larger than
     the plain growth tier.
     """
-    if variant not in ("UN-i", "UN-ii", "UNprime-i", "UNprime-ii"):
+    if variant not in _THETA_CONVEXITY_IDS:
         raise ConfigurationError(f"unknown theta-convexity variant {variant!r}")
     prof = g.profile
     f_fn, beta_fn, gamma_fn = prof.convexity_tier()
@@ -305,6 +311,26 @@ def check_theta_convexity(g: Generator, variant: str, cloud: SampleCloud) -> Con
         allowance = allowance + gamma_fn(t) * np.log(math.e + zn2) ** (prof.alpha_star / 2.0)
     rhs = (1.0 - th) * (f_fn(t, b) + allowance)
     return _assemble(variant, lhs, rhs, (t, y1, y2, th))
+
+
+def check_condition(g: Generator, condition_id: str, cloud: SampleCloud) -> ConditionReport:
+    """Verdict for any id in `CONDITION_IDS`, from the check of its family.
+
+    The family checks are looked up by name on each call, so a rebinding of
+    the module's names (as a tracer does) sees every check.
+    """
+    if condition_id in _GROWTH_IDS:
+        check = check_growth
+    elif condition_id in _Y_REGULARITY_IDS:
+        check = check_y_regularity
+    elif condition_id in _Z_REGULARITY_IDS:
+        check = check_z_regularity
+    elif condition_id in _THETA_CONVEXITY_IDS:
+        check = check_theta_convexity
+    else:
+        raise ConfigurationError(f"unknown condition {condition_id!r}; "
+                                 f"ids: {', '.join(CONDITION_IDS)}")
+    return check(g, condition_id, cloud)
 
 
 def check_reflection_duality(g: Generator, cloud: SampleCloud,

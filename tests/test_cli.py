@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subquad_bsde.cli import build_parser, main, parse_config, run_experiment
+from subquad_bsde.cli import _BOUND_IDS, build_parser, main, parse_config, run_experiment
+from subquad_bsde.conditions import CONDITION_IDS
 from subquad_bsde.errors import ConfigurationError
 
 MINIMAL = """
@@ -220,7 +221,7 @@ def test_verify_bounds_uses_saved_zero_coefficients(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "make_generator", spy)
     main(["verify-bounds", "--run", sol_file, "--bound", "sup"])
-    assert seen and seen[-1]["beta"] == 0.0 and seen[-1]["gamma"] == 0.0
+    assert seen and seen[-1]["beta"](0.3) == 0.0 and seen[-1]["gamma"](0.3) == 0.0
 
 
 def test_verify_bounds_on_custom_expression_solve(tmp_path, capsys):
@@ -314,3 +315,116 @@ def test_loaded_fields_are_step_major_and_path_major_files_still_load(tmp_path, 
         verdicts.append((rc, capsys.readouterr().out))
     assert verdicts[0] == verdicts[1]
     assert verdicts[0][0] == 0 and "satisfied" in verdicts[0][1]
+
+
+@pytest.fixture(scope="module")
+def tiny_solve(tmp_path_factory):
+    """An example-1 solve at registry-test size: 800 paths, 6 steps."""
+    sol_file = str(tmp_path_factory.mktemp("tiny") / "t.npz")
+    assert main(["solve", "--generator", "example1", "--steps", "6", "--paths", "800",
+                 "--ladder", "2", "2", "--seed", "1", "--out", sol_file]) == 0
+    return sol_file
+
+
+def _rewrite_meta(src, dst, drop=(), **changes):
+    """Copy of a solution file with meta keys changed or arrays dropped."""
+    data = dict(np.load(src))
+    meta = json.loads(str(data.pop("meta"))) | changes
+    for name in drop:
+        data.pop(name)
+    np.savez_compressed(dst, meta=json.dumps(meta), **data)
+    return str(dst)
+
+
+def test_comparison_uses_saved_field_with_one_solve(tiny_solve, tmp_path, monkeypatch, capsys):
+    import subquad_bsde.cli as cli
+    from subquad_bsde import (make_generator, make_terminal, solve_bounded, truncate_generator,
+                              truncate_terminal, verify_comparison)
+    calls = []
+    real = cli.solve_bounded
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_bounded", spy)
+    csv_file = tmp_path / "cmp.csv"
+    assert main(["verify-bounds", "--run", tiny_solve, "--bound", "comparison",
+                 "--out", str(csv_file)]) == 0
+    assert len(calls) == 1
+
+    # reference: re-solve the saved field as well, on the problem the file describes
+    sol, cfg, idx = cli._load_solution(tiny_solve)
+    gen_t = truncate_generator(make_generator("example1", 1.5, beta=0.5, gamma=0.25), idx)
+    xi, xi_hi = (truncate_terminal(make_terminal("clamp-bt", bound=3.0, shift=s), idx)
+                 for s in (0.0, 1.0))
+    lo, hi = (solve_bounded(gen_t, x, sol.grid, sol.bundle, sol.basis) for x in (xi, xi_hi))
+    assert np.array_equal(lo.Y, sol.Y) and np.array_equal(lo.fit_noise, sol.fit_noise)
+    terminal = sol.bundle.terminal()
+    ref = verify_comparison(lo, hi, xi_values=xi(terminal), xi_prime_values=xi_hi(terminal))
+    ref_file = tmp_path / "ref.csv"
+    cli._write_csv(ref_file, ref.columns())
+    assert csv_file.read_bytes() == ref_file.read_bytes()
+
+    # a file written before fit_noise was saved cannot be compared on the same allowance
+    old_file = _rewrite_meta(tiny_solve, tmp_path / "old.npz", drop=("fit_noise",))
+    capsys.readouterr()
+    assert main(["verify-bounds", "--run", old_file, "--bound", "comparison"]) == 2
+    assert "fit_noise" in capsys.readouterr().err
+    assert main(["verify-bounds", "--run", old_file, "--bound", "pointwise"]) == 0
+
+
+def test_verify_bounds_reads_saved_comparison_shift(tiny_solve, tmp_path, capsys):
+    bad_file = _rewrite_meta(tiny_solve, tmp_path / "bad.npz", comparison_shift=-1.0)
+    capsys.readouterr()
+    assert main(["verify-bounds", "--run", bad_file, "--bound", "comparison"]) == 1
+    out = capsys.readouterr().out
+    assert "bound comparison: violated" in out and "comparison hypothesis violated" in out
+
+
+def test_fhat_moment_inconsistency_is_a_run_violation(tmp_path, monkeypatch):
+    import dataclasses
+
+    from subquad_bsde import bounds
+    real = bounds.verify_fhat_moment
+
+    def inconsistent(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), jensen_consistent=False)
+
+    monkeypatch.setattr(bounds, "verify_fhat_moment", inconsistent)
+    text = SMALL_RUN.replace("EX1, UNprime-i, pointwise, comparison", "fhat-moment")
+    cfg = parse_config(text)
+    cfg.out = str(tmp_path / "run")
+    assert run_experiment(cfg).any_violation
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(text + f"out = {tmp_path / 'main'}\n")
+    assert main(["run", "--config", str(cfg_file)]) == 1
+
+
+def test_beta_gamma_flags_take_expressions(tmp_path, capsys):
+    assert main(["check-conditions", "--condition", "EX1", "--beta", "0.5*exp(0-t)",
+                 "--samples", "1000"]) == 0
+    capsys.readouterr()
+    assert main(["check-conditions", "--condition", "EX1", "--gamma", "import os",
+                 "--samples", "1000"]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
+# no catalog generator declares the coefficients these need (u_bar, v_bar, c_bar)
+_UNDECLARED = ("A5", "A6i")
+
+
+@pytest.mark.parametrize("command,check_id",
+                         [("check-conditions", c) for c in CONDITION_IDS]
+                         + [("verify-bounds", b) for b in _BOUND_IDS])
+def test_every_registered_check_runs(command, check_id, tiny_solve, capsys):
+    if command == "check-conditions":
+        rc = main([command, "--generator", "example1", "--dims", "1", "--condition", check_id,
+                   "--samples", "1000", "--seed", "2"])
+    else:
+        rc = main([command, "--run", tiny_solve, "--bound", check_id])
+    err = capsys.readouterr().err
+    if check_id in _UNDECLARED:
+        assert rc == 2 and "missing coefficient" in err
+    else:
+        assert rc in (0, 1), err
