@@ -330,15 +330,15 @@ def _cmd_run(args) -> int:
         cfg.paths = args.paths
     if args.steps is not None:
         cfg.steps = args.steps
-    report = run_experiment(cfg)
+    report = run_experiment(_validate(cfg))
     print(Path(cfg.out, "report.txt").read_text())
     return 1 if report.any_violation else 0
 
 
-def _config_from_flags(args, **keys) -> ExperimentConfig:
+def _config_from_flags(args, errors=(), **keys) -> ExperimentConfig:
     """The validated experiment that a subcommand's flags describe; flags are named as keys."""
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
-    return _validate(ExperimentConfig(**flags, **keys))
+    return _validate(ExperimentConfig(**flags, **keys), errors)
 
 
 def _cmd_check_conditions(args) -> int:
@@ -352,10 +352,11 @@ def _cmd_check_conditions(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config_from_flags(args)
+    n_max, q_max = args.final_rung
+    cfg = _config_from_flags(args, ["ladder N_MAX and Q_MAX must be positive integers"]
+                             if min(n_max, q_max) < 1 else [])
     grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
-    n_max, q_max = args.final_rung
     ladder = solve_ladder(_build_generator(cfg), _build_terminal(cfg), grid, bundle,
                           _build_basis(cfg), n_max=n_max, q_max=q_max)
     sol = ladder.final

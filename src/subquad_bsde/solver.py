@@ -294,7 +294,6 @@ def consistency_residual(sol: SolutionField, g: Generator) -> np.ndarray:
 @dataclass(frozen=True)
 class LadderResult:
     final: SolutionField
-    snapshots: dict                    # (n, q) -> float32 Y field
     violations: int
     comparisons: int
     diagonal_gaps: tuple               # sup |Y^{(k)} - Y^{(k-1)}| along the diagonal
@@ -306,12 +305,8 @@ class LadderResult:
 
 
 def _doubling_levels(top: int) -> list[int]:
-    levels, n = [], 1
-    while n < top:
-        levels.append(n)
-        n *= 2
-    levels.append(top)
-    return levels
+    # the powers of two below top, then top
+    return [2 ** k for k in range(max(top - 1, 0).bit_length())] + [top]
 
 
 def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -325,58 +320,60 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     ordering exactly; the regression fields can only be distinguished above
     their accumulated fit noise, so a comparison counts as violated when the
     ordering fails by more than 3x the combined per-node noise scale (plus
-    ``order_tol`` * (1 + |Y|) for exact ties).
+    ``order_tol`` * (1 + |Y|) for exact ties).  The diagonal holds the shorter
+    ladder at its top level.  Only the rung being solved is held whole; of the
+    shared first rung and the rung before it, only Y and the noise scale are kept.
     """
     if levels is None:
         lv_n, lv_q = _doubling_levels(n_max), _doubling_levels(q_max)
     else:
         lv_n = lv_q = sorted(set(int(v) for v in levels))
-    cache: dict[tuple[int, int], SolutionField] = {}
-
-    def solved(n: int, q: int) -> SolutionField:
-        if (n, q) not in cache:
-            idx = TruncationIndex(n, q)
-            cache[(n, q)] = solve_bounded(truncate_generator(g, idx),
-                                          truncate_terminal(xi, idx), grid, bundle, basis)
-        return cache[(n, q)]
-
+    row = [(n, lv_q[0]) for n in lv_n]
+    column = [(lv_n[0], q) for q in lv_q]
+    diagonal = [(lv_n[min(k, len(lv_n) - 1)], lv_q[min(k, len(lv_q) - 1)])
+                for k in range(max(len(lv_n), len(lv_q)))]
     violations = comparisons = 0
-
-    def count(low: SolutionField, high: SolutionField):
-        # expects high.Y >= low.Y up to the statistical allowance
-        nonlocal violations, comparisons
-        allowance = 3.0 * (low.noise_scale() + high.noise_scale())[None, :]
-        tol = allowance + order_tol * (1.0 + np.abs(high.Y))
-        violations += int(np.sum(low.Y > high.Y + tol))
-        comparisons += low.Y.size
-
-    prev = None
-    for n in lv_n:                                  # first row: increasing in n
-        cur = solved(n, lv_q[0])
-        if prev is not None:
-            count(prev, cur)
-        prev = cur
-    prev = None
-    for q in lv_q:                                  # first column: decreasing in q
-        cur = solved(lv_n[0], q)
-        if prev is not None:
-            count(cur, prev)
-        prev = cur
-
     gaps = []
-    prev_diag = None
-    for n, q in zip(lv_n, lv_q):
-        cur = solved(n, q)
-        if prev_diag is not None:
-            # field distance per node (mean over paths), then sup over nodes
-            gaps.append(float(np.max(np.mean(np.abs(cur.Y - prev_diag), axis=0))))
-        prev_diag = cur.Y
 
-    snapshots = {key: fieldY.Y.astype(np.float32) for key, fieldY in cache.items()}
-    final = cache[(lv_n[-1], lv_q[-1])]
-    return LadderResult(final=final, snapshots=snapshots, violations=violations,
-                        comparisons=comparisons, diagonal_gaps=tuple(gaps),
-                        levels=tuple(lv_n))
+    def solve(n: int, q: int) -> SolutionField:
+        idx = TruncationIndex(n, q)
+        return solve_bounded(truncate_generator(g, idx), truncate_terminal(xi, idx),
+                             grid, bundle, basis)
+
+    def count(low, high):
+        # expects high Y >= low Y up to the statistical allowance, node by node
+        nonlocal violations, comparisons
+        (low_y, low_noise), (high_y, high_noise) = low, high
+        allowance = 3.0 * (low_noise + high_noise)
+        for j in range(low_y.shape[1]):
+            tol = allowance[j] + order_tol * (1.0 + np.abs(high_y[:, j]))
+            violations += int(np.count_nonzero(low_y[:, j] > high_y[:, j] + tol))
+        comparisons += low_y.size
+
+    def walk(keys, compare=None):
+        # solve keys[1:] in order, passing each with the rung before as (Y, noise scale)
+        nonlocal field
+        prev = first
+        for n, q in keys[1:]:
+            field = None                        # release the last rung's Z before solving
+            field = solve(n, q)
+            cur = (field.Y, field.noise_scale())
+            if compare is not None:
+                compare(prev, cur)
+            if keys == diagonal:
+                # field distance per node (mean over paths), then sup over nodes
+                gaps.append(float(np.max([np.mean(np.abs(cur[0][:, j] - prev[0][:, j]))
+                                          for j in range(grid.steps + 1)])))
+            prev = cur
+
+    field = solve(lv_n[0], lv_q[0])
+    first = (field.Y, field.noise_scale())
+    walk(row, count)                                            # increasing in n
+    walk(column, lambda prev, cur: count(cur, prev))            # decreasing in q
+    if diagonal not in (row, column):    # else a one-level ladder made it the row or column
+        walk(diagonal)
+    return LadderResult(final=field, violations=violations, comparisons=comparisons,
+                        diagonal_gaps=tuple(gaps), levels=tuple(lv_n))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,29 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad_file)]) == 2
 
 
+def test_run_overrides_are_validated(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(SMALL_RUN + f"out = {tmp_path / 'run'}\n")
+    assert main(["run", "--config", str(cfg_file), "--paths", "0"]) == 2
+    assert "config error: paths must be >= 1" in capsys.readouterr().err
+
+
+def test_solve_rejects_nonpositive_ladder(tmp_path, capsys):
+    assert main(["solve", "--steps", "4", "--paths", "200", "--ladder", "0", "16",
+                 "--out", str(tmp_path / "sol.npz")]) == 2
+    assert "config error: ladder N_MAX and Q_MAX must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "sol.npz").exists()
+
+
+def test_solve_ladder_of_unequal_lengths(tmp_path, capsys):
+    sol_file = str(tmp_path / "sol.npz")
+    assert main(["solve", "--steps", "6", "--paths", "800", "--ladder", "16", "4",
+                 "--seed", "2", "--out", sol_file]) == 0
+    meta = json.loads(str(np.load(sol_file)["meta"]))
+    assert (meta["n_max"], meta["q_max"]) == (16, 4)
+    assert "gaps [" in capsys.readouterr().out
+
+
 def test_check_conditions_command(capsys):
     rc = main(["check-conditions", "--generator", "example1", "--condition", "EX1",
                "--samples", "2000", "--seed", "3"])

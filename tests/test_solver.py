@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,7 +304,9 @@ def test_ladder_zero_driver_clamped_gaussian_oracle(bins_basis):
     idx = bins_basis.bin_indices(x[:, None])
     prev = None
     for n in (1, 2, 4):
-        field = lad.snapshots[(n, 1)][:, j]
+        rung = TruncationIndex(n, 1)
+        field = sq.solve_bounded(truncate_generator(g, rung), truncate_terminal(xi, rung),
+                                 grid, bundle, bins_basis).Y[:, j]
         truth = clamped_mean(x, -1.0, float(n), grid.horizon - t)
         # fitted values are bin means: compare against the bin-averaged oracle
         for b in np.unique(idx):
@@ -314,6 +317,90 @@ def test_ladder_zero_driver_clamped_gaussian_oracle(bins_basis):
         if prev is not None:
             assert np.all(prev <= field + 1e-6)      # increasing in the positive clamp
         prev = field
+
+
+def _reference_ladder(g, xi, grid, bundle, basis, levels, order_tol=1e-10):
+    """Every rung cached, whole-field order counts: what the streamed ladder must reproduce."""
+    cache = {}
+
+    def solved(n, q):
+        if (n, q) not in cache:
+            idx = TruncationIndex(n, q)
+            cache[(n, q)] = sq.solve_bounded(truncate_generator(g, idx),
+                                             truncate_terminal(xi, idx), grid, bundle, basis)
+        return cache[(n, q)]
+
+    violations = comparisons = 0
+
+    def count(low, high):
+        nonlocal violations, comparisons
+        allowance = 3.0 * (low.noise_scale() + high.noise_scale())[None, :]
+        tol = allowance + order_tol * (1.0 + np.abs(high.Y))
+        violations += int(np.sum(low.Y > high.Y + tol))
+        comparisons += low.Y.size
+
+    pairs = list(zip(levels, levels[1:]))
+    for a, b in pairs:
+        count(solved(a, levels[0]), solved(b, levels[0]))
+    for a, b in pairs:
+        count(solved(levels[0], b), solved(levels[0], a))
+    gaps = tuple(float(np.max(np.mean(np.abs(solved(b, b).Y - solved(a, a).Y), axis=0)))
+                 for a, b in pairs)
+    return solved(levels[-1], levels[-1]), violations, comparisons, gaps
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+@pytest.mark.parametrize("basis", [sq.RegressionBasis("polynomial", 3),
+                                   sq.RegressionBasis("piecewise-constant-bins", 30,
+                                                      lo=-4.8, hi=4.8)],
+                         ids=["polynomial", "bins30"])
+def test_streamed_ladder_matches_cached_reference(example, basis):
+    grid = sq.build_grid(1.0, 12, "uniform")
+    bundle = sq.sample_paths(grid, 1, 3000, 11)
+    g = sq.make_generator(example, 1.5)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    levels = [1, 2, 4, 8, 16]
+    lad = sq.solve_ladder(g, xi, grid, bundle, basis, levels=levels)
+    final, violations, comparisons, gaps = _reference_ladder(g, xi, grid, bundle, basis, levels)
+    assert (lad.violations, lad.comparisons, lad.diagonal_gaps) == (violations, comparisons, gaps)
+    assert np.array_equal(lad.final.Y, final.Y) and np.array_equal(lad.final.Z, final.Z)
+    assert np.array_equal(lad.final.noise_scale(), final.noise_scale())
+    assert lad.levels == tuple(levels)
+    if basis.kind == "polynomial":
+        assert lad.violations > 0           # the comparison counts real violations
+
+
+@pytest.mark.parametrize("n_max, q_max", [(16, 4), (4, 16), (16, 1)])
+def test_ladder_of_unequal_lengths_ends_at_top_rung(n_max, q_max, grid24, bins_basis, example1):
+    bundle = sq.sample_paths(grid24, 1, 2000, 5)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    lad = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, n_max=n_max, q_max=q_max)
+    top = TruncationIndex(n_max, q_max)
+    direct = sq.solve_bounded(truncate_generator(example1, top), truncate_terminal(xi, top),
+                              grid24, bundle, bins_basis)
+    assert np.array_equal(lad.final.Y, direct.Y) and np.array_equal(lad.final.Z, direct.Z)
+    # the diagonal holds the shorter ladder at its top level: one gap per step of the longer
+    longer = max(len(solver._doubling_levels(n_max)), len(solver._doubling_levels(q_max)))
+    assert len(lad.diagonal_gaps) == longer - 1
+    rungs = len(solver._doubling_levels(n_max)) + len(solver._doubling_levels(q_max)) - 2
+    assert lad.comparisons == rungs * bundle.count * (grid24.steps + 1)
+
+
+def test_ladder_memory_holds_three_rungs(bins_basis, example1):
+    grid = sq.build_grid(1.0, 8, "uniform")
+    bundle = sq.sample_paths(grid, 1, 20_000, 3)
+    bundle.projectors(bins_basis)           # the bundle's own caches outlive any ladder
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    tracemalloc.start()
+    try:
+        lad = sq.solve_ladder(example1, xi, grid, bundle, bins_basis, n_max=16, q_max=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rung = lad.final.Y.nbytes + lad.final.Z.nbytes
+    # live: two neighbour Ys (9 nodes) and one whole rung (9 + 8) = 35/17 ~ 2.1 rungs, plus
+    # ~0.7 of per-step temporaries; caching all 13 rungs with float32 snapshots held ~16.4
+    assert peak <= 4 * rung, (peak, rung)
 
 
 def test_theta_residual_identities(grid24, bundle24, poly_basis, example2):
