@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PreconditionViolationError
+from .errors import InvalidCoefficientError, PreconditionViolationError
 from .paths import step_major_empty
 
 _LOG_CAP = 700.0
@@ -114,7 +114,7 @@ def fhat_process(profile, sol_prime) -> np.ndarray:
     """
     grid, bundle = sol_prime.grid, sol_prime.bundle
     f_fn, beta_fn, gamma_fn = profile.convexity_tier()
-    levels = bundle.levels()
+    levels = bundle.levels
     half = profile.alpha_star / 2.0
     out = np.empty((bundle.count, grid.steps))
     for j in range(grid.steps):
@@ -161,7 +161,6 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
     weights = gvals * dt
     total = float(weights.sum())
     if not 0.0 < total < math.inf:
-        from .errors import InvalidCoefficientError
         raise InvalidCoefficientError(f"Jensen majorant needs 0 < int(gamma) < inf, got {total}")
     zn = np.sqrt((np.asarray(z_prime, dtype=float) ** 2).sum(axis=2))
     ln_term = np.add(zn, math.e)
@@ -220,7 +219,7 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     if variant not in ("two-sided", "one-sided"):
         raise ValueError(f"unknown variant {variant!r}")
     grid, bundle = sol.grid, sol.bundle
-    levels = bundle.levels()
+    levels = bundle.levels
     projs = bundle.projectors(sol.basis)
     one_sided = variant == "one-sided"
     power = 2.0 / constants.alpha_star
@@ -281,7 +280,7 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     grid, bundle = sol.grid, sol.bundle
-    levels = bundle.levels()
+    levels = bundle.levels
     power = 2.0 / constants.alpha_star
     log_Kp = constants.K_p(p).log
     Kp_float = math.exp(min(log_Kp, _LOG_CAP))

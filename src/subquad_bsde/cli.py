@@ -363,7 +363,8 @@ def _cmd_solve(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(out, Y=sol.Y, Z=sol.Z, nodes=grid.nodes, fit_noise=sol.fit_noise,
-                        meta=json.dumps(vars(cfg) | {"n_max": n_max, "q_max": q_max}))
+                        meta=json.dumps(vars(cfg) | {"ladder": list(ladder.levels),
+                                                     "n_max": n_max, "q_max": q_max}))
     _write_csv(out.with_suffix(".csv"), sol.summary())
     print(f"ladder violations {ladder.violations}/{ladder.comparisons} "
           f"({100 * ladder.violation_fraction:.4f}%), gaps {list(ladder.diagonal_gaps)}")
@@ -385,9 +386,8 @@ def _load_solution(path: str):
     grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     # the solvers' layout, whatever order the file was written in
-    sol = SolutionField(Y=as_step_major(data["Y"]), Z=as_step_major(data["Z"]), grid=grid,
-                        bundle=bundle, basis=_build_basis(cfg), method="loaded",
-                        fit_noise=data.get("fit_noise"))
+    sol = SolutionField(Y=as_step_major(data["Y"]), Z=as_step_major(data["Z"]), bundle=bundle,
+                        basis=_build_basis(cfg), method="loaded", fit_noise=data.get("fit_noise"))
     return sol, cfg, TruncationIndex(meta["n_max"], meta["q_max"])
 
 

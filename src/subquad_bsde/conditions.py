@@ -74,16 +74,16 @@ def build_cloud(horizon: float, dims: int, size: int, strategy: str = "random",
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5eed], dtype=np.uint64)))
 
-    def scaled(n, kind):
+    def scaled(n):
         mags = 10.0 ** rng.uniform(-3.0, 1.0, size=n)
         signs = rng.choice([-1.0, 1.0], size=n)
-        return signs * mags if kind == "y" else signs * mags
+        return signs * mags
 
     if strategy == "random":
         t = rng.uniform(0.0, horizon, size)
-        y1, y2 = scaled(size, "y"), scaled(size, "y")
-        z1 = scaled(size * dims, "z").reshape(size, dims)
-        z2 = scaled(size * dims, "z").reshape(size, dims)
+        y1, y2 = scaled(size), scaled(size)
+        z1 = scaled(size * dims).reshape(size, dims)
+        z2 = scaled(size * dims).reshape(size, dims)
         theta = rng.uniform(0.005, 0.995, size)
     elif strategy == "grid":
         axes = np.linspace(-4.0, 4.0, max(2, int(round(size ** (1.0 / 3.0)))))

@@ -140,12 +140,9 @@ def example1_q(x) -> np.ndarray:
     return np.where(x <= -2.0, -x, np.where(x >= 2.0, -2.0 * x, -1.5 * x - 1.0))
 
 
-def _znorm(z: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(z, dtype=float) ** 2, axis=-1))
-
-
-def _bnorm(b: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(b, dtype=float) ** 2, axis=-1))
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis (|z| or |B_t| per row)."""
+    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
 
 
 def _sup_on_grid(fn: TimeFn, horizon: float) -> float:
@@ -169,9 +166,9 @@ def builtin_example_1(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
 
     def fn(t, b, y, z):
         z = np.atleast_2d(z)
-        zn = _znorm(z)
+        zn = _norm(z)
         qsum = example1_q(z).sum(axis=-1)
-        return _bnorm(b) + br(t) * h(y) + gr(t) * (qsum + zn ** alpha)
+        return _norm(b) + br(t) * h(y) + gr(t) * (qsum + zn ** alpha)
 
     # Base tier certifies the one-sided growth: sgn(y) h(y) <= |y|, the kink
     # sum obeys sum|q(z_i)| <= d + 2 sqrt(d) |z|, and |z| <= 1 + |z|^alpha.
@@ -183,10 +180,10 @@ def builtin_example_1(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
     dsum = 6.0 * d ** (1.0 - alpha / 2.0)
 
     def f(t, b):
-        return _bnorm(b) + br(t) + (d + 2.0 * rootd) * gr(t)
+        return _norm(b) + br(t) + (d + 2.0 * rootd) * gr(t)
 
     def f_conv(t, b):
-        return _bnorm(b) + br(t) + 169.0 * d * gr(t)
+        return _norm(b) + br(t) + 169.0 * d * gr(t)
 
     gr_sup = _sup_on_grid(gr, horizon)
     profile = CoefficientProfile(
@@ -247,9 +244,9 @@ def builtin_example_2(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
     def fn(t, b, y, z):
         z = np.atleast_2d(z)
         y = np.asarray(y, dtype=float)
-        zn = _znorm(z)
+        zn = _norm(z)
         ysqrt = np.where(y <= 0.0, np.sqrt(np.abs(y)), 0.0)
-        return _bnorm(b) + br(t) * ysqrt + gr(t) * (lterm(z).sum(axis=-1) + 2.0 * zn ** alpha)
+        return _norm(b) + br(t) * ysqrt + gr(t) * (lterm(z).sum(axis=-1) + 2.0 * zn ** alpha)
 
     L = _log_power_lipschitz(astar)        # global Lipschitz slope of the log power
     s1 = _log_power_alpha_ratio(alpha, astar)
@@ -261,10 +258,10 @@ def builtin_example_2(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
     rootd = math.sqrt(d)
 
     def f(t, b):
-        return _bnorm(b) + br(t) + d * l1 * gr(t)
+        return _norm(b) + br(t) + d * l1 * gr(t)
 
     def f_conv(t, b):
-        return _bnorm(b) + br(t) + (11.0 * d + 4.0 * L * rootd + d * l1) * gr(t)
+        return _norm(b) + br(t) + (11.0 * d + 4.0 * L * rootd + d * l1) * gr(t)
 
     gr_sup = _sup_on_grid(gr, horizon)
     profile = CoefficientProfile(
@@ -389,7 +386,8 @@ def zero_generator(alpha: float = 1.5) -> Generator:
     profile = CoefficientProfile(alpha=alpha, beta=_const(0.0), gamma=_const(0.0),
                                  f=lambda t, b: np.zeros(np.atleast_2d(b).shape[0]),
                                  psi_growth=lambda u: np.asarray(u, dtype=float), c_quad=1.0,
-                                 u=_const(0.0), v=_const(0.0), k1=_const(0.0), k2=_const(0.0))
+                                 u=_const(0.0), v=_const(0.0), k1=_const(0.0), k2=_const(0.0),
+                                 u_bar=_const(0.0), v_bar=_const(0.0), c_bar=_const(0.0))
     return Generator(fn=lambda t, b, y, z: np.zeros(np.atleast_2d(z).shape[0]),
                      profile=profile, name="zero",
                      flags=frozenset({"satisfies-EX1", "satisfies-EX2",
@@ -409,7 +407,7 @@ def linear_generator(alpha: float = 1.5, b_y: float = -1.0, b_z: float = 0.0) ->
         f=lambda t, b: np.full(np.atleast_2d(b).shape[0], cz),
         psi_growth=lambda u: np.asarray(u, dtype=float), c_quad=max(cz, 1e-9),
         u=_const(cy), v=_const(cz), k1=_const(cy), k2=_const(cy),
-        c1=_const(cz), c2=_const(cz), c3=_const(cz), a=0.0)
+        c1=_const(cz), c2=_const(cz), c3=_const(cz), c_bar=_const(cz), a=0.0)
     return Generator(fn=fn, profile=profile, name=f"linear({b_y},{b_z})",
                      flags=frozenset({"satisfies-EX1", "satisfies-EX2", "convex",
                                       "satisfies-UNprime-i", "satisfies-UN-i"}))
@@ -420,7 +418,7 @@ def convex_power_generator(alpha: float = 1.5, scale=1.0) -> Generator:
     gr = _as_time_fn(scale)
 
     def fn(t, b, y, z):
-        return gr(t) * _znorm(np.atleast_2d(z)) ** alpha
+        return gr(t) * _norm(np.atleast_2d(z)) ** alpha
 
     profile = CoefficientProfile(
         alpha=alpha, beta=_const(0.0), gamma=gr,
@@ -442,7 +440,7 @@ def expression_generator(text: str, alpha: float, beta=0.0, gamma=0.0,
     def fn(t, b, y, z):
         z = np.atleast_2d(z)
         env = {"t": np.asarray(t, dtype=float), "y": np.asarray(y, dtype=float),
-               "z": _znorm(z), "babs": _bnorm(b)}
+               "z": _norm(z), "babs": _norm(b)}
         for i in range(1, 10):
             env[f"z{i}"] = z[:, i - 1] if i <= z.shape[1] else np.zeros(z.shape[0])
         return np.broadcast_to(np.asarray(compiled(env), dtype=float), env["y"].shape).copy()

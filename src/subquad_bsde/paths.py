@@ -84,32 +84,26 @@ def as_step_major(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Brownian increments for ``count`` paths on a shared grid.
+    """Brownian values at the grid nodes, ``levels`` of shape (count, steps + 1, dims).
 
-    ``increments`` has shape (count, steps, dims) with per-step variance dt_j.
-    It and ``levels()`` are stored step-major (time is the outer axis in
-    memory) behind these path-major shapes, so the per-step slice
-    ``x[:, j, :]`` that every solver step reads is one contiguous block.
-    ``levels()`` and ``projectors(basis)`` are built on first use and kept.
+    Stored step-major (time is the outer axis in memory), so the per-node slice
+    ``levels[:, j, :]`` that every solver step reads is one contiguous block; a
+    step's increment is ``levels[:, j + 1] - levels[:, j]``.  ``projectors(basis)``
+    are built on first use and kept.
     """
 
     grid: TimeGrid
-    dims: int
-    count: int
-    increments: np.ndarray
+    levels: np.ndarray
     seed: int
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def levels(self) -> np.ndarray:
-        """Brownian values at the grid nodes, shape (count, steps + 1, dims)."""
-        if "levels" not in self._cache:
-            lv = step_major_empty((self.count, self.grid.steps + 1, self.dims))
-            lv[:, 0, :] = 0.0
-            # the running sum step by step: each add reads and writes contiguous blocks
-            for j in range(self.grid.steps):
-                np.add(lv[:, j, :], self.increments[:, j, :], out=lv[:, j + 1, :])
-            self._cache["levels"] = lv
-        return self._cache["levels"]
+    @property
+    def count(self) -> int:
+        return self.levels.shape[0]
+
+    @property
+    def dims(self) -> int:
+        return self.levels.shape[2]
 
     def projectors(self, basis: RegressionBasis) -> list:
         """Per-step projectors of ``basis`` at the states of steps 0..N-1.
@@ -117,16 +111,14 @@ class PathBundle:
         Every solve and check on this bundle regresses at the same states, so
         the list is factored once per basis and shared by all of them.
         """
-        key = ("projectors", basis)
-        if key not in self._cache:
-            levels, nodes = self.levels(), self.grid.nodes
-            self._cache[key] = [basis.projector(float(nodes[j]), levels[:, j, :])
-                                for j in range(self.grid.steps)]
-        return self._cache[key]
+        if basis not in self._cache:
+            self._cache[basis] = [basis.projector(float(self.grid.nodes[j]), self.levels[:, j, :])
+                                  for j in range(self.grid.steps)]
+        return self._cache[basis]
 
     def terminal(self) -> np.ndarray:
         """Brownian values at the horizon, shape (count, dims)."""
-        return self.levels()[:, -1, :]
+        return self.levels[:, -1, :]
 
 
 def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle:
@@ -135,8 +127,8 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
         raise ValueError("dims must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    sqrt_dt = np.sqrt(grid.dt)[None, :, None]
-    increments = step_major_empty((count, grid.steps, dims))
+    levels = step_major_empty((count, grid.steps + 1, dims))
+    levels[:, 0, :] = 0.0
     # Counter-based keying: path i is the stream of Philox(key=[seed, i]), a
     # pure function of (seed, i), independent of how many other paths exist or
     # the order they are drawn.  One bit generator is re-keyed per path to
@@ -148,9 +140,12 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
         state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
                           "key": np.array([seed, i], dtype=np.uint64)}
         bitgen.state = state
-        increments[i] = draw.standard_normal((grid.steps, dims))
-    increments *= sqrt_dt
-    return PathBundle(grid=grid, dims=dims, count=count, increments=increments, seed=seed)
+        levels[i, 1:] = draw.standard_normal((grid.steps, dims))
+    levels[:, 1:] *= np.sqrt(grid.dt)[None, :, None]
+    # the running sum in place, step by step: each add reads and writes contiguous blocks
+    for j in range(grid.steps):
+        np.add(levels[:, j, :], levels[:, j + 1, :], out=levels[:, j + 1, :])
+    return PathBundle(grid=grid, levels=levels, seed=seed)
 
 
 class _SVDProjector:

@@ -31,8 +31,8 @@ class SolutionField:
 
     ``Y`` has shape (paths, N+1) and ``Z`` (paths, N, dims).  The solvers
     store both step-major (time is the outer axis in memory), like
-    ``PathBundle.increments``, so each per-step slice ``Y[:, j]`` or
-    ``Z[:, j, :]`` is contiguous.
+    ``PathBundle.levels``, so each per-step slice ``Y[:, j]`` or
+    ``Z[:, j, :]`` is contiguous.  The grid is the bundle's.
 
     ``fit_noise`` is the accumulated standard error of the per-step value
     regressions from each node to the horizon: the honest statistical scale
@@ -41,11 +41,14 @@ class SolutionField:
 
     Y: np.ndarray
     Z: np.ndarray
-    grid: TimeGrid
     bundle: PathBundle
     basis: RegressionBasis
     method: str = "backward-regression"
     fit_noise: Optional[np.ndarray] = None
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.bundle.grid
 
     def noise_scale(self) -> np.ndarray:
         if self.fit_noise is None:
@@ -88,10 +91,12 @@ def _fit_noise(step_noise_sq: np.ndarray) -> np.ndarray:
 
 
 def _z_step(proj, y_next: np.ndarray, m_fit: np.ndarray,
-            db: np.ndarray, dt: float) -> np.ndarray:
+            b: np.ndarray, b_next: np.ndarray, dt: float) -> np.ndarray:
     # centered martingale-increment estimator: E_t[(Y_{t+dt} - E_t Y_{t+dt}) dB] / dt
     centered = y_next - m_fit
-    return proj.fit(centered[:, None] * db) / dt
+    weighted = b_next - b
+    weighted *= centered[:, None]
+    return proj.fit(weighted) / dt
 
 
 def _bin_step(g: Generator, t: float, b: np.ndarray, z: np.ndarray, proj,
@@ -158,7 +163,7 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     finiteness of the inputs is enforced; boundedness is the caller's contract.
     """
     _check_inputs(grid, bundle)
-    levels = bundle.levels()
+    levels = bundle.levels
     M, N = bundle.count, grid.steps
     Y = step_major_empty((M, N + 1))
     Z = step_major_empty((M, N, bundle.dims))
@@ -170,10 +175,9 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
         t = float(grid.nodes[j])
         dt = float(grid.dt[j])
         b = levels[:, j, :]
-        db = bundle.increments[:, j, :]
         proj = projs[j]
         m_fit = proj.fit(Y[:, j + 1])
-        Z[:, j, :] = _z_step(proj, Y[:, j + 1], m_fit, db, dt)
+        Z[:, j, :] = _z_step(proj, Y[:, j + 1], m_fit, b, levels[:, j + 1, :], dt)
 
         if basis.kind == "piecewise-constant-bins":
             y, gval = _bin_step(g, t, b, Z[:, j, :], proj, Y[:, j + 1], dt, j,
@@ -202,7 +206,7 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
         resid = Y[:, j + 1] + dt * gval - y     # spread the value fit had to average out
         step_noise_sq[j] = np.var(resid) * proj.n_features / M
 
-    return SolutionField(Y=Y, Z=Z, grid=grid, bundle=bundle, basis=basis,
+    return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
                          method="backward-regression", fit_noise=_fit_noise(step_noise_sq))
 
 
@@ -216,7 +220,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     Lipschitz drivers; both discretizations share the same fixed point.
     """
     _check_inputs(grid, bundle)
-    levels = bundle.levels()
+    levels = bundle.levels
     M, N = bundle.count, grid.steps
     xi_vals = _terminal_values(xi, bundle)
     projs = bundle.projectors(basis)
@@ -228,7 +232,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         m_fit = projs[j].fit(Y[:, j + 1])
         Y[:, j] = m_fit
         Z[:, j, :] = _z_step(projs[j], Y[:, j + 1], m_fit,
-                             bundle.increments[:, j, :], float(grid.dt[j]))
+                             levels[:, j, :], levels[:, j + 1, :], float(grid.dt[j]))
 
     # the next iterate is written into a second pair of buffers; the two pairs
     # swap after each sweep and both keep the terminal values in column N
@@ -250,7 +254,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
             target = Y_new[:, j + 1] + dt * frozen
             Y_new[:, j] = proj.fit(target)
             Z_new[:, j, :] = _z_step(proj, Y_new[:, j + 1], m_fit,
-                                     bundle.increments[:, j, :], dt)
+                                     levels[:, j, :], levels[:, j + 1, :], dt)
             step_noise_sq[j] = np.var(target - Y_new[:, j]) * proj.n_features / M
             # the driver reads both fields, so both must settle
             step_gap[j] = np.maximum(np.max(np.abs(Y_new[:, j] - Y[:, j])),
@@ -259,7 +263,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         Y, Y_new = Y_new, Y
         Z, Z_new = Z_new, Z
         if gap < tol:
-            return SolutionField(Y=Y, Z=Z, grid=grid, bundle=bundle, basis=basis,
+            return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
                                  method="picard", fit_noise=_fit_noise(step_noise_sq))
     raise IterationLimitError(max_iter, gap)
 
@@ -268,15 +272,15 @@ def _fitted_residual(sol: SolutionField, g: Generator, U: np.ndarray,
                      V: np.ndarray) -> np.ndarray:
     """Max over paths of the projected one-step residual of (U, V) under ``g``,
     per step, on the grid, bundle and basis of ``sol``."""
-    grid, bundle = sol.grid, sol.bundle
-    levels = bundle.levels()
-    projs = bundle.projectors(sol.basis)
+    grid, levels = sol.grid, sol.bundle.levels
+    projs = sol.bundle.projectors(sol.basis)
     out = np.empty(grid.steps)
     for j in range(grid.steps):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
         gval = g(t, levels[:, j, :], U[:, j], V[:, j, :])
-        r = (U[:, j] - U[:, j + 1] - gval * dt
-             + (V[:, j, :] * bundle.increments[:, j, :]).sum(axis=1))
+        vdb = levels[:, j + 1, :] - levels[:, j, :]
+        vdb *= V[:, j, :]
+        r = U[:, j] - U[:, j + 1] - gval * dt + vdb.sum(axis=1)
         out[j] = float(np.max(np.abs(projs[j].fit(r))))
     return out
 

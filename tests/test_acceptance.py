@@ -155,7 +155,7 @@ def test_criterion_4_solver_oracles(grid64, bundle64, poly4):
     g_lz = sq.make_generator("linear", ALPHA, b_y=0.0, b_z=0.5)
     xi_bt = sq.make_terminal("bt")
     lz = sq.solve_bounded(g_lz, xi_bt, grid64, bundle64, poly4)
-    truth_lz = bundle64.levels()[:, :, 0] + 0.5 * (1.0 - grid64.nodes)[None, :]
+    truth_lz = bundle64.levels[:, :, 0] + 0.5 * (1.0 - grid64.nodes)[None, :]
     err_lz_y = float(np.max(np.mean(np.abs(lz.Y - truth_lz), axis=0)))
     err_lz_z = float(abs(lz.Z.mean() - 1.0))
     assert err_lz_y <= 5e-3
@@ -346,5 +346,5 @@ checks = EX1, EX2, pointwise, sup, comparison
     grid = sq.build_grid(1.0, 8, "uniform")
     a = sq.sample_paths(grid, 1, PATHS, 31)
     b = sq.sample_paths(grid, 1, PATHS, 31)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a.levels, b.levels)
     _announce("10 reproducibility", started, f"{len(outputs[0])} CSVs byte-identical")

@@ -61,7 +61,7 @@ def test_fhat_dominates_f(grid24, bundle24, poly_basis, example2):
                            grid24, bundle24, poly_basis)
     prof = example2.profile
     fh = fhat_process(prof, sol)
-    levels = bundle24.levels()
+    levels = bundle24.levels
     f_conv = prof.convexity_tier()[0]
     for j in (0, 10, 20):
         assert np.all(fh[:, j] >= f_conv(float(grid24.nodes[j]), levels[:, j, :]) - 1e-12)
@@ -246,7 +246,7 @@ def _pointwise_reference(sol, constants, xi_values, f_process, variant):
     """The pointwise check with whole-field tails and a projector per decile step."""
     from subquad_bsde.bounds import _decile_indices, _fit_se
     grid, bundle, basis = sol.grid, sol.bundle, sol.basis
-    levels = bundle.levels()
+    levels = bundle.levels
     one_sided = variant == "one-sided"
     power = 2.0 / constants.alpha_star
     log_K = constants.log_K.log
@@ -306,7 +306,7 @@ def test_pointwise_bound_matches_whole_field_reference(example1, example1_pair, 
     cs = sq.derive_constants(1.5, 1.0, prof.beta, prof.gamma)
     xi_vals = xi(sol.bundle.terminal())
     tail_f, expected = _pointwise_reference(sol, cs, xi_vals, prof.f, variant)
-    assert np.array_equal(_tail_forcing(prof.f, sol.grid, sol.bundle.levels()), tail_f)
+    assert np.array_equal(_tail_forcing(prof.f, sol.grid, sol.bundle.levels), tail_f)
     r = verify_pointwise_bound(sol, cs, xi_vals, prof.f, variant)
     got = (r.times, r.log_lhs, r.log_rhs, r.se, r.margin_min, r.margin_median)
     for name, a, b in zip(("times", "lhs", "rhs", "se", "min", "median"), got, expected):

@@ -142,6 +142,25 @@ def test_solve_ladder_of_unequal_lengths(tmp_path, capsys):
     assert "gaps [" in capsys.readouterr().out
 
 
+def test_solve_saves_the_ladder_it_walked(tmp_path, capsys):
+    sol_file = str(tmp_path / "sol.npz")
+    assert main(["solve", "--steps", "4", "--paths", "300", "--ladder", "2", "2",
+                 "--seed", "2", "--out", sol_file]) == 0
+    meta = json.loads(str(np.load(sol_file)["meta"]))
+    assert meta["ladder"] == [1, 2]
+    assert (meta["n_max"], meta["q_max"]) == (2, 2)
+
+
+@pytest.mark.parametrize("generator,condition",
+                         [("zero", "A5"), ("zero", "A6i"), ("linear", "A6i")])
+def test_catalog_generators_declare_a5_and_a6i(generator, condition, capsys):
+    rc = main(["check-conditions", "--generator", generator, "--dims", "1",
+               "--condition", condition, "--samples", "1000", "--seed", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert f"condition {condition}: pass" in out
+
+
 def test_check_conditions_command(capsys):
     rc = main(["check-conditions", "--generator", "example1", "--condition", "EX1",
                "--samples", "2000", "--seed", "3"])
@@ -433,7 +452,7 @@ def test_beta_gamma_flags_take_expressions(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
-# no catalog generator declares the coefficients these need (u_bar, v_bar, c_bar)
+# example1 declares none of the coefficients these need (u_bar, v_bar, c_bar)
 _UNDECLARED = ("A5", "A6i")
 
 

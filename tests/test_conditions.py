@@ -104,6 +104,16 @@ def test_a6_checks(cloud_random):
     assert check_z_regularity(gen, "A6ii", cloud_random).passed
 
 
+def test_catalog_generators_declare_exact_a5_and_a6i(cloud_random):
+    zero = sq.make_generator("zero", 1.5)
+    assert check_growth(zero, "A5", cloud_random).passed
+    assert check_z_regularity(zero, "A6i", cloud_random).passed
+    # |b_z (z - z')| <= |b_z| |z - z'| holds with equality
+    for b_z in (0.5, -2.0):
+        linear = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=b_z)
+        assert check_z_regularity(linear, "A6i", cloud_random).passed
+
+
 def test_a5_log_growth(cloud_random):
     gen = _scalar_gen("ln(exp(1) + abs(z1))^1.5", u_bar=_const(0.0), v_bar=_const(1.0),
                       f=lambda t, b: np.zeros(np.atleast_2d(b).shape[0]))

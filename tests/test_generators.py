@@ -139,7 +139,7 @@ def test_theta_difference_diagonal_identity(example1, grid24, bundle24, poly_bas
     theta = 0.4
     dg = theta_difference_generator(gt, gt, theta, grid24, sol.Y, sol.Z)
     j = 5
-    b = bundle24.levels()[:, j, :]
+    b = bundle24.levels[:, j, :]
     out = dg(grid24.nodes[j], b, sol.Y[:, j], sol.Z[:, j, :])
     direct = gt(grid24.nodes[j], b, sol.Y[:, j], sol.Z[:, j, :])
     assert np.max(np.abs(out - direct)) < 1e-9
@@ -160,7 +160,7 @@ def test_theta_difference_growth_bound(example2, grid24, bundle24, poly_basis):
         dg = theta_difference_generator(example2, example2, theta, grid24, sol.Y, sol.Z)
         for j in (0, 8, 20):
             t = grid24.nodes[j]
-            b = bundle24.levels()[:, j, :]
+            b = bundle24.levels[:, j, :]
             y = rng.standard_normal(bundle24.count) * 2
             z = rng.standard_normal((bundle24.count, 1)) * 2
             lhs = np.where(y > 0, dg(t, b, y, z), 0.0)

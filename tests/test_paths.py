@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,20 +36,20 @@ def test_sampling_is_reproducible():
     grid = build_grid(1.0, 8, "uniform")
     a = sample_paths(grid, 1, 100, 42)
     b = sample_paths(grid, 1, 100, 42)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a.levels, b.levels)
 
 
 def test_path_streams_do_not_depend_on_count():
     grid = build_grid(1.0, 8, "uniform")
     small = sample_paths(grid, 2, 10, 9)
     large = sample_paths(grid, 2, 50, 9)
-    assert np.array_equal(small.increments, large.increments[:10])
+    assert np.array_equal(small.levels, large.levels[:10])
 
 
 def test_increment_variance_within_five_standard_errors():
     grid = build_grid(1.0, 1, "uniform")
     bundle = sample_paths(grid, 1, 100_000, 3)
-    sample_var = bundle.increments.var()
+    sample_var = np.diff(bundle.levels, axis=1).var()
     se = 1.0 * np.sqrt(2.0 / (bundle.count - 1))
     assert abs(sample_var - 1.0) < 5.0 * se
 
@@ -55,7 +57,7 @@ def test_increment_variance_within_five_standard_errors():
 def test_cross_coordinate_covariance_small():
     grid = build_grid(1.0, 4, "uniform")
     bundle = sample_paths(grid, 3, 10_000, 17)
-    inc = bundle.increments
+    inc = np.diff(bundle.levels, axis=1)
     dt = grid.dt[0]
     for a in range(3):
         for b in range(a + 1, 3):
@@ -75,9 +77,32 @@ def test_terminal_mean_is_martingale_consistent():
 def test_levels_start_at_zero_and_cumulate():
     grid = build_grid(1.0, 5, "uniform")
     bundle = sample_paths(grid, 2, 50, 1)
-    lv = bundle.levels()
+    lv = bundle.levels
+    assert lv.shape == (50, 6, 2)
     assert np.all(lv[:, 0, :] == 0.0)
-    assert np.allclose(lv[:, -1, :], bundle.increments.sum(axis=1))
+    assert np.allclose(lv[:, -1, :], _per_path_philox_reference(grid, 2, 50, 1).sum(axis=1))
+
+
+def test_count_and_dims_read_the_levels():
+    grid = build_grid(1.0, 5, "uniform")
+    bundle = sample_paths(grid, 3, 40, 8)
+    assert bundle.count == bundle.levels.shape[0] == 40
+    assert bundle.dims == bundle.levels.shape[2] == 3
+
+
+def test_sampling_holds_one_path_field():
+    # the bundle stores only its Brownian levels: no second (count, steps, dims)
+    # field is alive while sampling or after the first read
+    grid = build_grid(1.0, 24, "uniform")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bundle = sample_paths(grid, 1, 20_000, 5)
+        levels = bundle.levels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * levels.nbytes
 
 
 POLY1 = RegressionBasis("polynomial", 1)
@@ -193,7 +218,10 @@ def _per_path_philox_reference(grid, dims, count, seed):
 def test_rekeyed_sampler_matches_per_path_philox(dims, count):
     grid = build_grid(1.0, 8, "geometric", ratio=0.7)
     bundle = sample_paths(grid, dims, count, 2024)
-    assert np.array_equal(bundle.increments, _per_path_philox_reference(grid, dims, count, 2024))
+    # the running sum of the reference draws, accumulated step by step from B_0 = 0
+    steps = _per_path_philox_reference(grid, dims, count, 2024)
+    expected = np.concatenate([np.zeros((count, 1, dims)), np.cumsum(steps, axis=1)], axis=1)
+    assert np.array_equal(bundle.levels, expected)
 
 
 def test_bundle_projectors_built_once_per_basis():
@@ -211,7 +239,7 @@ def test_bundle_projectors_built_once_per_basis():
 def test_bundle_projector_fits_match_fresh_projectors(basis):
     grid = build_grid(1.0, 6, "uniform")
     bundle = sample_paths(grid, 1, 500, 11)
-    levels = bundle.levels()
+    levels = bundle.levels
     values = np.sin(3.0 * levels[:, -1, 0])
     for j, proj in enumerate(bundle.projectors(basis)):
         fresh = basis.projector(float(grid.nodes[j]), levels[:, j, :])

@@ -43,7 +43,7 @@ def test_ode_oracle(grid24, bundle24, poly_basis):
 def test_linear_z_oracle(grid24, bundle24, poly_basis):
     g = sq.make_generator("linear", 1.5, b_y=0.0, b_z=0.5)
     sol = sq.solve_bounded(g, sq.make_terminal("bt"), grid24, bundle24, poly_basis)
-    truth = bundle24.levels()[:, :, 0] + 0.5 * (1.0 - grid24.nodes)[None, :]
+    truth = bundle24.levels[:, :, 0] + 0.5 * (1.0 - grid24.nodes)[None, :]
     node_mae = np.mean(np.abs(sol.Y - truth), axis=0)
     assert node_mae.max() < 0.02
     assert abs(sol.Z.mean() - 1.0) < 0.02
@@ -85,7 +85,7 @@ def test_richer_basis_reduces_zero_driver_field_error(grid24, bundle24):
     g = sq.make_generator("zero", 1.5)
     xi = sq.make_terminal("clamp-bt", bound=2.0)
     j = grid24.steps // 2
-    x = bundle24.levels()[:, j, 0]
+    x = bundle24.levels[:, j, 0]
     s = math.sqrt(grid24.horizon - grid24.nodes[j])
     a, b = (-2.0 - x) / s, (2.0 - x) / s
     truth = (-2.0 * norm.cdf(a) + 2.0 * norm.sf(b)
@@ -162,7 +162,7 @@ def test_bin_step_matches_brentq_reference(example1):
     assert all(rows == bundle.count for rows in calls)
     assert len(calls) <= 6 * grid.steps
 
-    levels = bundle.levels()
+    levels = bundle.levels
     for j in range(grid.steps):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
         b, z = levels[:, j, :], sol.Z[:, j, :]
@@ -193,7 +193,7 @@ def test_picard_iteration_limit(grid24, bundle24, poly_basis):
 def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
     """Reference Picard loop: fresh Y/Z buffers every sweep, gap over the whole
     field.  Returns (Y, Z, fit_noise, gap); fit_noise is None without convergence."""
-    levels = bundle.levels()
+    levels = bundle.levels
     M, N = bundle.count, grid.steps
     xi_vals = solver._terminal_values(xi, bundle)
     projs = bundle.projectors(basis)
@@ -206,7 +206,7 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
         m_fit = projs[j].fit(Y[:, j + 1])
         Y[:, j] = m_fit
         Z[:, j, :] = solver._z_step(projs[j], Y[:, j + 1], m_fit,
-                                    bundle.increments[:, j, :], float(grid.dt[j]))
+                                    levels[:, j, :], levels[:, j + 1, :], float(grid.dt[j]))
     gap = math.inf
     step_noise_sq = np.zeros(N)
     for _ in range(max_iter):
@@ -220,7 +220,7 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
             target = Y_new[:, j + 1] + dt * frozen
             Y_new[:, j] = proj.fit(target)
             Z_new[:, j, :] = solver._z_step(proj, Y_new[:, j + 1], m_fit,
-                                            bundle.increments[:, j, :], dt)
+                                            levels[:, j, :], levels[:, j + 1, :], dt)
             step_noise_sq[j] = np.var(target - Y_new[:, j]) * proj.n_features / M
         gap = float(max(np.max(np.abs(Y_new - Y)), np.max(np.abs(Z_new - Z))))
         Y, Z = Y_new, Z_new
@@ -251,11 +251,8 @@ def test_per_step_slices_are_contiguous(poly_basis):
     # writes is one contiguous block
     grid = sq.build_grid(1.0, 6, "uniform")
     bundle = sq.sample_paths(grid, 2, 300, 5)
-    levels = bundle.levels()
-    for j in range(grid.steps):
-        assert bundle.increments[:, j, :].flags.c_contiguous
     for j in range(grid.steps + 1):
-        assert levels[:, j, :].flags.c_contiguous
+        assert bundle.levels[:, j, :].flags.c_contiguous
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
     xi = sq.TerminalData(lambda b: np.atleast_2d(b)[:, 0], "bt1")
     for sol in (sq.solve_bounded(g, xi, grid, bundle, poly_basis),
@@ -300,7 +297,7 @@ def test_ladder_zero_driver_clamped_gaussian_oracle(bins_basis):
 
     j = grid.steps - 1                  # one regression from the terminal
     t = grid.nodes[j]
-    x = bundle.levels()[:, j, 0]
+    x = bundle.levels[:, j, 0]
     idx = bins_basis.bin_indices(x[:, None])
     prev = None
     for n in (1, 2, 4):
@@ -481,7 +478,7 @@ def test_solver_multidimensional_noise(poly_basis):
     g = sq.make_generator("linear", 1.5, b_y=0.0, b_z=0.5)   # driver reads z_1
     xi = sq.TerminalData(lambda b: np.atleast_2d(b)[:, 0], "bt1")
     sol = sq.solve_bounded(g, xi, grid, bundle, poly_basis)
-    truth = bundle.levels()[:, :, 0] + 0.5 * (1.0 - grid.nodes)[None, :]
+    truth = bundle.levels[:, :, 0] + 0.5 * (1.0 - grid.nodes)[None, :]
     assert np.max(np.mean(np.abs(sol.Y - truth), axis=0)) < 0.05
     # noise loads on the first coordinate only
     assert abs(sol.Z[:, :, 0].mean() - 1.0) < 0.05
