@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import conditions as cond_mod
-from .constants import derive_constants
+from .constants import conjugate_exponent, derive_constants
 from .envelopes import (construct_A2_envelope, construct_A3_envelope, lemmaA1_check,
                         lemmaA2_check, lemmaA3_check, lemma_samples, remainder_check)
 from .errors import ConfigurationError, PreconditionViolationError
@@ -29,7 +30,8 @@ from .expressions import ExpressionError, compile_time_function
 from .families import FAMILY_REGISTRY
 from .generators import (GENERATOR_IDS, TERMINAL_IDS, TruncationIndex, make_generator,
                          make_terminal, truncate_generator, truncate_terminal)
-from .paths import RegressionBasis, as_step_major, build_grid, sample_paths
+from .paths import (BASIS_KINDS, GRID_SCHEMES, RegressionBasis, as_step_major, build_grid,
+                    sample_paths)
 from .solver import SolutionField, solve_bounded, solve_ladder
 
 _BOUND_IDS = ("pointwise", "pointwise-one-sided", "sup", "comparison", "fhat-moment")
@@ -101,37 +103,46 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, errors=()) -> ExperimentConfig:
-    """``cfg`` when it describes a runnable experiment; otherwise raise every problem found."""
+    """``cfg`` when it describes a runnable experiment; otherwise raise every problem found.
+
+    Each builder runs here on its own, before any path is sampled; the checks
+    written out here are those that no builder makes.
+    """
     errors = list(errors)
-    if cfg.generator not in GENERATOR_IDS:
-        errors.append(f"unknown generator {cfg.generator!r}; catalog: {', '.join(GENERATOR_IDS)}")
-    if cfg.generator == "custom-expression" and not cfg.expression:
-        errors.append("custom-expression requires expression=")
-    if cfg.terminal not in TERMINAL_IDS:
-        errors.append(f"unknown terminal {cfg.terminal!r}; catalog: {', '.join(TERMINAL_IDS)}")
-    if not 1.0 < cfg.alpha < 2.0:
-        errors.append("alpha must lie in (1,2)")
     if cfg.paths < 1:
         errors.append("paths must be >= 1")
-    if cfg.steps < 1:
-        errors.append("steps must be >= 1")
-    if cfg.horizon <= 0:
-        errors.append("horizon must be positive")
-    if cfg.basis not in ("polynomial", "piecewise-constant-bins"):
-        errors.append(f"unknown basis {cfg.basis!r}")
-    if any(v < 1 for v in cfg.ladder):
+    if cfg.dims < 1:
+        errors.append(f"dims must be >= 1, got {cfg.dims}")
+    elif cfg.basis == "piecewise-constant-bins" and cfg.dims != 1:
+        errors.append(f"basis piecewise-constant-bins needs dims = 1, got {cfg.dims}")
+    if not cfg.p > 1.0:
+        errors.append(f"p must exceed 1, got {cfg.p}")
+    if cfg.cloud_samples < 1:
+        errors.append(f"cloud_samples must be >= 1, got {cfg.cloud_samples}")
+    if not cfg.ladder or min(cfg.ladder) < 1:
         errors.append("ladder levels must be positive integers")
     for c in cfg.checks:
         if c not in cond_mod.CONDITION_IDS and c not in _BOUND_IDS:
             errors.append(f"unknown check {c!r}; conditions: {', '.join(cond_mod.CONDITION_IDS)}; "
                           f"bounds: {', '.join(_BOUND_IDS)}")
+    reported = {}          # bad coefficients; the generator is built on their defaults instead
     for key, fn in (("beta", ExperimentConfig.beta_fn), ("gamma", ExperimentConfig.gamma_fn)):
         try:
             fn(cfg)(0.0)
         except ExpressionError as exc:
             errors.append(f"{key}: {exc}")
-    if errors:
-        raise ConfigurationError(errors)
+            reported[key] = getattr(ExperimentConfig, key)
+    for build in (lambda c: conjugate_exponent(c.alpha), _build_terminal, _build_basis,
+                  lambda c: _build_generator(replace(c, **reported)),
+                  lambda c: build_grid(c.horizon, c.steps, c.scheme)):
+        try:
+            build(cfg)
+        except KeyError as exc:
+            errors.append(exc.args[0])
+        except ValueError as exc:
+            errors.append(str(exc))
+    if errors:             # a bad alpha fails its own check and the generator's alike
+        raise ConfigurationError(list(dict.fromkeys(errors)))
     return cfg
 
 
@@ -320,17 +331,9 @@ def _write_report(path: Path, report: ReportDocument) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text()
-    cfg = parse_config(text)
-    if args.out:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.paths is not None:
-        cfg.paths = args.paths
-    if args.steps is not None:
-        cfg.steps = args.steps
-    report = run_experiment(_validate(cfg))
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
+    cfg = _validate(replace(parse_config(Path(args.config).read_text()), **overrides))
+    report = run_experiment(cfg)
     print(Path(cfg.out, "report.txt").read_text())
     return 1 if report.any_violation else 0
 
@@ -372,7 +375,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _load_solution(path: str):
+def _load_solution(path: str, **overrides):
     """The saved field, the config it was solved for, and the truncation of its final rung.
 
     A key the file lacks takes the config default; files written before the whole
@@ -382,7 +385,7 @@ def _load_solution(path: str):
     meta = json.loads(str(data["meta"]))
     cfg = ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in meta.items() if k in _CONFIG_KEYS})
-    cfg.beta, cfg.gamma = str(cfg.beta), str(cfg.gamma)
+    cfg = _validate(replace(cfg, beta=str(cfg.beta), gamma=str(cfg.gamma), **overrides))
     grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     # the solvers' layout, whatever order the file was written in
@@ -392,8 +395,7 @@ def _load_solution(path: str):
 
 
 def _cmd_verify_bounds(args) -> int:
-    sol, cfg, idx = _load_solution(args.run)
-    cfg.p = args.p
+    sol, cfg, idx = _load_solution(args.run, p=args.p)
     gen = _build_generator(cfg)
     prof = gen.profile
     constants = derive_constants(cfg.alpha, cfg.horizon, prof.beta, prof.gamma)
@@ -410,6 +412,8 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_lemma_tests(args) -> int:
+    if args.samples < 1:
+        raise ConfigurationError(f"samples must be >= 1, got {args.samples}")
     families = FAMILY_REGISTRY[args.lemma]
     names = [args.family] if args.family else list(families)
     samples = lemma_samples(args.samples, seed=args.seed)
@@ -439,65 +443,63 @@ def _cmd_lemma_tests(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="subquad-bsde",
                                 description="BSDE simulation and verification toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, formatter_class=argparse.ArgumentDefaultsHelpFormatter))
+    defaults = ExperimentConfig()
+
+    def keys(sp, *flags, **kwargs):
+        # flags that set the config keys they name, typed and defaulted like those keys
+        for flag in flags:
+            dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+            default = getattr(defaults, dest)
+            sp.add_argument(flag, **{"dest": dest, "type": type(default), "default": default,
+                                     "help": f"config key {dest}", **kwargs})
 
     def add_generator_args(sp):
-        sp.add_argument("--generator", default="example1", choices=GENERATOR_IDS)
-        sp.add_argument("--expression", default="")
-        sp.add_argument("--alpha", type=float, default=1.5)
-        sp.add_argument("--beta", default="0.5", help="constant or expression of t")
-        sp.add_argument("--gamma", default="0.25", help="constant or expression of t")
-        sp.add_argument("--dims", type=int, default=1)
-        sp.add_argument("--horizon", type=float, default=1.0)
-        sp.add_argument("--seed", type=int, default=7)
+        keys(sp, "--generator", choices=GENERATOR_IDS)
+        keys(sp, "--expression", help="driver of custom-expression, over t, y, z, z1..z9, babs")
+        keys(sp, "--alpha", "--dims", "--horizon", "--seed")
+        keys(sp, "--beta", "--gamma", help="constant or expression of t")
 
     sp = sub.add_parser("check-conditions", help="sampled verdict for one structural condition")
     add_generator_args(sp)
     sp.add_argument("--condition", required=True, choices=cond_mod.CONDITION_IDS)
-    sp.add_argument("--samples", type=int, default=20000, dest="cloud_samples")
-    sp.add_argument("--strategy", default="random",
+    keys(sp, "--samples", dest="cloud_samples")
+    sp.add_argument("--strategy", default="random", help="placement of the sample cloud",
                     choices=("random", "grid", "adversarial-corner"))
     sp.set_defaults(fn=_cmd_check_conditions)
 
     sp = sub.add_parser("solve", help="truncation-ladder solve, write solution + summary CSV")
     add_generator_args(sp)
-    sp.add_argument("--terminal", default="clamp-bt", choices=TERMINAL_IDS)
-    sp.add_argument("--terminal-value", type=float, default=0.0)
-    sp.add_argument("--terminal-bound", type=float, default=3.0)
-    sp.add_argument("--terminal-shift", type=float, default=0.0)
-    sp.add_argument("--steps", type=int, default=24)
-    sp.add_argument("--scheme", default="uniform", choices=("uniform", "geometric"))
-    sp.add_argument("--paths", type=int, default=20000)
-    sp.add_argument("--ladder", type=int, nargs=2, default=(16, 16),
+    keys(sp, "--terminal", choices=TERMINAL_IDS)
+    keys(sp, "--terminal-value", "--terminal-bound", "--terminal-shift", "--steps")
+    keys(sp, "--scheme", choices=GRID_SCHEMES)
+    keys(sp, "--paths")
+    sp.add_argument("--ladder", type=int, nargs=2, default=(16, 16), help="top truncation levels",
                     metavar=("N_MAX", "Q_MAX"), dest="final_rung")
-    sp.add_argument("--basis", default="polynomial",
-                    choices=("polynomial", "piecewise-constant-bins"))
-    sp.add_argument("--basis-size", type=int, default=3)
-    sp.add_argument("--basis-lo", type=float, default=-5.0)
-    sp.add_argument("--basis-hi", type=float, default=5.0)
-    sp.add_argument("--out", default="solution.npz")
+    keys(sp, "--basis", choices=BASIS_KINDS)
+    keys(sp, "--basis-size", "--basis-lo", "--basis-hi")
+    sp.add_argument("--out", default="solution.npz", help="solution file")
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("verify-bounds", help="check an a-priori bound on a saved solution")
     sp.add_argument("--run", required=True, help="solution .npz written by solve")
     sp.add_argument("--bound", required=True, choices=_BOUND_IDS)
-    sp.add_argument("--p", type=float, default=2.0)
+    keys(sp, "--p")
     sp.add_argument("--out", default=None, help="optional CSV path")
     sp.set_defaults(fn=_cmd_verify_bounds)
 
     sp = sub.add_parser("lemma-tests", help="randomized sweeps of the band inequalities")
     sp.add_argument("--lemma", required=True, choices=("A1", "A2", "A3"))
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--family", default=None, help="one family; all of the lemma's if unset")
+    sp.add_argument("--samples", type=int, default=10000, help="sampled triples")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the samples and families")
     sp.set_defaults(fn=_cmd_lemma_tests)
 
     sp = sub.add_parser("run", help="full pipeline from a config file")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None)
+    keys(sp, "--out", "--seed", "--paths", "--steps", default=argparse.SUPPRESS,
+         help="overrides the config file's key")
     sp.set_defaults(fn=_cmd_run)
     return p
 

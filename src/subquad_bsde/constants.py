@@ -19,6 +19,7 @@ from .errors import InvalidCoefficientError
 
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 200          # hard subdivision cap
+_CONCAVITY_GRID = 2001    # points on [0, 100] where theta_constants re-checks concavity
 _OVERFLOW_LOG = 700.0     # exp(x) overflows float64 just above this
 
 
@@ -43,7 +44,7 @@ class LogValue:
 
 def _check_alpha(alpha: float) -> None:
     if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
+        raise ValueError(f"alpha must lie in (1,2), got {alpha}")
 
 
 def conjugate_exponent(alpha: float) -> float:
@@ -149,8 +150,7 @@ def mu_schedule(alpha: float, gamma: Callable[[float], float],
     return mu
 
 
-def theta_constants(p: float, gamma, alpha: float, T: float,
-                    concavity_grid: int = 2001) -> tuple[float, float]:
+def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, float]:
     """(delta_p, k_alpha) for the theta-difference moment step.
 
     delta_p = p * (int_0^T gamma)^{2/alpha*} and k_alpha = exp(alpha*/2).
@@ -168,7 +168,7 @@ def theta_constants(p: float, gamma, alpha: float, T: float,
     k_alpha = math.exp(astar / 2.0)
     delta_p = p * total ** (2.0 / astar)
 
-    xs = np.linspace(0.0, 100.0, concavity_grid)
+    xs = np.linspace(0.0, 100.0, _CONCAVITY_GRID)
     f = np.log(k_alpha + xs) ** (astar / 2.0)
     second = f[2:] - 2.0 * f[1:-1] + f[:-2]
     if second.max() > 1e-9:
@@ -225,13 +225,8 @@ class ConstantSet:
         return json.dumps(self.to_dict(p_values), sort_keys=True, indent=2)
 
 
-def derive_constants(alpha: float, T: float, beta, gamma, mu0: float = 1.0,
-                     gamma_weighted_integral=None) -> ConstantSet:
-    """Build the full `ConstantSet` for one coefficient profile.
-
-    ``gamma_weighted_integral`` forwards a closed form for the mu-schedule's
-    inner integral (singular gamma powers).
-    """
+def derive_constants(alpha: float, T: float, beta, gamma, mu0: float = 1.0) -> ConstantSet:
+    """Build the full `ConstantSet` for one coefficient profile."""
     _check_alpha(alpha)
     if T <= 0.0:
         raise ValueError("T must be positive")
@@ -239,7 +234,7 @@ def derive_constants(alpha: float, T: float, beta, gamma, mu0: float = 1.0,
     _probe_nonnegative(gamma, T, "gamma")
     astar = conjugate_exponent(alpha)
     A = _cached_integral(lambda r: float(beta(r)))
-    mu = mu_schedule(alpha, gamma, A, mu0, weighted_integral=gamma_weighted_integral)
+    mu = mu_schedule(alpha, gamma, A, mu0)
     mu_T, A_T = mu(T), A(T)
     k = k_threshold(alpha)
     # K = exp(mu(T) k^{2/alpha*})  v  mu(T) e^{A(T)}

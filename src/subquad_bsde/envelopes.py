@@ -26,6 +26,7 @@ from .conditions import MARGIN_RTOL, ConditionReport, _assemble
 from .errors import InvalidHypothesisError
 
 _EXACT_TOL = 1e-12
+_SAMPLE_SCALE = 10.0       # largest magnitude lemma_samples draws
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,14 @@ class EnvelopeConstruction:
     gbar2: Optional[Callable] = None     # convex extension agreeing with gbar on R-
 
 
-def lemma_samples(count: int, seed: int = 0, scale: float = 10.0):
-    """Randomized (x1, x2, theta) triples mixing magnitudes from 1e-3 to ``scale``."""
+def lemma_samples(count: int, seed: int = 0):
+    """Randomized (x1, x2, theta) triples mixing magnitudes from 1e-3 to ``_SAMPLE_SCALE``."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xA11], dtype=np.uint64)))
     n_corner = min(count // 4, 4096)
     n_rand = count - n_corner
 
     def draw(n):
-        mags = 10.0 ** rng.uniform(-3.0, math.log10(scale), n)
+        mags = 10.0 ** rng.uniform(-3.0, math.log10(_SAMPLE_SCALE), n)
         return rng.choice([-1.0, 1.0], n) * mags
 
     x1 = np.concatenate([draw(n_rand), rng.choice([0.0, 1e-6, -1e-6, 1.0, -1.0], n_corner)])

@@ -72,8 +72,7 @@ class CoefficientProfile:
     gamma_conv: Optional[TimeFn] = None
 
     def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
+        conjugate_exponent(self.alpha)           # raises unless alpha lies in (1, 2)
 
     @property
     def alpha_star(self) -> float:
@@ -97,9 +96,6 @@ class Generator:
     def __call__(self, t, b, y, z) -> np.ndarray:
         """g at time(s) t for per-path Brownian values b (n,d), y (n,), z (n,d)."""
         return np.asarray(self.fn(t, b, y, z), dtype=float)
-
-    def with_flags(self, *extra: str) -> "Generator":
-        return replace(self, flags=self.flags | frozenset(extra))
 
 
 @dataclass(frozen=True)
@@ -432,7 +428,7 @@ def convex_power_generator(alpha: float = 1.5, scale=1.0) -> Generator:
 
 
 def expression_generator(text: str, alpha: float, beta=0.0, gamma=0.0,
-                         f_const: float = 0.0, d: int = 1) -> Generator:
+                         f_const: float = 0.0) -> Generator:
     """Generator from a custom expression over t, y, z (|z|), z1..z9, babs (|B_t|)."""
     names = {"t", "y", "z", "babs"} | {f"z{i}" for i in range(1, 10)}
     compiled = compile_expression(text, names)
@@ -470,8 +466,7 @@ def make_generator(gen_id: str, alpha: float, beta=0.5, gamma=0.25, d: int = 1,
     if gen_id == "custom-expression":
         if not expression:
             raise ValueError("custom-expression requires an expression string")
-        return expression_generator(expression, alpha, beta=beta, gamma=gamma, d=d,
-                                    f_const=f_const)
+        return expression_generator(expression, alpha, beta=beta, gamma=gamma, f_const=f_const)
     raise KeyError(f"unknown generator id {gen_id!r}; catalog: {', '.join(GENERATOR_IDS)}")
 
 

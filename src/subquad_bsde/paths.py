@@ -14,15 +14,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing partition 0 = t_0 < t_1 < ... < t_N = horizon.
-
-    ``truncated_from_infinite`` records that a nominally infinite horizon was
-    cut to a finite one; the grid itself is always finite.
-    """
+    """Strictly increasing partition 0 = t_0 < t_1 < ... < t_N = horizon."""
 
     horizon: float
     nodes: np.ndarray
-    truncated_from_infinite: bool = False
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -44,12 +39,17 @@ class TimeGrid:
         return np.diff(self.nodes)
 
 
+GRID_SCHEMES = ("uniform", "geometric")
+
+
 def build_grid(horizon: float, steps: int, scheme: str = "uniform",
-               ratio: float = 0.5, truncated_from_infinite: bool = False) -> TimeGrid:
+               ratio: float = 0.5) -> TimeGrid:
     """Build a time grid with ``steps`` intervals over [0, horizon].
 
     ``uniform`` gives equal steps.  ``geometric`` shrinks the steps by
-    ``ratio`` toward the horizon so nodes cluster near the terminal time.
+    ``ratio`` toward the horizon so nodes cluster near the terminal time; too
+    many steps for the ratio leave widths below the rounding of the nodes,
+    which is an error.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -63,10 +63,13 @@ def build_grid(horizon: float, steps: int, scheme: str = "uniform",
         widths = ratio ** np.arange(steps)
         nodes = np.concatenate([[0.0], np.cumsum(widths)])
         nodes *= horizon / nodes[-1]
+        nodes[-1] = horizon
+        if np.any(np.diff(nodes) <= 0.0):
+            raise ValueError(f"geometric grid with steps={steps} and ratio={ratio}: the last "
+                             f"widths fall below the rounding of the nodes; take fewer steps")
     else:
-        raise ValueError(f"unknown grid scheme {scheme!r}")
-    nodes[-1] = horizon
-    return TimeGrid(horizon=horizon, nodes=nodes, truncated_from_infinite=truncated_from_infinite)
+        raise ValueError(f"unknown grid scheme {scheme!r}; schemes: {', '.join(GRID_SCHEMES)}")
+    return TimeGrid(horizon=horizon, nodes=nodes)
 
 
 def step_major_empty(shape: tuple) -> np.ndarray:
@@ -200,6 +203,9 @@ class _PartitionProjector:
         return self._means(np.asarray(values, dtype=float))
 
 
+BASIS_KINDS = ("polynomial", "piecewise-constant-bins")
+
+
 @dataclass(frozen=True)
 class RegressionBasis:
     """Feature map used to project path data onto a conditional-expectation proxy.
@@ -215,12 +221,12 @@ class RegressionBasis:
     hi: float = 5.0
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "piecewise-constant-bins"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
+        if self.kind not in BASIS_KINDS:
+            raise ValueError(f"unknown basis kind {self.kind!r}; kinds: {', '.join(BASIS_KINDS)}")
         if self.size < 1:
-            raise ValueError("basis size must be >= 1")
+            raise ValueError(f"basis size must be >= 1, got {self.size}")
         if self.kind == "piecewise-constant-bins" and not self.hi > self.lo:
-            raise ValueError("bin range must satisfy hi > lo")
+            raise ValueError(f"bin range must satisfy hi > lo, got lo={self.lo}, hi={self.hi}")
 
     def projector(self, t: float, state: np.ndarray):
         """Least-squares projection onto the basis evaluated at per-path states.

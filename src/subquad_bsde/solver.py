@@ -23,6 +23,7 @@ from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
 _FP_TOL = 1e-10
 _FP_MAX_ITER = 200
+_ORDER_TOL = 1e-10         # ladder ordering slack for exact ties, relative to 1 + |Y|
 
 
 @dataclass(frozen=True)
@@ -315,8 +316,7 @@ def _doubling_levels(top: int) -> list[int]:
 
 def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
                  basis: RegressionBasis, n_max: int = 16, q_max: int = 16,
-                 levels: Optional[list[int]] = None,
-                 order_tol: float = 1e-10) -> LadderResult:
+                 levels: Optional[list[int]] = None) -> LadderResult:
     """Solve the clamped problems along the lattice diagonal and first row/column.
 
     Order counting: along the first row Y must be nondecreasing in n, along the
@@ -324,7 +324,7 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     ordering exactly; the regression fields can only be distinguished above
     their accumulated fit noise, so a comparison counts as violated when the
     ordering fails by more than 3x the combined per-node noise scale (plus
-    ``order_tol`` * (1 + |Y|) for exact ties).  The diagonal holds the shorter
+    ``_ORDER_TOL`` * (1 + |Y|) for exact ties).  The diagonal holds the shorter
     ladder at its top level.  Only the rung being solved is held whole; of the
     shared first rung and the rung before it, only Y and the noise scale are kept.
     """
@@ -350,7 +350,7 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         (low_y, low_noise), (high_y, high_noise) = low, high
         allowance = 3.0 * (low_noise + high_noise)
         for j in range(low_y.shape[1]):
-            tol = allowance[j] + order_tol * (1.0 + np.abs(high_y[:, j]))
+            tol = allowance[j] + _ORDER_TOL * (1.0 + np.abs(high_y[:, j]))
             violations += int(np.count_nonzero(low_y[:, j] > high_y[:, j] + tol))
         comparisons += low_y.size
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subquad_bsde.cli import _BOUND_IDS, build_parser, main, parse_config, run_experiment
+from subquad_bsde.cli import (_BOUND_IDS, ExperimentConfig, build_parser, main, parse_config,
+                              run_experiment)
 from subquad_bsde.conditions import CONDITION_IDS
 from subquad_bsde.errors import ConfigurationError
 
@@ -470,3 +471,71 @@ def test_every_registered_check_runs(command, check_id, tiny_solve, capsys):
         assert rc == 2 and "missing coefficient" in err
     else:
         assert rc in (0, 1), err
+
+
+BAD_BASE = """
+[experiment]
+steps = 4
+paths = 200
+"""
+
+
+@pytest.mark.parametrize("argv,lines,message", [
+    pytest.param(["run"], "scheme = foo", "unknown grid scheme 'foo'", id="scheme"),
+    pytest.param(["run"], "basis_size = 0", "basis size must be >= 1, got 0", id="basis_size"),
+    pytest.param(["run"], "basis = piecewise-constant-bins\nbasis_lo = 2\nbasis_hi = -2",
+                 "bin range must satisfy hi > lo, got lo=2.0, hi=-2.0", id="bin-range"),
+    pytest.param(["run"], "dims = 0", "dims must be >= 1, got 0", id="dims"),
+    pytest.param(["run"], "p = 1.0", "p must exceed 1, got 1.0", id="p"),
+    pytest.param(["run"], "basis = piecewise-constant-bins\ndims = 2",
+                 "basis piecewise-constant-bins needs dims = 1, got 2", id="bins-dims"),
+    pytest.param(["run"], "cloud_samples = 0", "cloud_samples must be >= 1, got 0",
+                 id="cloud_samples"),
+    pytest.param(["solve", "--scheme", "geometric", "--steps", "64"], "",
+                 "geometric grid with steps=64 and ratio=0.5", id="geometric-steps"),
+    pytest.param(["check-conditions", "--condition", "EX1", "--dims", "0"], "",
+                 "dims must be >= 1, got 0", id="check-conditions-dims"),
+    pytest.param(["verify-bounds", "--bound", "sup", "--p", "1"], "", "p must exceed 1, got 1.0",
+                 id="verify-bounds-p"),
+    pytest.param(["lemma-tests", "--lemma", "A1", "--samples", "0"], "",
+                 "samples must be >= 1, got 0", id="lemma-samples-zero"),
+    pytest.param(["lemma-tests", "--lemma", "A1", "--samples", "-5"], "",
+                 "samples must be >= 1, got -5", id="lemma-samples-negative"),
+])
+def test_bad_input_is_a_config_error_before_sampling(argv, lines, message, tiny_solve, tmp_path,
+                                                      monkeypatch, capsys):
+    import subquad_bsde.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a path was sampled")
+
+    monkeypatch.setattr(cli, "sample_paths", no_sampling)
+    if argv[0] == "run":
+        cfg_file = tmp_path / "bad.ini"
+        cfg_file.write_text(BAD_BASE + lines + f"\nout = {tmp_path / 'run'}\n")
+        argv = argv + ["--config", str(cfg_file)]
+    elif argv[0] == "solve":
+        argv = argv + ["--out", str(tmp_path / "sol.npz")]
+    elif argv[0] == "verify-bounds":
+        argv = argv + ["--run", tiny_solve]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err, err
+
+
+def test_parser_defaults_are_the_config_defaults():
+    defaults = vars(ExperimentConfig())
+    # flags named like a key that are not that key: file paths, and the lemma sweeps' seed
+    not_keys = {"solve": {"out"}, "verify-bounds": {"out"}, "lemma-tests": {"seed"}}
+    parser = build_parser()
+    seen = set()
+    for argv in (["check-conditions", "--condition", "EX1"], ["solve"],
+                 ["verify-bounds", "--run", "s.npz", "--bound", "sup"], ["lemma-tests", "--lemma", "A1"]):
+        args = vars(parser.parse_args(argv))
+        keys = set(args) & set(defaults) - not_keys.get(argv[0], set())
+        assert {k: args[k] for k in keys} == {k: defaults[k] for k in keys}, argv[0]
+        seen |= keys
+    assert seen == set(defaults) - {"ladder", "checks", "comparison_shift", "out"}
+    # run's overrides have no default: an unset flag keeps the config file's value
+    assert not set(vars(parser.parse_args(["run", "--config", "c.ini"]))) & set(defaults)

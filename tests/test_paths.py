@@ -26,6 +26,14 @@ def test_geometric_grid_invariants():
     assert np.all(np.diff(grid.dt) < 0.0)
 
 
+@pytest.mark.parametrize("steps", [53, 64])
+def test_geometric_grid_too_fine_for_its_ratio_names_steps_and_ratio(steps):
+    # widths 0.5^k fall below the rounding of their running sum from about 53 steps
+    with pytest.raises(ValueError, match=rf"steps={steps} and ratio=0\.5"):
+        build_grid(1.0, steps, "geometric")
+    assert build_grid(1.0, 52, "geometric").steps == 52
+
+
 @pytest.mark.parametrize("horizon,steps", [(-1.0, 4), (0.0, 4), (1.0, 0)])
 def test_grid_rejects_bad_arguments(horizon, steps):
     with pytest.raises(ValueError):
