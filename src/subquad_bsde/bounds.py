@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.ma  # noqa: F401 - np.unique/np.median load it lazily: load it here, not in a check
 
 from .errors import InvalidCoefficientError, PreconditionViolationError
 from .paths import step_major_empty

@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 import time
-from configparser import ConfigParser
+from configparser import ConfigParser, NoSectionError
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -77,14 +77,14 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; reports every validation error, not just the first."""
-    parser = ConfigParser()
+    parser = ConfigParser(interpolation=None)     # values are literal: `%` is not special
     try:
         parser.read_string(text if text.lstrip().startswith("[") else "[experiment]\n" + text)
+        raw = dict(parser.items("experiment"))
+    except NoSectionError:
+        raise ConfigurationError("missing [experiment] section") from None
     except Exception as exc:
         raise ConfigurationError(f"malformed configuration text: {exc}") from None
-    if not parser.has_section("experiment"):
-        raise ConfigurationError("missing [experiment] section")
-    raw = dict(parser.items("experiment"))
     cfg = ExperimentConfig()
     errors = []
 

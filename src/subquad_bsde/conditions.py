@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .bounds import MomentEstimate, log_mean_exp
 from .errors import ConfigurationError, InvalidCoefficientError, UnsupportedDimensionError
@@ -290,7 +289,7 @@ def check_theta_convexity(g: Generator, variant: str, cloud: SampleCloud) -> Con
     if with_log:
         # the weaker variant is only meaningful under a usable gamma integral
         ts = np.linspace(0.0, max(float(cloud.t.max()), 1e-6), 129)
-        total = trapezoid([float(gamma_fn(s)) for s in ts], ts)
+        total = np.trapezoid([float(gamma_fn(s)) for s in ts], ts)
         if not 0.0 < total < math.inf:
             raise InvalidCoefficientError(
                 f"variant {variant} needs 0 < int(gamma) < inf, got {total}")

@@ -7,17 +7,19 @@ precision for mildly large coefficients, so they are carried as natural logs
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidCoefficientError
 
 QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1.49e-8
 QUAD_LIMIT = 200          # hard subdivision cap
 _CONCAVITY_GRID = 2001    # points on [0, 100] where theta_constants re-checks concavity
 _OVERFLOW_LOG = 700.0     # exp(x) overflows float64 just above this
@@ -79,11 +81,107 @@ def k_threshold(alpha: float) -> float:
     return (astar ** 2 + astar) ** (astar / 2.0)
 
 
-def _integrate(fn: Callable[[float], float], lo: float, hi: float) -> float:
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, 1983): the positive abscissae of
+# the 21-point Kronrod rule on [-1, 1], of which _XGK[1], _XGK[3], ..., _XGK[9]
+# are the 10-point Gauss abscissae, and the weights of both rules.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def _gk21(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
+    """dqk21 on [a, b], in its operation order: (integral, error estimate, resasc).
+
+    resasc approximates the integral of |f - mean f|; qags does not trust an
+    error estimate equal to it.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    fc = float(fn(centr))
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):           # Gauss abscissae first, as dqk21
+        absc = hlgth * _XGK[j]
+        fval1 = float(fn(centr - absc))
+        fval2 = float(fn(centr + absc))
+        fv1[j] = fval1
+        fv2[j] = fval2
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resasc
+
+
+def _integrate(fn: Callable[[float], float], lo: float, hi: float, name: str) -> float:
+    """Integral of ``fn`` over [lo, hi] to max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|).
+
+    The first interval is accepted by qags's test, so the value equals
+    ``scipy.integrate.quad``'s whenever quad accepts it too.  Otherwise the
+    interval with the largest error estimate is bisected, without qags's
+    extrapolation, until the summed error meets the tolerance.  Raises
+    `InvalidCoefficientError` naming ``name`` when it does not within
+    QUAD_LIMIT intervals, or when that interval is too narrow to bisect.
+    """
     if hi <= lo:
         return 0.0
-    val, _ = quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, limit=QUAD_LIMIT)
-    return val
+    result, err, resasc = _gk21(fn, lo, hi)
+    if (err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(result)) and err != resasc) or err == 0.0:
+        return result
+    heap = [(-err, lo, hi, result)]       # max-heap on the error estimate
+    total = result
+    while True:
+        neg_err, a, b, value = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        # dqagse's test for an interval shrunk to the rounding of its endpoints
+        narrow = max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPMACH) * (abs(mid) + 1000.0 * _UFLOW)
+        why = (f"[{a:.6g}, {b:.6g}] is too narrow to bisect" if narrow
+               else "the integrand is not finite" if not math.isfinite(total)
+               else f"it needs more than {QUAD_LIMIT} subintervals" if len(heap) + 1 >= QUAD_LIMIT
+               else None)
+        if why:
+            raise InvalidCoefficientError(
+                f"the integral of {name} over [{lo:.6g}, {hi:.6g}] does not converge: "
+                f"estimate {total:.6g}, error {err:.3g}; {why}")
+        left, left_err, _ = _gk21(fn, a, mid)
+        right, right_err, _ = _gk21(fn, mid, b)
+        total += left + right - value
+        err += left_err + right_err + neg_err
+        heapq.heappush(heap, (-left_err, a, mid, left))
+        heapq.heappush(heap, (-right_err, mid, b, right))
+        if err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
+            return math.fsum(value for *_, value in heap)
 
 
 def _probe_nonnegative(fn, hi: float, name: str) -> None:
@@ -99,10 +197,10 @@ def beta_integral(beta: Callable[[float], float], s: float) -> float:
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     _probe_nonnegative(beta, s, "beta")
-    return _integrate(beta, 0.0, s)
+    return _integrate(beta, 0.0, s, "beta")
 
 
-def _cached_integral(integrand: Callable[[float], float]):
+def _cached_integral(integrand: Callable[[float], float], name: str):
     """Integral from 0 to s with node caching; monotone in s for nonneg integrands."""
     cache: dict[float, float] = {0.0: 0.0}
 
@@ -110,7 +208,7 @@ def _cached_integral(integrand: Callable[[float], float]):
         s = float(s)
         if s not in cache:
             anchor = max((a for a in cache if a <= s), default=0.0)
-            cache[s] = cache[anchor] + _integrate(integrand, anchor, s)
+            cache[s] = cache[anchor] + _integrate(integrand, anchor, s, name)
         return cache[s]
 
     return value
@@ -140,7 +238,7 @@ def mu_schedule(alpha: float, gamma: Callable[[float], float],
                 raise InvalidCoefficientError(f"gamma must be nonnegative; gamma({r:.6g}) = {g:.6g}")
             return math.exp(2.0 * float(A(r))) * g ** power
 
-        grow = _cached_integral(integrand)
+        grow = _cached_integral(integrand, "the mu weight e^{2A} gamma^{2/(2-alpha)}")
 
     def mu(s: float) -> float:
         exponent = (kh / astar) * float(grow(s))
@@ -161,7 +259,7 @@ def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, flo
         raise ValueError("p must exceed 1")
     _check_alpha(alpha)
     _probe_nonnegative(gamma, T, "gamma")
-    total = _integrate(gamma, 0.0, T)
+    total = _integrate(gamma, 0.0, T, "gamma")
     if not 0.0 < total < math.inf:
         raise InvalidCoefficientError(f"gamma must have a finite positive integral, got {total}")
     astar = conjugate_exponent(alpha)
@@ -178,7 +276,7 @@ def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class ConstantSet:
-    """Every derived constant for a fixed (alpha, T, beta, gamma, mu0)."""
+    """Every derived constant for a fixed (alpha, T, beta, gamma); mu0 = mu(0) is always 1."""
 
     alpha: float
     alpha_star: float
@@ -225,7 +323,7 @@ class ConstantSet:
         return json.dumps(self.to_dict(p_values), sort_keys=True, indent=2)
 
 
-def derive_constants(alpha: float, T: float, beta, gamma, mu0: float = 1.0) -> ConstantSet:
+def derive_constants(alpha: float, T: float, beta, gamma) -> ConstantSet:
     """Build the full `ConstantSet` for one coefficient profile."""
     _check_alpha(alpha)
     if T <= 0.0:
@@ -233,8 +331,8 @@ def derive_constants(alpha: float, T: float, beta, gamma, mu0: float = 1.0) -> C
     _probe_nonnegative(beta, T, "beta")
     _probe_nonnegative(gamma, T, "gamma")
     astar = conjugate_exponent(alpha)
-    A = _cached_integral(lambda r: float(beta(r)))
-    mu = mu_schedule(alpha, gamma, A, mu0)
+    A = _cached_integral(lambda r: float(beta(r)), "beta")
+    mu = mu_schedule(alpha, gamma, A)
     mu_T, A_T = mu(T), A(T)
     k = k_threshold(alpha)
     # K = exp(mu(T) k^{2/alpha*})  v  mu(T) e^{A(T)}
@@ -251,6 +349,6 @@ def derive_constants(alpha: float, T: float, beta, gamma, mu0: float = 1.0) -> C
     def delta_p(p: float) -> float:
         return theta_constants(p, gamma, alpha, T)[0]
 
-    return ConstantSet(alpha=alpha, alpha_star=astar, k=k, khat=khat(alpha), mu0=mu0,
+    return ConstantSet(alpha=alpha, alpha_star=astar, k=k, khat=khat(alpha), mu0=1.0,
                        A=A, mu=mu, T=T, log_K=log_K, K_p=K_p, delta_p=delta_p,
                        k_alpha=math.exp(astar / 2.0))

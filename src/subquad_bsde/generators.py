@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .constants import conjugate_exponent
 from .errors import InvalidCoefficientError
@@ -231,7 +230,7 @@ def builtin_example_2(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
     half = astar / 2.0
 
     ts = np.linspace(0.0, horizon, 257)
-    if not 0.0 < trapezoid([float(gr(t)) for t in ts], ts) < math.inf:
+    if not 0.0 < np.trapezoid([float(gr(t)) for t in ts], ts) < math.inf:
         raise InvalidCoefficientError("example2 requires gamma with a positive finite integral")
 
     def lterm(x):

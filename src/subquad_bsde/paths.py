@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily: load it with the toolkit, not in a sample
 
 
 @dataclass(frozen=True)

@@ -491,6 +491,7 @@ paths = 200
                  "basis piecewise-constant-bins needs dims = 1, got 2", id="bins-dims"),
     pytest.param(["run"], "cloud_samples = 0", "cloud_samples must be >= 1, got 0",
                  id="cloud_samples"),
+    pytest.param(["run"], "beta = 5%", "beta: cannot parse expression '5%'", id="percent"),
     pytest.param(["solve", "--scheme", "geometric", "--steps", "64"], "",
                  "geometric grid with steps=64 and ratio=0.5", id="geometric-steps"),
     pytest.param(["check-conditions", "--condition", "EX1", "--dims", "0"], "",

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from subquad_bsde import constants
 from subquad_bsde.constants import (LogValue, beta_integral, conjugate_exponent,
                                     derive_constants, k_threshold, khat, mu_schedule,
                                     theta_constants, young_margin)
@@ -200,3 +206,55 @@ def test_constant_set_schedules_monotone():
     mu_vals = [cs.mu(s) for s in ss]
     assert A_vals[0] == 0.0 and all(b >= a for a, b in zip(A_vals, A_vals[1:]))
     assert mu_vals[0] >= 1.0 and all(b >= a for a, b in zip(mu_vals, mu_vals[1:]))
+
+
+def _mu_weight():
+    """e^{2A(r)} gamma(r)^4, the mu integrand at alpha = 1.5, with its own A cache."""
+    A = constants._cached_integral(lambda r: 0.2 * math.exp(-r), "beta")
+    return lambda r: math.exp(2.0 * A(r)) * (0.25 + 0.1 * math.sin(r)) ** 4
+
+
+@pytest.mark.parametrize("make_fn,lo,hi", [
+    (lambda: (lambda t: 0.3), 0.0, 1.0),
+    (lambda: (lambda t: 0.25 + 0.0 * np.asarray(t)), 0.0, 2.5),
+    (lambda: (lambda t: math.exp(-t)), 0.0, 1.0),
+    (lambda: (lambda t: math.sin(3.0 * t) ** 2), 0.0, 1.0),
+    (_mu_weight, 0.0, 1.0),
+    (_mu_weight, 0.4, 1.0),
+], ids=["const", "const-array", "exp", "sin2", "mu-weight", "mu-weight-anchored"])
+def test_gk21_is_bit_equal_to_quad(make_fn, lo, hi):
+    ours = constants._integrate(make_fn(), lo, hi, "f")
+    ref, _ = quad(make_fn(), lo, hi, epsabs=constants.QUAD_ABS_TOL, limit=constants.QUAD_LIMIT)
+    assert type(ours) is float
+    assert ours == ref
+
+
+@pytest.mark.parametrize("fn,exact", [
+    (math.sqrt, 2.0 / 3.0),
+    (lambda t: abs(t - 0.3), 0.29),
+    (lambda t: t ** -0.5, 2.0),
+], ids=["sqrt", "kink", "singular"])
+def test_subdivided_integral_meets_tolerance(fn, exact):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    value = constants._integrate(counted, 0.0, 1.0, "f")
+    assert len(calls) > 21                     # the first interval was bisected
+    assert abs(value - exact) <= max(constants.QUAD_ABS_TOL, constants.QUAD_REL_TOL * exact)
+
+
+def test_divergent_integral_raises_naming_the_coefficient():
+    with pytest.raises(InvalidCoefficientError, match="integral of beta over .* does not converge"):
+        derive_constants(1.5, 1.0, lambda t: abs(t - 1.0 / 3.0) ** -1, lambda t: 0.25)
+
+
+def test_toolkit_loads_without_scipy():
+    code = ("import sys, subquad_bsde, subquad_bsde.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(constants.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
