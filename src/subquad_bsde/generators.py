@@ -85,7 +85,20 @@ class CoefficientProfile:
 
 @dataclass(frozen=True)
 class Generator:
-    """Evaluatable driver with declared structural flags and its profile."""
+    """Evaluatable driver with declared structural flags and its profile.
+
+    ``at(t, b, z)`` freezes (t, b, z) and returns ``at(y, idx=None)``, equal
+    to ``g(t, b, y, z)``, or to ``g(t, b, y[idx], z)`` when ``idx`` is given:
+    the implicit solver iterates on y alone within a step.  By default it
+    closes over ``fn``.  A driver opts into a cheaper step-frozen form by
+    giving its ``fn`` a ``freeze(t, b, z)`` attribute that returns such a
+    callable, precomputing the y-independent part once per step.  An opt-in
+    must be bit-identical to ``fn`` on every input (same operations in the
+    same order; a gather by ``idx`` may move ahead of or behind elementwise
+    work), because solver outputs are compared byte for byte.  The
+    specialisation travels with ``fn``: a generator built with another
+    ``fn``, a wrapper of the old one included, falls back to the default.
+    """
 
     fn: Callable
     profile: CoefficientProfile
@@ -95,6 +108,17 @@ class Generator:
     def __call__(self, t, b, y, z) -> np.ndarray:
         """g at time(s) t for per-path Brownian values b (n,d), y (n,), z (n,d)."""
         return np.asarray(self.fn(t, b, y, z), dtype=float)
+
+    def at(self, t, b, z) -> Callable:
+        """``y, idx=None -> g(t, b, y if idx is None else y[idx], z)`` with (t, b, z) frozen."""
+        freeze = getattr(self.fn, "freeze", None)
+        if freeze is not None:
+            return freeze(t, b, z)
+
+        def at(y, idx=None):
+            return self(t, b, y if idx is None else np.asarray(y)[idx], z)
+
+        return at
 
 
 @dataclass(frozen=True)
@@ -145,6 +169,32 @@ def _sup_on_grid(fn: TimeFn, horizon: float) -> float:
     return float(np.max([float(fn(t)) for t in ts]))
 
 
+def _split_driver(br: TimeFn, y_part: Callable, z_part: Callable) -> Callable:
+    """Driver fn = |B_t| + beta(t) y_part(y) + z_part(t, z), with its ``freeze``.
+
+    The step-frozen form computes |B_t|, beta(t) and the z-part once per step;
+    per call it evaluates beta(t) y_part on the values passed in and gathers
+    after that product, so a bin solve evaluates y_part once per bin.  The
+    sum keeps the order (|B| + beta y_part) + z_part, so both forms agree bit
+    for bit.
+    """
+
+    def fn(t, b, y, z):
+        return _norm(b) + br(t) * y_part(y) + z_part(t, np.atleast_2d(z))
+
+    def freeze(t, b, z):
+        b_abs, beta_t, z_term = _norm(b), br(t), z_part(t, np.atleast_2d(z))
+
+        def at(y, idx=None):
+            y_term = beta_t * y_part(y)
+            return b_abs + (y_term if idx is None else y_term[idx]) + z_term
+
+        return at
+
+    fn.freeze = freeze
+    return fn
+
+
 def builtin_example_1(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
                       horizon: float = 1.0) -> Generator:
     """Driver |B_t| + beta(t) h(y) + gamma(t) sum_i q(z_i) + gamma(t)|z|^alpha.
@@ -159,11 +209,10 @@ def builtin_example_1(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
         y = np.asarray(y, dtype=float)
         return np.where(y <= 0.0, np.cbrt(np.abs(y)), np.sin(y))
 
-    def fn(t, b, y, z):
-        z = np.atleast_2d(z)
-        zn = _norm(z)
-        qsum = example1_q(z).sum(axis=-1)
-        return _norm(b) + br(t) * h(y) + gr(t) * (qsum + zn ** alpha)
+    def z_part(t, z):
+        return gr(t) * (example1_q(z).sum(axis=-1) + _norm(z) ** alpha)
+
+    fn = _split_driver(br, h, z_part)
 
     # Base tier certifies the one-sided growth: sgn(y) h(y) <= |y|, the kink
     # sum obeys sum|q(z_i)| <= d + 2 sqrt(d) |z|, and |z| <= 1 + |z|^alpha.
@@ -236,12 +285,14 @@ def builtin_example_2(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
     def lterm(x):
         return np.log(math.e + np.abs(np.asarray(x, dtype=float))) ** half
 
-    def fn(t, b, y, z):
-        z = np.atleast_2d(z)
+    def y_part(y):
         y = np.asarray(y, dtype=float)
-        zn = _norm(z)
-        ysqrt = np.where(y <= 0.0, np.sqrt(np.abs(y)), 0.0)
-        return _norm(b) + br(t) * ysqrt + gr(t) * (lterm(z).sum(axis=-1) + 2.0 * zn ** alpha)
+        return np.where(y <= 0.0, np.sqrt(np.abs(y)), 0.0)
+
+    def z_part(t, z):
+        return gr(t) * (lterm(z).sum(axis=-1) + 2.0 * _norm(z) ** alpha)
+
+    fn = _split_driver(br, y_part, z_part)
 
     L = _log_power_lipschitz(astar)        # global Lipschitz slope of the log power
     s1 = _log_power_alpha_ratio(alpha, astar)
@@ -296,11 +347,28 @@ def truncate_terminal(xi: TerminalData, idx: TruncationIndex) -> TerminalData:
 def truncate_generator(g: Generator, idx: TruncationIndex) -> Generator:
     """Clamp g+ at n e^{-t} and g- at q e^{-t}; result is dominated by cap * e^{-t}."""
 
-    def fn(t, b, y, z):
-        raw = g(t, b, y, z)
+    n, q = idx.n, idx.q
+
+    def caps(t):
         decay = np.exp(-np.asarray(t, dtype=float))
-        return (np.minimum(np.maximum(raw, 0.0), idx.n * decay)
-                - np.minimum(np.maximum(-raw, 0.0), idx.q * decay))
+        return n * decay, q * decay
+
+    def clamp(raw, upper, lower):
+        return np.minimum(np.maximum(raw, 0.0), upper) - np.minimum(np.maximum(-raw, 0.0), lower)
+
+    def fn(t, b, y, z):
+        return clamp(g(t, b, y, z), *caps(t))
+
+    def freeze(t, b, z):
+        # clamps after the inner sum, like fn; only the caps are hoisted
+        inner, (upper, lower) = g.at(t, b, z), caps(t)
+
+        def at(y, idx=None):
+            return clamp(inner(y, idx), upper, lower)
+
+        return at
+
+    fn.freeze = freeze
 
     prof = g.profile
     old_f = prof.f

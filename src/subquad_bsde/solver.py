@@ -100,8 +100,7 @@ def _z_step(proj, y_next: np.ndarray, m_fit: np.ndarray,
     return proj.fit(weighted) / dt
 
 
-def _bin_step(g: Generator, t: float, b: np.ndarray, z: np.ndarray, proj,
-              y_next: np.ndarray, dt: float, step: int, fp_tol: float,
+def _bin_step(g_at, proj, y_next: np.ndarray, dt: float, step: int, fp_tol: float,
               fp_max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Implicit value update on the partition basis, all bins at once.
 
@@ -110,7 +109,10 @@ def _bin_step(g: Generator, t: float, b: np.ndarray, z: np.ndarray, proj,
     means of ``y_next``.  The first sweep takes the fixed-point step c + r(c);
     later sweeps take per-bin secant steps, bisecting the tightest bracket
     seen (r > 0 at lo, r < 0 at hi) when a step would leave it.  Each sweep is
-    one driver call over all paths; bins with |r| < ``fp_tol`` stay frozen.
+    one driver call over all paths, ``g_at(c, proj.idx)`` with ``g_at`` the
+    step's frozen driver (`Generator.at`), so a step-frozen driver evaluates
+    its y-part once per bin before the gather; bins with |r| < ``fp_tol``
+    stay frozen.
     A residual that does not decrease means dt * dg/dy >= 1: the step is
     ill-posed.  Returns the per-path values and the driver evaluated there.
     """
@@ -121,7 +123,7 @@ def _bin_step(g: Generator, t: float, b: np.ndarray, z: np.ndarray, proj,
     done = np.zeros(m.shape, dtype=bool)
     c_prev = r_prev = None
     for _ in range(fp_max_iter):
-        gval = g(t, b, c[proj.idx], z)
+        gval = g_at(c, proj.idx)
         if not np.all(np.isfinite(gval)):
             raise PreconditionViolationError(f"driver produced non-finite values at step {step}")
         r = m + dt * proj.coefficients(gval) - c
@@ -160,9 +162,15 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     implicit value update y = fit(Y_next + g(t, y, Z) dt) solved to ``fp_tol``
     within ``fp_max_iter`` driver sweeps: on the partition basis as one
     safeguarded secant per bin (see ``_bin_step``), otherwise iterated with 0.5
-    damping whenever the iteration stops contracting.  Only sampled
-    finiteness of the inputs is enforced; boundedness is the caller's contract.
+    damping whenever the iteration stops contracting.  Each step freezes the
+    driver at (t, b, Z) once (`Generator.at`) and iterates on y alone.  Only
+    sampled finiteness of the inputs is enforced; boundedness is the caller's
+    contract.
     """
+    if fp_max_iter < 1:
+        raise ValueError(f"fp_max_iter must be at least 1, got {fp_max_iter}")
+    if not (math.isfinite(fp_tol) and fp_tol > 0.0):
+        raise ValueError(f"fp_tol must be positive and finite, got {fp_tol}")
     _check_inputs(grid, bundle)
     levels = bundle.levels
     M, N = bundle.count, grid.steps
@@ -179,15 +187,15 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
         proj = projs[j]
         m_fit = proj.fit(Y[:, j + 1])
         Z[:, j, :] = _z_step(proj, Y[:, j + 1], m_fit, b, levels[:, j + 1, :], dt)
+        g_at = g.at(t, b, Z[:, j, :])
 
         if basis.kind == "piecewise-constant-bins":
-            y, gval = _bin_step(g, t, b, Z[:, j, :], proj, Y[:, j + 1], dt, j,
-                                fp_tol, fp_max_iter)
+            y, gval = _bin_step(g_at, proj, Y[:, j + 1], dt, j, fp_tol, fp_max_iter)
         else:
             y = m_fit.copy()
             prev_gap = math.inf
             for _ in range(fp_max_iter):
-                gval = g(t, b, y, Z[:, j, :])
+                gval = g_at(y)
                 if not np.all(np.isfinite(gval)):
                     raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
                 y_new = m_fit + dt * proj.fit(gval)

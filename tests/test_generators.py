@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import subquad_bsde as sq
-from subquad_bsde.generators import (TruncationIndex, example1_q, expression_generator,
-                                     make_generator, reflect_generator,
+from subquad_bsde.generators import (GENERATOR_IDS, TruncationIndex, example1_q,
+                                     expression_generator, make_generator, reflect_generator,
                                      theta_difference_generator, truncate_generator,
                                      truncate_terminal)
 
@@ -239,6 +240,65 @@ def test_theta_difference_rejects_off_grid_times(grid24):
     dg = theta_difference_generator(g, g, 0.5, grid24, Yp, Zp)
     with pytest.raises(ValueError):
         dg(0.012345, np.zeros((10, 1)), np.zeros(10), np.zeros((10, 1)))
+
+
+def _frozen_cases(grid, d):
+    """(name, generator) for every driver the solver can freeze: the catalog,
+    truncations at several rungs, a reflection and both theta-difference forms."""
+    gens = {gid: make_generator(gid, 1.5, d=d, b_z=0.4,
+                                expression="abs(y)^0.5*ind(0-y) + exp(min(y, 1)) + 0.3*z1 + babs")
+            for gid in GENERATOR_IDS}
+    for base in ("example1", "example2", "custom-expression"):
+        for n, q in ((1, 1), (1, 16), (4, 2), (16, 16)):
+            gens[f"{base}^({n},{q})"] = truncate_generator(gens[base], TruncationIndex(n, q))
+    gens["reflect(example1)"] = reflect_generator(gens["example1"])
+    rng = np.random.default_rng(3)
+    Yp = rng.standard_normal((60, grid.steps + 1))
+    Zp = rng.standard_normal((60, grid.steps, d))
+    for variant in ("primary", "resp"):
+        gens[f"theta-{variant}"] = theta_difference_generator(
+            gens["example1"], gens["example2^(4,2)"], 0.3, grid, Yp, Zp, variant=variant)
+    return gens.items()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_step_frozen_driver_is_bit_identical(grid24, d):
+    rng = np.random.default_rng(11 + d)
+    t = float(grid24.nodes[5])
+    b = rng.standard_normal((60, d)) * 2
+    z = rng.standard_normal((60, d)) * 3
+    # both sides of example 1's kink at 0, signed zeros and the cube root's steep part
+    kink = np.array([-0.0, 0.0, -1e-300, 1e-300, -1e-7, 1e-7, -0.3, 0.3, -2.5, 2.5, -40.0, 40.0])
+    y = np.concatenate([kink, rng.standard_normal(48) * 3])
+    c = np.concatenate([kink, rng.standard_normal(6)])            # per-bin values
+    idx = np.concatenate([np.arange(len(c)), rng.integers(0, len(c), 60 - len(c))])
+    frozen = set()
+    for name, gen in _frozen_cases(grid24, d):
+        at = gen.at(t, b, z)
+        assert np.array_equal(at(y), gen(t, b, y, z)), name
+        assert np.array_equal(at(c, idx), gen(t, b, c[idx], z)), name
+        # array_equal calls 0.0 and -0.0 equal; the signs must agree too
+        assert np.array_equal(np.signbit(at(c, idx)), np.signbit(gen(t, b, c[idx], z))), name
+        if hasattr(gen.fn, "freeze"):
+            frozen.add(name)
+    assert {"example1", "example2", "example1^(1,16)", "custom-expression^(4,2)"} <= frozen
+
+
+def test_replacing_fn_drops_the_step_frozen_form(example1):
+    b, z = np.ones((4, 1)), np.ones((4, 1))
+    c, idx = np.array([-1.0, 2.0]), np.array([0, 1, 1, 0])
+    plain = replace(example1, fn=lambda t, b, y, z: np.full(len(y), 7.0))
+    assert np.array_equal(plain.at(0.5, b, z)(c, idx), np.full(4, 7.0))
+    rows = []
+
+    def wrapped(t, b, y, z):
+        rows.append(len(y))
+        return example1.fn(t, b, y, z)
+
+    # a wrapper of the old fn evaluates through itself on the gathered values
+    out = replace(example1, fn=wrapped).at(0.5, b, z)(c, idx)
+    assert rows == [4]
+    assert np.array_equal(out, example1.at(0.5, b, z)(c, idx))
 
 
 from hypothesis import given, settings

@@ -367,6 +367,76 @@ def test_streamed_ladder_matches_cached_reference(example, basis):
         assert lad.violations > 0           # the comparison counts real violations
 
 
+def _counted(gen, frozen):
+    """Copy of ``gen`` counting driver evaluations; with ``frozen`` it keeps the
+    step-frozen form (counting its calls), else its fn is a plain wrapper and
+    `Generator.at` takes the default path."""
+    calls = []
+
+    def fn(t, b, y, z):
+        calls.append(len(y))
+        return gen.fn(t, b, y, z)
+
+    if frozen:
+        def freeze(t, b, z):
+            at = gen.fn.freeze(t, b, z)
+
+            def counted(y, idx=None):
+                calls.append(len(y) if idx is None else len(idx))
+                return at(y, idx)
+
+            return counted
+
+        fn.freeze = freeze
+    return dataclasses.replace(gen, fn=fn), calls
+
+
+def _same_field(a, b):
+    return (np.array_equal(a.Y, b.Y) and np.array_equal(a.Z, b.Z)
+            and np.array_equal(a.fit_noise, b.fit_noise))
+
+
+def test_step_frozen_ladder_matches_default_path(grid24, monkeypatch):
+    bundle = sq.sample_paths(grid24, 1, 2000, 5)
+    basis = sq.RegressionBasis("piecewise-constant-bins", 30, lo=-4.8, hi=4.8)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    base = sq.make_generator("example1", 1.5)
+    levels = [1, 2, 4, 8, 16]
+    g, frozen_calls = _counted(base, frozen=True)
+    lad = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=levels)
+    # the default path for the truncation as well as for example 1
+    monkeypatch.setattr(solver, "truncate_generator",
+                        lambda g, idx: _counted(truncate_generator(g, idx), frozen=False)[0])
+    g, plain_calls = _counted(base, frozen=False)
+    ref = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=levels)
+    assert _same_field(lad.final, ref.final)
+    assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.levels) == \
+        (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.levels)
+    assert frozen_calls == plain_calls and len(frozen_calls) > 13 * grid24.steps
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_step_frozen_polynomial_solve_matches_default_path(example, grid24, bundle24, poly_basis):
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    g, frozen_calls = _counted(sq.make_generator(example, 1.5), frozen=True)
+    sol = sq.solve_bounded(g, xi, grid24, bundle24, poly_basis)
+    g, plain_calls = _counted(sq.make_generator(example, 1.5), frozen=False)
+    ref = sq.solve_bounded(g, xi, grid24, bundle24, poly_basis)
+    assert _same_field(sol, ref)
+    assert frozen_calls == plain_calls and len(frozen_calls) > grid24.steps
+
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+@pytest.mark.parametrize("option, value", [("fp_max_iter", 0), ("fp_max_iter", -3),
+                                           ("fp_tol", 0.0), ("fp_tol", -1e-12),
+                                           ("fp_tol", math.nan), ("fp_tol", math.inf)])
+def test_solve_bounded_rejects_bad_fixed_point_options(option, value, basis_fixture,
+                                                       grid24, bundle24, example1, request):
+    with pytest.raises(ValueError, match=option):
+        sq.solve_bounded(example1, sq.make_terminal("clamp-bt", bound=3.0), grid24, bundle24,
+                         request.getfixturevalue(basis_fixture), **{option: value})
+
+
 @pytest.mark.parametrize("n_max, q_max", [(16, 4), (4, 16), (16, 1)])
 def test_ladder_of_unequal_lengths_ends_at_top_rung(n_max, q_max, grid24, bins_basis, example1):
     bundle = sq.sample_paths(grid24, 1, 2000, 5)
