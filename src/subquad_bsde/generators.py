@@ -95,7 +95,9 @@ class Generator:
     callable, precomputing the y-independent part once per step.  An opt-in
     must be bit-identical to ``fn`` on every input (same operations in the
     same order; a gather by ``idx`` may move ahead of or behind elementwise
-    work), because solver outputs are compared byte for byte.  The
+    work), because solver outputs are compared byte for byte; the builtin
+    drivers keep it by defining ``fn(t, b, y, z)`` as
+    ``freeze(t, b, z)(y)``, so the formula has one copy.  The
     specialisation travels with ``fn``: a generator built with another
     ``fn``, a wrapper of the old one included, falls back to the default.
     """
@@ -174,13 +176,9 @@ def _split_driver(br: TimeFn, y_part: Callable, z_part: Callable) -> Callable:
 
     The step-frozen form computes |B_t|, beta(t) and the z-part once per step;
     per call it evaluates beta(t) y_part on the values passed in and gathers
-    after that product, so a bin solve evaluates y_part once per bin.  The
-    sum keeps the order (|B| + beta y_part) + z_part, so both forms agree bit
-    for bit.
+    after that product, so a bin solve evaluates y_part once per bin.  ``fn``
+    is that form frozen and called at once, so the formula exists only here.
     """
-
-    def fn(t, b, y, z):
-        return _norm(b) + br(t) * y_part(y) + z_part(t, np.atleast_2d(z))
 
     def freeze(t, b, z):
         b_abs, beta_t, z_term = _norm(b), br(t), z_part(t, np.atleast_2d(z))
@@ -190,6 +188,9 @@ def _split_driver(br: TimeFn, y_part: Callable, z_part: Callable) -> Callable:
             return b_abs + (y_term if idx is None else y_term[idx]) + z_term
 
         return at
+
+    def fn(t, b, y, z):
+        return freeze(t, b, z)(y)
 
     fn.freeze = freeze
     return fn
@@ -356,17 +357,17 @@ def truncate_generator(g: Generator, idx: TruncationIndex) -> Generator:
     def clamp(raw, upper, lower):
         return np.minimum(np.maximum(raw, 0.0), upper) - np.minimum(np.maximum(-raw, 0.0), lower)
 
-    def fn(t, b, y, z):
-        return clamp(g(t, b, y, z), *caps(t))
-
     def freeze(t, b, z):
-        # clamps after the inner sum, like fn; only the caps are hoisted
+        # clamps after the inner sum; only the caps are hoisted
         inner, (upper, lower) = g.at(t, b, z), caps(t)
 
         def at(y, idx=None):
             return clamp(inner(y, idx), upper, lower)
 
         return at
+
+    def fn(t, b, y, z):
+        return freeze(t, b, z)(y)
 
     fn.freeze = freeze
 
