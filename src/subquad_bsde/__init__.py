@@ -13,9 +13,8 @@ Layout:
     cli         experiment runner with reproducible CSV/report outputs
 """
 
-from .bounds import (BoundCheckResult, ComparisonPolicy, MomentEstimate, fhat_process,
-                     verify_comparison, verify_fhat_moment, verify_pointwise_bound,
-                     verify_sup_bound)
+from .bounds import (BoundCheckResult, MomentEstimate, fhat_process, verify_comparison,
+                     verify_fhat_moment, verify_pointwise_bound, verify_sup_bound)
 from .conditions import (ConditionReport, SampleCloud, build_cloud, check_condition,
                          check_growth, check_theta_convexity, check_y_regularity,
                          check_z_regularity, subexp_moment_estimate)

@@ -132,20 +132,19 @@ def fhat_process(profile, sol_prime) -> np.ndarray:
 @dataclass(frozen=True)
 class FhatMomentCheck:
     moment: MomentEstimate
-    ln_moment: Optional[MomentEstimate] = None
-    jensen_majorant: Optional[MomentEstimate] = None
-    jensen_consistent: Optional[bool] = None
+    ln_moment: MomentEstimate
+    jensen_majorant: MomentEstimate
+    jensen_consistent: bool
 
 
 def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
-                       gamma: Optional[Callable] = None,
-                       z_prime: Optional[np.ndarray] = None) -> FhatMomentCheck:
-    """Estimate E[exp(p (int fhat dt)^{2/alpha*})], optionally with the Jensen cross-check.
+                       gamma: Callable, z_prime: np.ndarray) -> FhatMomentCheck:
+    """Estimate E[exp(p (int fhat dt)^{2/alpha*})] with the Jensen cross-check.
 
-    With ``gamma`` and ``z_prime`` supplied, also estimates the log-term moment
-    and its concavity majorant E[(k_alpha + int |Z'| dmu)^{delta_p}] under the
-    normalized measure dmu = gamma dt / int gamma, and reports whether the
-    estimated ordering is consistent within 3 standard errors.
+    Also estimates the log-term moment of ``z_prime`` and its concavity
+    majorant E[(k_alpha + int |Z'| dmu)^{delta_p}] under the normalized
+    measure dmu = gamma dt / int gamma, and reports whether the estimated
+    ordering is consistent within 3 standard errors.
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
@@ -154,8 +153,6 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
     integral = fhat @ dt
     log_m, se_m = log_mean_exp(p * integral ** (2.0 / alpha_star))
     moment = MomentEstimate(log_m, se_m, p, transform="exp(p*(int fhat)^(2/a*))")
-    if gamma is None or z_prime is None:
-        return FhatMomentCheck(moment=moment)
 
     half = alpha_star / 2.0
     gvals = np.asarray([float(gamma(t)) for t in grid.nodes[:-1]])
@@ -229,10 +226,8 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
 
     xi_eff = np.maximum(xi_values, 0.0) if one_sided else np.abs(xi_values)
     tail_f = _tail_forcing(f_process, grid, levels)
-    # quadratic variation to the horizon, summed back one step at a time; kept
-    # path-major because its columns go straight into the SVD fit, whose BLAS
-    # summation order depends on the stride of its input
-    tail_q = np.empty((bundle.count, grid.steps + 1))
+    # quadratic variation to the horizon, summed back one step at a time
+    tail_q = step_major_empty((bundle.count, grid.steps + 1))
     tail_q[:, -1] = 0.0
     for j in reversed(range(grid.steps)):
         q = (sol.Z[:, j, :] ** 2).sum(axis=1) * grid.dt[j]
@@ -325,25 +320,20 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
 # comparison order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonPolicy:
-    """Nodewise slack Y <= Y' + c * sqrt(dt) + regression noise proxy + extra."""
-
-    c: float = 0.5
-    extra: float = 0.0
-    use_fit_noise: bool = True
-    max_violation_fraction: float = 0.005
+_COMPARISON_C = 0.5               # discretization allowance c * sqrt(max dt)
+_COMPARISON_MAX_FRACTION = 0.005  # violation fraction a satisfied verdict may carry
 
 
-def verify_comparison(sol, sol_prime, policy: ComparisonPolicy = ComparisonPolicy(),
-                      xi_values: Optional[np.ndarray] = None,
+def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
                       xi_prime_values: Optional[np.ndarray] = None) -> BoundCheckResult:
     """Check the pathwise order Y <= Y' + eps on every grid node.
 
-    eps combines the discretization allowance c * sqrt(dt) with the solvers'
-    accumulated regression noise.  The caller asserts the hypothesis pattern;
-    when terminal samples are supplied they are validated first and an order
-    violation there raises with witness paths.
+    eps = 0.5 sqrt(max dt) + 3 (noise + noise'): a discretization allowance
+    plus three times the solvers' accumulated regression noise
+    (`SolutionField.noise_scale`).  The verdict is ``satisfied`` when at most
+    0.5% of the (path, node) pairs exceed it.  The caller asserts the
+    hypothesis pattern; when terminal samples are supplied they are validated
+    first and an order violation there raises with witness paths.
     """
     if sol.grid is not sol_prime.grid and not np.array_equal(sol.grid.nodes, sol_prime.grid.nodes):
         raise ValueError("solutions must share one grid")
@@ -356,9 +346,8 @@ def verify_comparison(sol, sol_prime, policy: ComparisonPolicy = ComparisonPolic
             raise PreconditionViolationError(
                 f"terminal ordering xi <= xi' fails on {bad.size} paths", witnesses)
 
-    eps = np.full(sol.grid.steps + 1, policy.c * math.sqrt(float(np.max(sol.grid.dt))) + policy.extra)
-    if policy.use_fit_noise:
-        eps = eps + 3.0 * (sol.noise_scale() + sol_prime.noise_scale())
+    eps = (_COMPARISON_C * math.sqrt(float(np.max(sol.grid.dt)))
+           + 3.0 * (sol.noise_scale() + sol_prime.noise_scale()))
     M, nodes = sol.Y.shape
     gap_max = np.empty(nodes)
     margin_median = np.empty(nodes)
@@ -370,7 +359,7 @@ def verify_comparison(sol, sol_prime, policy: ComparisonPolicy = ComparisonPolic
         np.subtract(eps[j], gap, out=gap)
         margin_median[j] = np.median(gap, overwrite_input=True)
     fraction = float(counts.sum() / (M * nodes))
-    verdict = "satisfied" if fraction <= policy.max_violation_fraction else "violated"
+    verdict = "satisfied" if fraction <= _COMPARISON_MAX_FRACTION else "violated"
     return BoundCheckResult(bound_id="comparison", times=sol.grid.nodes.copy(),
                             log_lhs=gap_max, log_rhs=eps,
                             se=counts / M, margin_min=eps - gap_max,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import MomentEstimate, log_mean_exp
-from .errors import ConfigurationError, InvalidCoefficientError, UnsupportedDimensionError
+from .constants import gamma_integral
+from .errors import ConfigurationError, UnsupportedDimensionError
 from .generators import Generator, reflect_generator
 
 MARGIN_RTOL = 1e-9
@@ -288,11 +289,7 @@ def check_theta_convexity(g: Generator, variant: str, cloud: SampleCloud) -> Con
     with_log = variant.startswith("UN-")
     if with_log:
         # the weaker variant is only meaningful under a usable gamma integral
-        ts = np.linspace(0.0, max(float(cloud.t.max()), 1e-6), 129)
-        total = np.trapezoid([float(gamma_fn(s)) for s in ts], ts)
-        if not 0.0 < total < math.inf:
-            raise InvalidCoefficientError(
-                f"variant {variant} needs 0 < int(gamma) < inf, got {total}")
+        gamma_integral(gamma_fn, max(float(cloud.t.max()), 1e-6), f"variant {variant}'s gamma")
 
     t, b, th = cloud.t, cloud.b, cloud.theta
     y1, y2, z1, z2 = cloud.y1, cloud.y2, cloud.z1, cloud.z2

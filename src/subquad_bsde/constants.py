@@ -215,37 +215,44 @@ def _cached_integral(integrand: Callable[[float], float], name: str):
 
 
 def mu_schedule(alpha: float, gamma: Callable[[float], float],
-                A: Callable[[float], float], mu0: float = 1.0,
-                weighted_integral: Callable[[float], float] | None = None) -> Callable[[float], float]:
-    """mu(s) = mu0 * exp((khat/alpha*) * int_0^s e^{2A(r)} gamma^{2/(2-alpha)}(r) dr).
+                A: Callable[[float], float]) -> Callable[[float], float]:
+    """mu(s) = exp((khat/alpha*) * int_0^s e^{2A(r)} gamma^{2/(2-alpha)}(r) dr).
 
-    ``weighted_integral``, when supplied, is a closed form for the inner
-    integral as a function of s; use it when gamma^{2/(2-alpha)} has an
-    integrable singularity the adaptive quadrature would chew on.
+    mu(0) = 1, the value `ConstantSet.mu0` reports.  The inner integral is
+    taken by adaptive quadrature, cached per node.
     """
-    if mu0 < 1.0:
-        raise ValueError("mu(0) must be >= 1")
     astar = conjugate_exponent(alpha)
     kh = khat(alpha)
     power = 2.0 / (2.0 - alpha)
 
-    if weighted_integral is not None:
-        grow = weighted_integral
-    else:
-        def integrand(r: float) -> float:
-            g = float(gamma(r))
-            if g < 0.0:
-                raise InvalidCoefficientError(f"gamma must be nonnegative; gamma({r:.6g}) = {g:.6g}")
-            return math.exp(2.0 * float(A(r))) * g ** power
+    def integrand(r: float) -> float:
+        g = float(gamma(r))
+        if g < 0.0:
+            raise InvalidCoefficientError(f"gamma must be nonnegative; gamma({r:.6g}) = {g:.6g}")
+        return math.exp(2.0 * float(A(r))) * g ** power
 
-        grow = _cached_integral(integrand, "the mu weight e^{2A} gamma^{2/(2-alpha)}")
+    grow = _cached_integral(integrand, "the mu weight e^{2A} gamma^{2/(2-alpha)}")
 
     def mu(s: float) -> float:
         exponent = (kh / astar) * float(grow(s))
         # saturate rather than raise: downstream constants carry logs anyway
-        return mu0 * math.exp(exponent) if exponent < _OVERFLOW_LOG else math.inf
+        return math.exp(exponent) if exponent < _OVERFLOW_LOG else math.inf
 
     return mu
+
+
+def gamma_integral(gamma: Callable[[float], float], T: float, name: str = "gamma") -> float:
+    """int_0^T gamma by adaptive quadrature, gated on 0 < int_0^T gamma < inf.
+
+    Raises `InvalidCoefficientError` naming ``name`` when a probe finds gamma
+    negative on [0, T], or when the integral is not finite and positive.
+    """
+    _probe_nonnegative(gamma, T, name)
+    total = _integrate(gamma, 0.0, T, name)
+    if not 0.0 < total < math.inf:
+        raise InvalidCoefficientError(
+            f"{name} must have a finite positive integral over [0, {T:.6g}], got {total}")
+    return total
 
 
 def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, float]:
@@ -258,10 +265,7 @@ def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, flo
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     _check_alpha(alpha)
-    _probe_nonnegative(gamma, T, "gamma")
-    total = _integrate(gamma, 0.0, T, "gamma")
-    if not 0.0 < total < math.inf:
-        raise InvalidCoefficientError(f"gamma must have a finite positive integral, got {total}")
+    total = gamma_integral(gamma, T)
     astar = conjugate_exponent(alpha)
     k_alpha = math.exp(astar / 2.0)
     delta_p = p * total ** (2.0 / astar)

@@ -324,6 +324,19 @@ def lemmaA2_intermediate_checks(con: EnvelopeConstruction, samples) -> dict[str,
 # A3: flat-bottom construction on a monotone-ray function
 # ---------------------------------------------------------------------------
 
+def _a3_bridge(fn: Callable, fm: float, fp: float, k0: float, a: float) -> Callable:
+    """The A3 envelope of ``fn`` for fp = fn(a) <= fm = fn(-a): fn outside the
+    band, slope -k0 from fm at -a down to fp at 0, then flat at fp up to a."""
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= -a, fn(x),
+                        np.where(x <= 0.0, -k0 * (x + a) + fm,
+                                 np.where(x < a, fp + 0.0 * x, fn(x))))
+
+    return g
+
+
 def construct_A3_envelope(f: ScalarFunction, a: float, k: float,
                           selfcheck: bool = True) -> EnvelopeConstruction:
     """Monotone envelope: keep f outside [-a, a], bridge the band with one slope
@@ -358,18 +371,13 @@ def construct_A3_envelope(f: ScalarFunction, a: float, k: float,
                 f"|f(a)-f(-a)|/a = {k0:.6g} exceeds 2k; declared Lipschitz constant is wrong",
                 witness=k0)
         if fp <= fm:
-            def g(x, _fm=fm, _fp=fp, _k0=k0, _a=a):
-                x = np.asarray(x, dtype=float)
-                return np.where(x <= -_a, f.fn(x),
-                                np.where(x <= 0.0, -_k0 * (x + _a) + _fm,
-                                         np.where(x < _a, _fp + 0.0 * x, f.fn(x))))
+            g = _a3_bridge(f.fn, fm, fp, k0, a)
         else:
-            # mirror the construction through x -> -x
-            def g(x, _fm=fm, _fp=fp, _k0=k0, _a=a):
-                x = np.asarray(x, dtype=float)
-                return np.where(x >= _a, f.fn(x),
-                                np.where(x >= 0.0, _k0 * (x - _a) + _fp,
-                                         np.where(x > -_a, _fm + 0.0 * x, f.fn(x))))
+            # f(-x) has the stated orientation: build on it and reflect back
+            g_reflected = _a3_bridge(lambda x: f.fn(-x), fp, fm, k0, a)
+
+            def g(x):
+                return g_reflected(-np.asarray(x, dtype=float))
 
     def h(x):
         x = np.asarray(x, dtype=float)

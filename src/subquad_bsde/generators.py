@@ -20,8 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import conjugate_exponent
-from .errors import InvalidCoefficientError
+from .constants import conjugate_exponent, gamma_integral
 from .expressions import compile_expression
 
 TimeFn = Callable[[float], float]
@@ -279,9 +278,7 @@ def builtin_example_2(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
     astar = conjugate_exponent(alpha)
     half = astar / 2.0
 
-    ts = np.linspace(0.0, horizon, 257)
-    if not 0.0 < np.trapezoid([float(gr(t)) for t in ts], ts) < math.inf:
-        raise InvalidCoefficientError("example2 requires gamma with a positive finite integral")
+    gamma_integral(gr, horizon, "example2's gamma")    # the log z-part needs 0 < int gamma < inf
 
     def lterm(x):
         return np.log(math.e + np.abs(np.asarray(x, dtype=float))) ** half
@@ -396,20 +393,17 @@ def reflect_generator(g: Generator) -> Generator:
 
 
 def theta_difference_generator(g: Generator, g_prime: Generator, theta: float,
-                               grid, Yp: np.ndarray, Zp: np.ndarray,
-                               variant: str = "primary") -> Generator:
+                               grid, Yp: np.ndarray, Zp: np.ndarray) -> Generator:
     """Driver of the theta-residual pair, anchored to a reference solution field.
 
-    ``primary`` perturbs g around the reference (Y', Z'); ``resp`` is the
-    mirrored form that freezes the (Y, Z) arguments of the generator gap
-    instead, used when the inequality hypothesis is asserted along the other
-    solution.  The result can only be evaluated at grid nodes with rows
-    aligned to the bundle that produced Yp/Zp.
+    Perturbs g around the reference (Y', Z'): the value at (y, z) is
+    [g(ymix, zmix) - theta g(Y', Z') + theta (g - g')(Y', Z')] / (1 - theta)
+    with ymix = (1 - theta) y + theta Y' and zmix likewise.  The result can
+    only be evaluated at grid nodes with rows aligned to the bundle that
+    produced Yp/Zp.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if variant not in ("primary", "resp"):
-        raise ValueError(f"unknown variant {variant!r}")
     nodes = np.asarray(grid.nodes)
     Yp = np.asarray(Yp, dtype=float)
     Zp = np.asarray(Zp, dtype=float)
@@ -429,14 +423,9 @@ def theta_difference_generator(g: Generator, g_prime: Generator, theta: float,
         ymix = (1.0 - theta) * y + theta * yp
         zmix = (1.0 - theta) * z + theta * zp
         gp_ref = g_prime(t, b, yp, zp)
-        if variant == "primary":
-            g_ref = g(t, b, yp, zp)
-            return ((g(t, b, ymix, zmix) - theta * g_ref) / (1.0 - theta)
-                    + theta * (g_ref - gp_ref) / (1.0 - theta))
-        g_here = g(t, b, y, z)
-        gp_here = g_prime(t, b, y, z)
-        return ((g_here - gp_here) / (1.0 - theta)
-                + (g_prime(t, b, ymix, zmix) - theta * gp_ref) / (1.0 - theta))
+        g_ref = g(t, b, yp, zp)
+        return ((g(t, b, ymix, zmix) - theta * g_ref) / (1.0 - theta)
+                + theta * (g_ref - gp_ref) / (1.0 - theta))
 
     return Generator(fn=fn, profile=g.profile, flags=frozenset({"theta-difference"}),
                      name=f"delta_theta({g.name},{g_prime.name};{theta})")

@@ -168,6 +168,9 @@ class _SVDProjector:
         self.n_features = features.shape[1]
 
     def fit(self, values: np.ndarray) -> np.ndarray:
+        # BLAS picks its summation order by the stride of ``values``: fit a
+        # contiguous copy so equal values give equal bits in any layout
+        values = np.ascontiguousarray(values)
         return self.u @ (self.u.T @ values)
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:

@@ -21,8 +21,10 @@ from .generators import (Generator, TerminalData, TruncationIndex,
                          theta_difference_generator, truncate_generator, truncate_terminal)
 from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
-_FP_TOL = 1e-10
-_FP_MAX_ITER = 200
+_FP_TOL = 1e-10            # implicit step: residual (bins) or sup-change (polynomial) target
+_FP_MAX_ITER = 200         # implicit step: driver sweeps before SolverDivergedError
+_PICARD_TOL = 1e-8         # Picard: sup-change of (Y, Z) over all nodes between sweeps
+_PICARD_MAX_ITER = 60      # Picard: sweeps before IterationLimitError
 _ORDER_TOL = 1e-10         # ladder ordering slack for exact ties, relative to 1 + |Y|
 
 
@@ -100,8 +102,8 @@ def _z_step(proj, y_next: np.ndarray, m_fit: np.ndarray,
     return proj.fit(weighted) / dt
 
 
-def _bin_step(g_at, proj, y_next: np.ndarray, dt: float, step: int, fp_tol: float,
-              fp_max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _bin_step(g_at, proj, y_next: np.ndarray, dt: float,
+              step: int) -> tuple[np.ndarray, np.ndarray]:
     """Implicit value update on the partition basis, all bins at once.
 
     After one update y is constant within each bin, so the step is the scalar
@@ -111,7 +113,7 @@ def _bin_step(g_at, proj, y_next: np.ndarray, dt: float, step: int, fp_tol: floa
     seen (r > 0 at lo, r < 0 at hi) when a step would leave it.  Each sweep is
     one driver call over all paths, ``g_at(c, proj.idx)`` with ``g_at`` the
     step's frozen driver (`Generator.at`), so a step-frozen driver evaluates
-    its y-part once per bin before the gather; bins with |r| < ``fp_tol``
+    its y-part once per bin before the gather; bins with |r| < ``_FP_TOL``
     stay frozen.
     A residual that does not decrease means dt * dg/dy >= 1: the step is
     ill-posed.  Returns the per-path values and the driver evaluated there.
@@ -122,12 +124,12 @@ def _bin_step(g_at, proj, y_next: np.ndarray, dt: float, step: int, fp_tol: floa
     hi = np.full_like(m, np.inf)
     done = np.zeros(m.shape, dtype=bool)
     c_prev = r_prev = None
-    for _ in range(fp_max_iter):
+    for _ in range(_FP_MAX_ITER):
         gval = g_at(c, proj.idx)
         if not np.all(np.isfinite(gval)):
             raise PreconditionViolationError(f"driver produced non-finite values at step {step}")
         r = m + dt * proj.coefficients(gval) - c
-        done |= np.abs(r) < fp_tol
+        done |= np.abs(r) < _FP_TOL
         if done.all():
             return c[proj.idx], gval
         lo = np.where(r > 0.0, np.maximum(lo, c), lo)
@@ -154,23 +156,19 @@ def _bin_step(g_at, proj, y_next: np.ndarray, dt: float, step: int, fp_tol: floa
 
 
 def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
-                  basis: RegressionBasis, fp_tol: float = _FP_TOL,
-                  fp_max_iter: int = _FP_MAX_ITER) -> SolutionField:
+                  basis: RegressionBasis) -> SolutionField:
     """Backward sweep for problems with bounded (e.g. truncated) data.
 
     Per step: Z from the centered martingale-increment regression, then the
-    implicit value update y = fit(Y_next + g(t, y, Z) dt) solved to ``fp_tol``
-    within ``fp_max_iter`` driver sweeps: on the partition basis as one
+    implicit value update y = fit(Y_next + g(t, y, Z) dt) solved to
+    ``_FP_TOL`` within ``_FP_MAX_ITER`` driver sweeps (else
+    `SolverDivergedError` naming the step): on the partition basis as one
     safeguarded secant per bin (see ``_bin_step``), otherwise iterated with 0.5
     damping whenever the iteration stops contracting.  Each step freezes the
     driver at (t, b, Z) once (`Generator.at`) and iterates on y alone.  Only
     sampled finiteness of the inputs is enforced; boundedness is the caller's
     contract.
     """
-    if fp_max_iter < 1:
-        raise ValueError(f"fp_max_iter must be at least 1, got {fp_max_iter}")
-    if not (math.isfinite(fp_tol) and fp_tol > 0.0):
-        raise ValueError(f"fp_tol must be positive and finite, got {fp_tol}")
     _check_inputs(grid, bundle)
     levels = bundle.levels
     M, N = bundle.count, grid.steps
@@ -190,11 +188,11 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
         g_at = g.at(t, b, Z[:, j, :])
 
         if basis.kind == "piecewise-constant-bins":
-            y, gval = _bin_step(g_at, proj, Y[:, j + 1], dt, j, fp_tol, fp_max_iter)
+            y, gval = _bin_step(g_at, proj, Y[:, j + 1], dt, j)
         else:
             y = m_fit.copy()
             prev_gap = math.inf
-            for _ in range(fp_max_iter):
+            for _ in range(_FP_MAX_ITER):
                 gval = g_at(y)
                 if not np.all(np.isfinite(gval)):
                     raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
@@ -206,7 +204,7 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
                     y_new = 0.5 * (y_new + y)
                     gap = float(np.max(np.abs(y_new - y)))
                 y = y_new
-                if gap < fp_tol:
+                if gap < _FP_TOL:
                     break
                 prev_gap = gap
             else:
@@ -220,10 +218,10 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
 
 
 def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
-                 basis: RegressionBasis, max_iter: int = 60,
-                 tol: float = 1e-8) -> SolutionField:
+                 basis: RegressionBasis) -> SolutionField:
     """Global Picard iteration: repeat linear backward passes with the driver frozen
-    at the previous iterate until the sup-change over all nodes drops below ``tol``.
+    at the previous iterate until the sup-change over all nodes drops below
+    ``_PICARD_TOL``; `IterationLimitError` after ``_PICARD_MAX_ITER`` sweeps.
 
     Independent implementation used to cross-validate the implicit sweep on
     Lipschitz drivers; both discretizations share the same fixed point.
@@ -251,7 +249,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     gap = math.inf
     step_gap = np.empty(N)
     step_noise_sq = np.zeros(N)
-    for _ in range(max_iter):
+    for _ in range(_PICARD_MAX_ITER):
         for j in reversed(range(N)):
             t = float(grid.nodes[j])
             dt = float(grid.dt[j])
@@ -271,10 +269,10 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         gap = float(np.max(step_gap))
         Y, Y_new = Y_new, Y
         Z, Z_new = Z_new, Z
-        if gap < tol:
+        if gap < _PICARD_TOL:
             return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
                                  method="picard", fit_noise=_fit_noise(step_noise_sq))
-    raise IterationLimitError(max_iter, gap)
+    raise IterationLimitError(_PICARD_MAX_ITER, gap)
 
 
 def _fitted_residual(sol: SolutionField, g: Generator, U: np.ndarray,

@@ -1,12 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import subquad_bsde as sq
-from subquad_bsde.bounds import (ComparisonPolicy, fhat_process, log_mean_exp,
-                                 verify_comparison, verify_fhat_moment,
-                                 verify_pointwise_bound, verify_sup_bound)
+from subquad_bsde.bounds import (fhat_process, log_mean_exp, verify_comparison,
+                                 verify_fhat_moment, verify_pointwise_bound, verify_sup_bound)
 from subquad_bsde.errors import PreconditionViolationError
 from subquad_bsde.generators import TruncationIndex, truncate_generator, truncate_terminal
 
@@ -68,9 +68,10 @@ def test_fhat_dominates_f(grid24, bundle24, poly_basis, example2):
 
 
 def test_fhat_moment_trivial_cases(grid24):
-    m0 = verify_fhat_moment(np.zeros((500, grid24.steps)), grid24, 2.0, 3.0)
+    jensen = dict(gamma=lambda t: 1.0 + 0.0 * np.asarray(t), z_prime=np.zeros((500, grid24.steps, 1)))
+    m0 = verify_fhat_moment(np.zeros((500, grid24.steps)), grid24, 2.0, 3.0, **jensen)
     assert m0.moment.log_value == pytest.approx(0.0)
-    m1 = verify_fhat_moment(np.ones((500, grid24.steps)), grid24, 2.0, 3.0)
+    m1 = verify_fhat_moment(np.ones((500, grid24.steps)), grid24, 2.0, 3.0, **jensen)
     assert m1.moment.log_value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -194,13 +195,6 @@ def test_comparison_precondition_witnesses(grid24, bundle24, poly_basis):
     with pytest.raises(PreconditionViolationError) as err:
         verify_comparison(zero, zero, xi_values=xi, xi_prime_values=xi_bad)
     assert 0 < len(err.value.witnesses) <= 10
-
-
-def test_comparison_policy_without_noise(grid24, bundle24, poly_basis):
-    zero = sq.solve_bounded(sq.make_generator("zero", 1.5), sq.make_terminal("zero"),
-                            grid24, bundle24, poly_basis)
-    r = verify_comparison(zero, zero, ComparisonPolicy(c=0.1, use_fit_noise=False))
-    assert r.satisfied
 
 
 def test_pointwise_one_sided_variant(grid24, bundle24, poly_basis, example1):
@@ -329,11 +323,9 @@ def test_pointwise_bound_matches_whole_field_reference_in_two_dims():
         assert all(np.array_equal(a, b) for a, b in zip(got, expected)), variant
 
 
-def _comparison_reference(sol, sol_prime, policy):
-    eps = np.full(sol.grid.steps + 1,
-                  policy.c * math.sqrt(float(np.max(sol.grid.dt))) + policy.extra)
-    if policy.use_fit_noise:
-        eps = eps + 3.0 * (sol.noise_scale() + sol_prime.noise_scale())
+def _comparison_reference(sol, sol_prime):
+    eps = np.full(sol.grid.steps + 1, 0.5 * math.sqrt(float(np.max(sol.grid.dt))))
+    eps = eps + 3.0 * (sol.noise_scale() + sol_prime.noise_scale())
     gap = sol.Y - sol_prime.Y
     violations = gap > eps[None, :]
     arrays = (gap.max(axis=0), eps, violations.mean(axis=0), eps - gap.max(axis=0),
@@ -344,11 +336,11 @@ def _comparison_reference(sol, sol_prime, policy):
 @pytest.mark.parametrize("kind", ["polynomial", "piecewise-constant-bins"])
 def test_comparison_matches_whole_field_reference(example1_pair, kind):
     lo, hi, _ = example1_pair[kind]
-    for a, b, policy in ((lo, hi, ComparisonPolicy()),
-                         (hi, lo, ComparisonPolicy()),
-                         (hi, lo, ComparisonPolicy(c=0.0, extra=1.0, use_fit_noise=False))):
-        arrays, fraction, worst = _comparison_reference(a, b, policy)
-        r = verify_comparison(a, b, policy)
+    # the third pair pits lo against its own paths in reverse order: the order
+    # fails on about half of them, so per-node counts and medians are mixed
+    for a, b in ((lo, hi), (hi, lo), (lo, dataclasses.replace(lo, Y=lo.Y[::-1]))):
+        arrays, fraction, worst = _comparison_reference(a, b)
+        r = verify_comparison(a, b)
         got = (r.log_lhs, r.log_rhs, r.se, r.margin_min, r.margin_median)
         for name, x, y in zip(("gap_max", "eps", "per_time", "min", "median"), got, arrays):
             assert np.array_equal(x, y), name
@@ -361,7 +353,7 @@ def test_comparison_median_matches_reference_on_even_path_count(grid24, bundle24
     a = sq.solve_bounded(g, sq.make_terminal("clamp-bt", bound=2.0), grid24, bundle24, poly_basis)
     b = sq.solve_bounded(g, sq.make_terminal("clamp-bt", bound=1.0), grid24, bundle24, poly_basis)
     assert bundle24.count % 2 == 0
-    arrays, fraction, _ = _comparison_reference(a, b, ComparisonPolicy())
+    arrays, fraction, _ = _comparison_reference(a, b)
     r = verify_comparison(a, b)
     assert np.array_equal(r.margin_median, arrays[4]) and np.array_equal(r.se, arrays[2])
     assert r.violation_fraction == fraction

@@ -120,6 +120,17 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad_file)]) == 2
 
 
+def test_sign_changing_gamma_fails_when_the_generator_is_built(tmp_path, capsys):
+    # int_0^1 (t - 0.3) dt > 0, but gamma < 0 on [0, 0.3): a config error before
+    # any path is sampled, not a failure in the constants afterwards
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(SMALL_RUN.replace("example1", "example2").replace("gamma = 0.25", "gamma = t - 0.3")
+                        + f"out = {tmp_path / 'run'}\n")
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert "config error: example2's gamma must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_overrides_are_validated(tmp_path, capsys):
     cfg_file = tmp_path / "exp.ini"
     cfg_file.write_text(SMALL_RUN + f"out = {tmp_path / 'run'}\n")

@@ -12,8 +12,8 @@ from scipy.integrate import quad
 
 from subquad_bsde import constants
 from subquad_bsde.constants import (LogValue, beta_integral, conjugate_exponent,
-                                    derive_constants, k_threshold, khat, mu_schedule,
-                                    theta_constants, young_margin)
+                                    derive_constants, gamma_integral, k_threshold, khat,
+                                    mu_schedule, theta_constants, young_margin)
 from subquad_bsde.errors import InvalidCoefficientError
 
 ZERO = lambda t: 0.0 * np.asarray(t, dtype=float)
@@ -86,14 +86,14 @@ def test_beta_integral_rejects_negative():
 
 
 def test_mu_schedule_zero_gamma():
-    mu = mu_schedule(1.5, ZERO, lambda s: 0.0, mu0=1.25)
+    mu = mu_schedule(1.5, ZERO, lambda s: 0.0)
     for s in (0.0, 0.7, 2.0):
-        assert mu(s) == pytest.approx(1.25)
+        assert mu(s) == 1.0
 
 
 def test_mu_schedule_closed_form():
     # beta = 0 so A = 0; gamma = 1: exponent is khat/alpha* * s = 15.1875 s
-    mu = mu_schedule(1.5, lambda t: 1.0 + 0.0 * t, lambda s: 0.0, mu0=1.0)
+    mu = mu_schedule(1.5, lambda t: 1.0 + 0.0 * t, lambda s: 0.0)
     for s in (0.1, 0.45):
         assert mu(s) == pytest.approx(math.exp(15.1875 * s), rel=1e-6)
 
@@ -103,20 +103,22 @@ def test_mu_schedule_monotone_random_draws():
     for _ in range(5):
         c = rng.uniform(0.1, 0.8)
         mu = mu_schedule(1.5, lambda t, c=c: c * (1.0 + np.sin(t) ** 2),
-                         lambda s: 0.1 * s, mu0=1.0)
+                         lambda s: 0.1 * s)
         values = [mu(s) for s in np.linspace(0.0, 2.0, 9)]
         assert all(np.isfinite(values))
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_mu_schedule_saturates_instead_of_raising():
-    mu = mu_schedule(1.5, lambda t: 5.0 + 0.0 * t, lambda s: s, mu0=1.0)
+    mu = mu_schedule(1.5, lambda t: 5.0 + 0.0 * t, lambda s: s)
     assert mu(50.0) == math.inf
 
 
-def test_mu_schedule_rejects_small_mu0():
-    with pytest.raises(ValueError):
-        mu_schedule(1.5, ZERO, lambda s: 0.0, mu0=0.5)
+def test_gamma_integral_gate():
+    assert gamma_integral(lambda t: 2.0 + 0.0 * t, 1.5) == pytest.approx(3.0)
+    for gamma in (ZERO, lambda t: t - 0.3, lambda t: np.inf + 0.0 * t):
+        with pytest.raises(InvalidCoefficientError, match="theirs"):
+            gamma_integral(gamma, 1.0, "theirs")
 
 
 def test_bound_constant_K_zero_coefficients():
@@ -186,16 +188,6 @@ def test_constant_set_test_surface():
     cs = derive_constants(1.5, 1.0, ZERO, ZERO)
     assert cs.psi(0.5, 1.0) == pytest.approx(math.exp(1.0))
     assert cs.yhat(0.0, -2.0) == pytest.approx(2.0 + cs.k)
-
-
-def test_mu_schedule_accepts_closed_form_integral():
-    # gamma^{2/(2-alpha)} = r^{-1/2}: integrable singularity at 0 with
-    # closed-form integral 2 sqrt(s) (A = 0)
-    alpha = 1.5
-    gamma = lambda r: np.asarray(r, dtype=float) ** (-1.0 / 8.0)
-    mu = mu_schedule(alpha, gamma, lambda s: 0.0,
-                     weighted_integral=lambda s: 2.0 * math.sqrt(s))
-    assert mu(1.0) == pytest.approx(math.exp(15.1875 * 2.0))
 
 
 def test_constant_set_schedules_monotone():

@@ -161,6 +161,22 @@ def test_a3_orientation_and_mirror(samples):
         assert remainder_check(con, samples).passed
 
 
+@pytest.mark.parametrize("name, seed", [("asymmetric-v-mirror", 0), ("w-band", 1), ("w-band", 3)])
+def test_a3_reflected_orientation_matches_mirrored_bridge(name, seed):
+    # f(a) > f(-a): the construction is built on x -> -x and reflected back,
+    # which must equal the stated bridge mirrored by hand, bit for bit
+    f = A3_FAMILIES[name](seed)
+    a = f.a
+    fm, fp = float(f(-a)), float(f(a))
+    assert fp > fm
+    k0 = abs(fp - fm) / a
+    xs = np.linspace(-12.0, 12.0, 24001)
+    mirrored = np.where(xs >= a, f(xs),
+                        np.where(xs >= 0.0, k0 * (xs - a) + fp,
+                                 np.where(xs > -a, fm + 0.0 * xs, f(xs))))
+    assert np.array_equal(construct_A3_envelope(f, a, f.k).g(xs), mirrored)
+
+
 def test_a3_k0_bounded_by_lipschitz():
     for seed in range(30):
         f = A3_FAMILIES["w-band"](seed)

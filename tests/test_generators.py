@@ -221,19 +221,6 @@ def test_expression_generator_vectorizes():
     assert np.allclose(out, [1.0 + 1.0 + 1.0, 3.0 + 2.0 + 2.0])
 
 
-def test_theta_difference_resp_variant(grid24):
-    # with g = g' the mirrored form reduces to the perturbed-driver term and
-    # shares the linear fixed point
-    g = sq.make_generator("linear", 1.5, b_y=0.7, b_z=0.0)
-    Yp, Zp = _flat_fields(grid24, 50, y0=0.3, z0=0.2)
-    dg = theta_difference_generator(g, g, 0.5, grid24, Yp, Zp, variant="resp")
-    y = np.linspace(-2, 2, 50)
-    out = dg(grid24.nodes[3], np.zeros((50, 1)), y, np.zeros((50, 1)))
-    assert np.allclose(out, 0.7 * y, atol=1e-12)
-    with pytest.raises(ValueError):
-        theta_difference_generator(g, g, 0.5, grid24, Yp, Zp, variant="bogus")
-
-
 def test_theta_difference_rejects_off_grid_times(grid24):
     g = sq.make_generator("zero", 1.5)
     Yp, Zp = _flat_fields(grid24, 10)
@@ -244,7 +231,7 @@ def test_theta_difference_rejects_off_grid_times(grid24):
 
 def _frozen_cases(grid, d):
     """(name, generator) for every driver the solver can freeze: the catalog,
-    truncations at several rungs, a reflection and both theta-difference forms."""
+    truncations at several rungs, a reflection and a theta-difference driver."""
     gens = {gid: make_generator(gid, 1.5, d=d, b_z=0.4,
                                 expression="abs(y)^0.5*ind(0-y) + exp(min(y, 1)) + 0.3*z1 + babs")
             for gid in GENERATOR_IDS}
@@ -255,9 +242,8 @@ def _frozen_cases(grid, d):
     rng = np.random.default_rng(3)
     Yp = rng.standard_normal((60, grid.steps + 1))
     Zp = rng.standard_normal((60, grid.steps, d))
-    for variant in ("primary", "resp"):
-        gens[f"theta-{variant}"] = theta_difference_generator(
-            gens["example1"], gens["example2^(4,2)"], 0.3, grid, Yp, Zp, variant=variant)
+    gens["theta-primary"] = theta_difference_generator(
+        gens["example1"], gens["example2^(4,2)"], 0.3, grid, Yp, Zp)
     return gens.items()
 
 

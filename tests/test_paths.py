@@ -212,6 +212,21 @@ def test_polynomial_projector_matches_dense_least_squares_when_rank_deficient():
     assert np.allclose(proj.coefficients(values), coef_ref, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("basis", [RegressionBasis("polynomial", 4),
+                                   RegressionBasis("piecewise-constant-bins", 12, lo=-3.0, hi=3.0)],
+                         ids=lambda b: b.kind)
+@pytest.mark.parametrize("spread", [0.0, 1.0], ids=["node0", "spread"])
+def test_fit_bits_do_not_depend_on_input_layout(basis, spread):
+    # at node 0 every path sits at B_0 = 0: the polynomial design is rank 1,
+    # and its fit is the dot product whose BLAS summation order follows the stride
+    rng = np.random.default_rng(8)
+    x = spread * rng.standard_normal(3000)
+    proj = basis.projector(0.5 * spread, x[:, None])
+    col = rng.standard_normal((3000, 7))[:, 3]            # a strided column of a path-major field
+    assert not col.flags.c_contiguous
+    assert np.array_equal(proj.fit(col), proj.fit(np.ascontiguousarray(col)))
+
+
 def _per_path_philox_reference(grid, dims, count, seed):
     # the sampler as first written: a fresh Philox(key=[seed, i]) per path
     out = np.empty((count, grid.steps, dims))

@@ -58,9 +58,10 @@ def test_picard_matches_implicit_fixed_point(grid24, bundle24, poly_basis):
         assert np.max(np.abs(a.Y - b.Y)) < 1e-6
 
 
-def test_zero_driver_picard_single_iteration(grid24, bundle24, poly_basis):
+def test_zero_driver_picard_single_iteration(grid24, bundle24, poly_basis, monkeypatch):
+    monkeypatch.setattr(solver, "_PICARD_MAX_ITER", 1)
     sol = sq.picard_solve(sq.make_generator("zero", 1.5), sq.make_terminal("bt"),
-                          grid24, bundle24, poly_basis, max_iter=1)
+                          grid24, bundle24, poly_basis)
     # no feedback: warm start is already the fixed point
     assert sol.method == "picard"
 
@@ -100,31 +101,35 @@ def test_richer_basis_reduces_zero_driver_field_error(grid24, bundle24):
     assert errs[2] < errs[0]
 
 
-def test_solver_divergence_reports_step(grid24, bundle24, poly_basis):
+def test_solver_divergence_reports_step(grid24, bundle24, poly_basis, monkeypatch):
+    monkeypatch.setattr(solver, "_FP_TOL", 1e-16)
+    monkeypatch.setattr(solver, "_FP_MAX_ITER", 2)
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.0)
     with pytest.raises(SolverDivergedError) as err:
         sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
-                         grid24, bundle24, poly_basis, fp_tol=1e-16, fp_max_iter=2)
+                         grid24, bundle24, poly_basis)
     assert err.value.step_index == grid24.steps - 1
 
 
-def test_bin_fallback_divergence_reports_step(grid24, bundle24, bins_basis):
+def test_bin_fallback_divergence_reports_step(grid24, bundle24, bins_basis, monkeypatch):
     # y = E[Y_next] + 2 y has a root per bin, but its residual increases
     # (dt * dg/dy = 2 >= 1), so the per-bin secant rejects the ill-posed
     # step on the first step it solves instead of returning that root
     dt = float(grid24.dt[0])
     g = sq.make_generator("linear", 1.5, b_y=2.0 / dt, b_z=0.0)
+    monkeypatch.setattr(solver, "_FP_MAX_ITER", 2)
     with pytest.raises(SolverDivergedError) as err:
         sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
-                         grid24, bundle24, bins_basis, fp_max_iter=2)
+                         grid24, bundle24, bins_basis)
     assert err.value.step_index == grid24.steps - 1
 
 
-def test_bin_sweep_cap_reports_step(grid24, bundle24, bins_basis):
+def test_bin_sweep_cap_reports_step(grid24, bundle24, bins_basis, monkeypatch):
+    monkeypatch.setattr(solver, "_FP_MAX_ITER", 1)
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.0)
     with pytest.raises(SolverDivergedError) as err:
         sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
-                         grid24, bundle24, bins_basis, fp_max_iter=1)
+                         grid24, bundle24, bins_basis)
     assert err.value.step_index == grid24.steps - 1
 
 
@@ -182,11 +187,12 @@ def test_bin_step_matches_brentq_reference(example1):
             assert np.all(np.abs(sol.Y[rows, j] - root) < 1e-9)
 
 
-def test_picard_iteration_limit(grid24, bundle24, poly_basis):
+def test_picard_iteration_limit(grid24, bundle24, poly_basis, monkeypatch):
+    monkeypatch.setattr(solver, "_PICARD_MAX_ITER", 1)
+    monkeypatch.setattr(solver, "_PICARD_TOL", 1e-12)
     g = sq.make_generator("linear", 1.5, b_y=0.0, b_z=0.5)
     with pytest.raises(IterationLimitError) as err:
-        sq.picard_solve(g, sq.make_terminal("bt"), grid24, bundle24, poly_basis,
-                        max_iter=1, tol=1e-12)
+        sq.picard_solve(g, sq.make_terminal("bt"), grid24, bundle24, poly_basis)
     assert err.value.gap > 0.0
 
 
@@ -229,7 +235,7 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
     return Y, Z, None, gap
 
 
-def test_picard_reused_buffers_match_fresh_buffer_reference(grid24, poly_basis):
+def test_picard_reused_buffers_match_fresh_buffer_reference(grid24, poly_basis, monkeypatch):
     bundle = sq.sample_paths(grid24, 1, 3000, 17)
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
     xi = sq.make_terminal("clamp-bt", bound=3.0)
@@ -241,8 +247,9 @@ def test_picard_reused_buffers_match_fresh_buffer_reference(grid24, poly_basis):
     assert np.array_equal(sol.fit_noise, fit_noise)
 
     _, _, _, gap = _picard_fresh_buffers(g, xi, grid24, bundle, poly_basis, max_iter=1)
+    monkeypatch.setattr(solver, "_PICARD_MAX_ITER", 1)
     with pytest.raises(IterationLimitError) as err:
-        sq.picard_solve(g, xi, grid24, bundle, poly_basis, max_iter=1)
+        sq.picard_solve(g, xi, grid24, bundle, poly_basis)
     assert err.value.gap == gap
 
 
@@ -424,17 +431,6 @@ def test_step_frozen_polynomial_solve_matches_default_path(example, grid24, bund
     ref = sq.solve_bounded(g, xi, grid24, bundle24, poly_basis)
     assert _same_field(sol, ref)
     assert frozen_calls == plain_calls and len(frozen_calls) > grid24.steps
-
-
-@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
-@pytest.mark.parametrize("option, value", [("fp_max_iter", 0), ("fp_max_iter", -3),
-                                           ("fp_tol", 0.0), ("fp_tol", -1e-12),
-                                           ("fp_tol", math.nan), ("fp_tol", math.inf)])
-def test_solve_bounded_rejects_bad_fixed_point_options(option, value, basis_fixture,
-                                                       grid24, bundle24, example1, request):
-    with pytest.raises(ValueError, match=option):
-        sq.solve_bounded(example1, sq.make_terminal("clamp-bt", bound=3.0), grid24, bundle24,
-                         request.getfixturevalue(basis_fixture), **{option: value})
 
 
 @pytest.mark.parametrize("n_max, q_max", [(16, 4), (4, 16), (16, 1)])
