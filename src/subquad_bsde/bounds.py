@@ -17,6 +17,7 @@ import numpy as np
 import numpy.ma  # noqa: F401 - np.unique/np.median load it lazily: load it here, not in a check
 
 from .errors import InvalidCoefficientError, PreconditionViolationError
+from .generators import _norm
 from .paths import step_major_empty
 
 _LOG_CAP = 700.0
@@ -120,7 +121,7 @@ def fhat_process(profile, sol_prime) -> np.ndarray:
     out = np.empty((bundle.count, grid.steps))
     for j in range(grid.steps):
         t = float(grid.nodes[j])
-        zn = np.sqrt((sol_prime.Z[:, j, :] ** 2).sum(axis=1))
+        zn = _norm(sol_prime.Z[:, j, :])
         out[:, j] = (f_fn(t, levels[:, j, :])
                      + beta_fn(t) * np.abs(sol_prime.Y[:, j])
                      + gamma_fn(t) * np.log(math.e + zn) ** half)
@@ -160,7 +161,7 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
     total = float(weights.sum())
     if not 0.0 < total < math.inf:
         raise InvalidCoefficientError(f"Jensen majorant needs 0 < int(gamma) < inf, got {total}")
-    zn = np.sqrt((np.asarray(z_prime, dtype=float) ** 2).sum(axis=2))
+    zn = _norm(z_prime)
     ln_term = np.add(zn, math.e)
     np.log(ln_term, out=ln_term)
     ln_term **= half

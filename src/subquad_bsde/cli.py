@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import conditions as cond_mod
-from .constants import conjugate_exponent, derive_constants
+from .constants import _probe_nonnegative, conjugate_exponent, derive_constants
 from .envelopes import (construct_A2_envelope, construct_A3_envelope, lemmaA1_check,
                         lemmaA2_check, lemmaA3_check, lemma_samples, remainder_check)
 from .errors import ConfigurationError, PreconditionViolationError
@@ -133,7 +133,8 @@ def _validate(cfg: ExperimentConfig, errors=()) -> ExperimentConfig:
             errors.append(f"{key}: {exc}")
             reported[key] = getattr(ExperimentConfig, key)
     for build in (lambda c: conjugate_exponent(c.alpha), _build_terminal, _build_basis,
-                  lambda c: _build_generator(replace(c, **reported)),
+                  lambda c: _probe_coefficients(_build_generator(replace(c, **reported)).profile,
+                                                c.horizon),
                   lambda c: build_grid(c.horizon, c.steps, c.scheme)):
         try:
             build(cfg)
@@ -184,6 +185,12 @@ def _write_csv(path: Path, columns: dict) -> None:
 def _build_generator(cfg: ExperimentConfig):
     return make_generator(cfg.generator, cfg.alpha, beta=cfg.beta_fn(), gamma=cfg.gamma_fn(),
                           d=cfg.dims, horizon=cfg.horizon, expression=cfg.expression or None)
+
+
+def _probe_coefficients(profile, horizon: float) -> None:
+    """Raise when the profile's beta or gamma is negative somewhere on [0, horizon]."""
+    _probe_nonnegative(profile.beta, horizon, "beta")
+    _probe_nonnegative(profile.gamma, horizon, "gamma")
 
 
 def _build_terminal(cfg: ExperimentConfig):

@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import MomentEstimate, log_mean_exp
 from .constants import gamma_integral
 from .errors import ConfigurationError, UnsupportedDimensionError
-from .generators import Generator, reflect_generator
+from .generators import Generator, _norm, reflect_generator
 
 MARGIN_RTOL = 1e-9
 
@@ -126,7 +126,7 @@ class ConditionReport:
         return self.verdict == "pass"
 
 
-def _assemble(condition_id: str, lhs, rhs, points, note="") -> ConditionReport:
+def _assemble(condition_id: str, lhs, rhs, points) -> ConditionReport:
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     if lhs.size == 0:
         return ConditionReport(condition_id, "inconclusive", math.nan, (), 0,
@@ -139,8 +139,8 @@ def _assemble(condition_id: str, lhs, rhs, points, note="") -> ConditionReport:
         order = failing[np.argsort(margin[failing])][:10]
         witnesses = tuple(tuple(float(p[i]) if np.ndim(p[i]) == 0 else tuple(np.asarray(p[i], dtype=float))
                                 for p in points) for i in order)
-        return ConditionReport(condition_id, "fail", worst, witnesses, lhs.size, note)
-    return ConditionReport(condition_id, "pass", worst, (), lhs.size, note)
+        return ConditionReport(condition_id, "fail", worst, witnesses, lhs.size)
+    return ConditionReport(condition_id, "pass", worst, (), lhs.size)
 
 
 def _need(profile, *names):
@@ -163,7 +163,7 @@ def check_growth(g: Generator, which: str, cloud: SampleCloud) -> ConditionRepor
     t2, b2 = np.concatenate([t, t]), np.vstack([b, b])
     gval = g(t2, b2, y, z)
     fval = prof.f(t2, b2)
-    zn = np.sqrt((z ** 2).sum(axis=1))
+    zn = _norm(z)
     ay = np.abs(y)
     points = (t2, y, zn)
 
@@ -295,8 +295,8 @@ def check_theta_convexity(g: Generator, variant: str, cloud: SampleCloud) -> Con
     y1, y2, z1, z2 = cloud.y1, cloud.y2, cloud.z1, cloud.z2
     dy = (y1 - th * y2) / (1.0 - th)
     dz = (z1 - th[:, None] * z2) / (1.0 - th[:, None])
-    dzn = np.sqrt((dz ** 2).sum(axis=1))
-    zn2 = np.sqrt((z2 ** 2).sum(axis=1))
+    dzn = _norm(dz)
+    zn2 = _norm(z2)
     diff = g(t, b, y1, z1) - th * g(t, b, y2, z2)
     if variant.endswith("-i"):
         lhs = np.where(y1 - th * y2 > 0.0, diff, 0.0)

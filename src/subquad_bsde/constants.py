@@ -292,7 +292,7 @@ class ConstantSet:
     T: float
     log_K: LogValue
     K_p: Callable[[float], LogValue]
-    delta_p: Callable[[float], float]
+    delta_p: Callable[[float], float | None]     # None when gamma integrates to 0
     k_alpha: float
 
     def psi(self, s: float, x) -> np.ndarray:
@@ -350,7 +350,9 @@ def derive_constants(alpha: float, T: float, beta, gamma) -> ConstantSet:
         left = p * math.log(p / (p - 1.0)) + log_bracket + p * mu_T * k ** (2.0 / astar)
         return LogValue(max(left, math.log(p * mu_T) + A_T))
 
-    def delta_p(p: float) -> float:
+    def delta_p(p: float) -> float | None:
+        if _integrate(gamma, 0.0, T, "gamma") == 0.0:
+            return None          # no theta-difference step to size: its gate would raise
         return theta_constants(p, gamma, alpha, T)[0]
 
     return ConstantSet(alpha=alpha, alpha_star=astar, k=k, khat=khat(alpha), mu0=1.0,

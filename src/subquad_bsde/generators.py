@@ -165,6 +165,11 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
 
 
+def _clamp(raw, upper, lower):
+    """raw with its positive part capped at ``upper`` and its negative part at ``lower``."""
+    return np.minimum(np.maximum(raw, 0.0), upper) - np.minimum(np.maximum(-raw, 0.0), lower)
+
+
 def _sup_on_grid(fn: TimeFn, horizon: float) -> float:
     ts = np.linspace(0.0, horizon, 513)
     return float(np.max([float(fn(t)) for t in ts]))
@@ -336,8 +341,7 @@ def truncate_terminal(xi: TerminalData, idx: TruncationIndex) -> TerminalData:
     """Clamp the positive part at n and the negative part at q."""
 
     def fn(b_terminal):
-        raw = xi(b_terminal)
-        return np.minimum(np.maximum(raw, 0.0), idx.n) - np.minimum(np.maximum(-raw, 0.0), idx.q)
+        return _clamp(xi(b_terminal), idx.n, idx.q)
 
     return TerminalData(fn=fn, description=f"{xi.description}^({idx.n},{idx.q})")
 
@@ -351,15 +355,12 @@ def truncate_generator(g: Generator, idx: TruncationIndex) -> Generator:
         decay = np.exp(-np.asarray(t, dtype=float))
         return n * decay, q * decay
 
-    def clamp(raw, upper, lower):
-        return np.minimum(np.maximum(raw, 0.0), upper) - np.minimum(np.maximum(-raw, 0.0), lower)
-
     def freeze(t, b, z):
         # clamps after the inner sum; only the caps are hoisted
         inner, (upper, lower) = g.at(t, b, z), caps(t)
 
         def at(y, idx=None):
-            return clamp(inner(y, idx), upper, lower)
+            return _clamp(inner(y, idx), upper, lower)
 
         return at
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
-from .generators import (Generator, TerminalData, TruncationIndex,
+from .generators import (Generator, TerminalData, TruncationIndex, _norm,
                          theta_difference_generator, truncate_generator, truncate_terminal)
 from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
@@ -60,7 +60,7 @@ class SolutionField:
 
     def summary(self) -> dict:
         """Per-node summary columns for the CSV report."""
-        zn = np.sqrt((self.Z ** 2).sum(axis=2))
+        zn = _norm(self.Z)
         zn = np.concatenate([zn, zn[:, -1:]], axis=1)   # carry last step to the horizon row
         return {
             "time": self.grid.nodes.copy(),

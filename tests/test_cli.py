@@ -8,6 +8,7 @@ from subquad_bsde.cli import (_BOUND_IDS, ExperimentConfig, build_parser, main, 
                               run_experiment)
 from subquad_bsde.conditions import CONDITION_IDS
 from subquad_bsde.errors import ConfigurationError
+from subquad_bsde.generators import GENERATOR_IDS
 
 MINIMAL = """
 [experiment]
@@ -130,6 +131,28 @@ def test_sign_changing_gamma_fails_when_the_generator_is_built(tmp_path, capsys)
     assert "config error: example2's gamma must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
+
+@pytest.mark.parametrize("generator, key", [("example1", "gamma"), ("example1", "beta"),
+                                            ("convex-power", "gamma")])
+def test_sign_changing_coefficient_of_the_built_profile_is_a_config_error(generator, key,
+                                                                          tmp_path, capsys):
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(f"[experiment]\ngenerator = {generator}\n{key} = t - 0.3\n"
+                        f"out = {tmp_path / 'run'}\n")
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and f"{key} must be nonnegative" in errors[0], errors
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("generator", GENERATOR_IDS)
+def test_run_every_catalog_generator(generator, tmp_path):
+    # the zero generator's gamma integrates to 0: its report records delta_p as null
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(f"[experiment]\ngenerator = {generator}\nexpression = 0 - y + abs(z1)\n"
+                        "steps = 4\npaths = 200\nbasis = piecewise-constant-bins\nbasis_size = 10\n"
+                        f"out = {tmp_path / 'run'}\n")
+    assert main(["run", "--config", str(cfg_file)]) in (0, 1)
 
 def test_run_overrides_are_validated(tmp_path, capsys):
     cfg_file = tmp_path / "exp.ini"

@@ -177,6 +177,25 @@ def test_a3_reflected_orientation_matches_mirrored_bridge(name, seed):
     assert np.array_equal(construct_A3_envelope(f, a, f.k).g(xs), mirrored)
 
 
+def test_a3_ray_check_uses_the_condition_rule_at_high_level():
+    # decreasing right of a with slope 1e-6 at level ~1000: each grid step drops
+    # by 2.5e-8, above 1e-9 * (1 + |0|) though below 1e-9 * (1 + |f|)
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 1.0, 1000.0 + np.abs(x), 1001.0 - 1e-6 * (x - 1.0))
+
+    f = ScalarFunction(fn, name="slow-decrease", phi=lambda u: 1000.0 + np.asarray(u), a=1.0, k=1.0)
+    with pytest.raises(InvalidHypothesisError, match=r"slow-decrease is not nondecreasing right of 1\.0"):
+        construct_A3_envelope(f, 1.0, 1.0)
+
+
+def test_one_point_selfcheck_witness_is_a_sample_tuple():
+    f = ScalarFunction(lambda x: 2.0 * np.abs(x), name="over", phi=lambda u: np.asarray(u),
+                       a=1.0, k=2.0)
+    with pytest.raises(InvalidHypothesisError, match="over exceeds its declared envelope") as err:
+        construct_A3_envelope(f, 1.0, 2.0)
+    assert err.value.witness in ((-12.0,), (12.0,))
+
 def test_a3_k0_bounded_by_lipschitz():
     for seed in range(30):
         f = A3_FAMILIES["w-band"](seed)
