@@ -16,11 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 import numpy.ma  # noqa: F401 - np.unique/np.median load it lazily: load it here, not in a check
 
+from .constants import _OVERFLOW_LOG
 from .errors import InvalidCoefficientError, PreconditionViolationError
 from .generators import _norm
 from .paths import step_major_empty
-
-_LOG_CAP = 700.0
 
 
 def log_mean_exp(logs: np.ndarray) -> tuple[float, float]:
@@ -50,7 +49,7 @@ class MomentEstimate:
 
     @property
     def overflowed(self) -> bool:
-        return self.log_value > _LOG_CAP
+        return self.log_value > _OVERFLOW_LOG
 
     @property
     def value(self) -> float:
@@ -223,7 +222,7 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     one_sided = variant == "one-sided"
     power = 2.0 / constants.alpha_star
     log_K = constants.log_K.log
-    K_float = math.exp(min(log_K, _LOG_CAP))
+    K_float = math.exp(min(log_K, _OVERFLOW_LOG))
 
     xi_eff = np.maximum(xi_values, 0.0) if one_sided else np.abs(xi_values)
     tail_f = _tail_forcing(f_process, grid, levels)
@@ -247,7 +246,7 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
         ypart = np.maximum(y, 0.0) ** power if one_sided else np.abs(y) ** power
         log_lhs = np.logaddexp(ypart, np.log(np.maximum(q_fit, 1e-300)))
 
-        big = np.minimum(K_float * (xi_eff + tail_f[:, j]) ** power, _LOG_CAP)
+        big = np.minimum(K_float * (xi_eff + tail_f[:, j]) ** power, _OVERFLOW_LOG)
         big_fit = proj.fit(big)
         se_big = _fit_se(big, big_fit, proj.n_features)
         log_rhs = log_K + big_fit
@@ -280,7 +279,7 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
     levels = bundle.levels
     power = 2.0 / constants.alpha_star
     log_Kp = constants.K_p(p).log
-    Kp_float = math.exp(min(log_Kp, _LOG_CAP))
+    Kp_float = math.exp(min(log_Kp, _OVERFLOW_LOG))
     tail_f = _tail_forcing(f_process, grid, levels)
     zsq = (sol.Z ** 2).sum(axis=2) * grid.dt[None, :]
 
@@ -299,7 +298,7 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
         wa, wb = math.exp(log_a - log_lhs), math.exp(log_b - log_lhs)
         se_lhs = math.hypot(wa * se_a, wb * se_b_rel)
 
-        big = np.minimum(Kp_float * (np.abs(xi_values) + tail_f[:, j]) ** power, _LOG_CAP)
+        big = np.minimum(Kp_float * (np.abs(xi_values) + tail_f[:, j]) ** power, _OVERFLOW_LOG)
         log_rhs_mean, se_rhs = log_mean_exp(big)
         log_rhs = log_Kp + log_rhs_mean
 

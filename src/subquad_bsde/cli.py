@@ -22,10 +22,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import conditions as cond_mod
-from .constants import _probe_nonnegative, conjugate_exponent, derive_constants
+from .constants import conjugate_exponent, derive_constants, gamma_integral
 from .envelopes import (construct_A2_envelope, construct_A3_envelope, lemmaA1_check,
                         lemmaA2_check, lemmaA3_check, lemma_samples, remainder_check)
-from .errors import ConfigurationError, PreconditionViolationError
+from .errors import ConfigurationError, InvalidCoefficientError, PreconditionViolationError
 from .expressions import ExpressionError, compile_time_function
 from .families import FAMILY_REGISTRY
 from .generators import (GENERATOR_IDS, TERMINAL_IDS, TruncationIndex, make_generator,
@@ -35,6 +35,8 @@ from .paths import (BASIS_KINDS, GRID_SCHEMES, RegressionBasis, as_step_major, b
 from .solver import SolutionField, solve_bounded, solve_ladder
 
 _BOUND_IDS = ("pointwise", "pointwise-one-sided", "sup", "comparison", "fhat-moment")
+# checks that read the convexity tier's int_0^T gamma and need it finite and positive
+_GAMMA_INTEGRAL_CHECKS = ("UN-i", "UN-ii", "fhat-moment")
 
 
 @dataclass
@@ -77,7 +79,8 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; reports every validation error, not just the first."""
-    parser = ConfigParser(interpolation=None)     # values are literal: `%` is not special
+    # values are literal (`%` is not special); ` ; ` starts a comment, as in the README
+    parser = ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text if text.lstrip().startswith("[") else "[experiment]\n" + text)
         raw = dict(parser.items("experiment"))
@@ -133,8 +136,7 @@ def _validate(cfg: ExperimentConfig, errors=()) -> ExperimentConfig:
             errors.append(f"{key}: {exc}")
             reported[key] = getattr(ExperimentConfig, key)
     for build in (lambda c: conjugate_exponent(c.alpha), _build_terminal, _build_basis,
-                  lambda c: _probe_coefficients(_build_generator(replace(c, **reported)).profile,
-                                                c.horizon),
+                  lambda c: _gate_coefficients(replace(c, **reported)),
                   lambda c: build_grid(c.horizon, c.steps, c.scheme)):
         try:
             build(cfg)
@@ -187,10 +189,24 @@ def _build_generator(cfg: ExperimentConfig):
                           d=cfg.dims, horizon=cfg.horizon, expression=cfg.expression or None)
 
 
-def _probe_coefficients(profile, horizon: float) -> None:
-    """Raise when the profile's beta or gamma is negative somewhere on [0, horizon]."""
-    _probe_nonnegative(profile.beta, horizon, "beta")
-    _probe_nonnegative(profile.gamma, horizon, "gamma")
+def _gate_coefficients(cfg: ExperimentConfig) -> None:
+    """Raise unless the built profile's constants derive on [0, horizon] and each requested
+    check of ``_GAMMA_INTEGRAL_CHECKS`` has a convexity-tier gamma that `gamma_integral` admits.
+    """
+    profile = _build_generator(cfg).profile
+    if cfg.horizon <= 0.0:
+        return                                   # build_grid reports it
+    try:
+        derive_constants(cfg.alpha, cfg.horizon, profile.beta, profile.gamma)
+    except InvalidCoefficientError as exc:
+        # the profile's coefficients can differ from the configured ones: name those too
+        named = ", ".join(f"{k} = {getattr(cfg, k)!r}" for k in ("beta", "gamma") if k in str(exc))
+        if not named:
+            raise
+        raise InvalidCoefficientError(f"{exc} ({cfg.generator} builds it from {named})") from None
+    for c in cfg.checks:
+        if c in _GAMMA_INTEGRAL_CHECKS:
+            gamma_integral(profile.convexity_tier()[2], cfg.horizon, f"check {c}'s gamma")
 
 
 def _build_terminal(cfg: ExperimentConfig):
@@ -386,23 +402,34 @@ def _load_solution(path: str, **overrides):
     """The saved field, the config it was solved for, and the truncation of its final rung.
 
     A key the file lacks takes the config default; files written before the whole
-    config was saved hold beta and gamma as numbers, which load as their text.
+    config was saved hold beta and gamma as numbers, which load as their text.  Nodes,
+    Y and Z that disagree with the saved config are a configuration error.
     """
-    data = np.load(path if path.endswith(".npz") else path + ".npz", allow_pickle=False)
+    path = path if path.endswith(".npz") else path + ".npz"
+    data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
     cfg = ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in meta.items() if k in _CONFIG_KEYS})
     cfg = _validate(replace(cfg, beta=str(cfg.beta), gamma=str(cfg.gamma), **overrides))
     grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
+    Y, Z = data["Y"], data["Z"]
+    if not np.array_equal(data["nodes"], grid.nodes):
+        raise ConfigurationError(f"{path}: its nodes differ from the {cfg.steps}-step "
+                                 f"{cfg.scheme} grid on [0, {cfg.horizon}] of its config")
+    for name, saved, shape in (("Y", Y, (cfg.paths, cfg.steps + 1)),
+                               ("Z", Z, (cfg.paths, cfg.steps, cfg.dims))):
+        if saved.shape != shape:
+            raise ConfigurationError(f"{path}: {name} has shape {saved.shape}, "
+                                     f"its config (paths, steps, dims) needs {shape}")
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     # the solvers' layout, whatever order the file was written in
-    sol = SolutionField(Y=as_step_major(data["Y"]), Z=as_step_major(data["Z"]), bundle=bundle,
+    sol = SolutionField(Y=as_step_major(Y), Z=as_step_major(Z), bundle=bundle,
                         basis=_build_basis(cfg), method="loaded", fit_noise=data.get("fit_noise"))
     return sol, cfg, TruncationIndex(meta["n_max"], meta["q_max"])
 
 
 def _cmd_verify_bounds(args) -> int:
-    sol, cfg, idx = _load_solution(args.run, p=args.p)
+    sol, cfg, idx = _load_solution(args.run, p=args.p, checks=(args.bound,))
     gen = _build_generator(cfg)
     prof = gen.profile
     constants = derive_constants(cfg.alpha, cfg.horizon, prof.beta, prof.gamma)

@@ -219,7 +219,9 @@ def mu_schedule(alpha: float, gamma: Callable[[float], float],
     """mu(s) = exp((khat/alpha*) * int_0^s e^{2A(r)} gamma^{2/(2-alpha)}(r) dr).
 
     mu(0) = 1, the value `ConstantSet.mu0` reports.  The inner integral is
-    taken by adaptive quadrature, cached per node.
+    taken by adaptive quadrature, cached per node.  mu saturates to inf when
+    the weight or its integral leaves the double range, and stays 1 while
+    gamma is 0, however large A grows.
     """
     astar = conjugate_exponent(alpha)
     kh = khat(alpha)
@@ -229,13 +231,21 @@ def mu_schedule(alpha: float, gamma: Callable[[float], float],
         g = float(gamma(r))
         if g < 0.0:
             raise InvalidCoefficientError(f"gamma must be nonnegative; gamma({r:.6g}) = {g:.6g}")
-        return math.exp(2.0 * float(A(r))) * g ** power
+        if g == 0.0:
+            return 0.0
+        w = math.exp(2.0 * float(A(r))) * g ** power    # exp and ** raise OverflowError
+        if w == math.inf:
+            raise OverflowError("the mu weight overflows")
+        return w
 
     grow = _cached_integral(integrand, "the mu weight e^{2A} gamma^{2/(2-alpha)}")
 
     def mu(s: float) -> float:
-        exponent = (kh / astar) * float(grow(s))
         # saturate rather than raise: downstream constants carry logs anyway
+        try:
+            exponent = (kh / astar) * float(grow(s))
+        except OverflowError:
+            return math.inf
         return math.exp(exponent) if exponent < _OVERFLOW_LOG else math.inf
 
     return mu
@@ -296,7 +306,10 @@ class ConstantSet:
     k_alpha: float
 
     def psi(self, s: float, x) -> np.ndarray:
-        """Test-surface exp(mu(s) x^{2/alpha*}) used by the pointwise bound."""
+        """Test function exp(mu(s) x^{2/alpha*}) of the a-priori estimate.
+
+        No check evaluates it: the bound checks compare log_K and K_p in log space.
+        """
         x = np.asarray(x, dtype=float)
         return np.exp(self.mu(s) * x ** (2.0 / self.alpha_star))
 

@@ -138,6 +138,14 @@ def _require(f: ScalarFunction, failure: str, lhs, rhs, points) -> None:
         raise InvalidHypothesisError(f"{f.name} {failure}", witness=r.witnesses[0])
 
 
+def _require_envelope(f: ScalarFunction) -> None:
+    """Raise unless f declares a growth envelope phi with |f(x)| <= phi(|x|) on the samples."""
+    if f.phi is None:
+        raise InvalidHypothesisError(f"{f.name} declares no growth envelope")
+    _require(f, "exceeds its declared envelope", np.abs(f(_ENVELOPE_XS)),
+             f.phi(np.abs(_ENVELOPE_XS)), (_ENVELOPE_XS,))
+
+
 def _remainder(f: ScalarFunction, g: Callable, a: float) -> Callable:
     """h = f - g inside the band, exactly 0 on |x| >= a."""
 
@@ -177,8 +185,7 @@ def lemmaA1_check(f: ScalarFunction, k1: float, k2: float, samples) -> Condition
 # A2: tent construction on a convex-ray function
 # ---------------------------------------------------------------------------
 
-def construct_A2_envelope(f: ScalarFunction, a: float, k: float,
-                          selfcheck: bool = True) -> EnvelopeConstruction:
+def construct_A2_envelope(f: ScalarFunction, a: float, k: float) -> EnvelopeConstruction:
     """Tent envelope: replace f inside [-a, a] by two slopes +-k0 meeting at x0.
 
     k0 = max(|f'_-(-a)|, |f'_+(a)|, k); the peak x0 = (f(a) - f(-a)) / (2 k0)
@@ -188,21 +195,17 @@ def construct_A2_envelope(f: ScalarFunction, a: float, k: float,
     """
     if k <= 0.0:
         raise ValueError("k must be positive")
-    if selfcheck:
-        if f.phi is None:
-            raise InvalidHypothesisError(f"{f.name} declares no growth envelope")
-        xs = _ENVELOPE_XS
-        _require(f, "exceeds its declared envelope", np.abs(f(xs)), f.phi(np.abs(xs)), (xs,))
-        if a > 0.0:
-            x1, x2 = _selfcheck_pairs(_selfcheck_rng(5), -a, a)
-            _require(f, f"violates the declared Lipschitz constant k={k} (band)",
-                     np.abs(f(x1) - f(x2)), k * np.abs(x1 - x2), (x1, x2))
-        for sign, lo, hi in ((1, a, a + 20.0), (-1, -a - 20.0, -a)):
-            ok, worst, witness = second_difference_convexity(f, lo, hi, 801)
-            if not ok:
-                raise InvalidHypothesisError(
-                    f"{f.name} is not convex on the {'right' if sign > 0 else 'left'} ray",
-                    witness=witness)
+    _require_envelope(f)
+    if a > 0.0:
+        x1, x2 = _selfcheck_pairs(_selfcheck_rng(5), -a, a)
+        _require(f, f"violates the declared Lipschitz constant k={k} (band)",
+                 np.abs(f(x1) - f(x2)), k * np.abs(x1 - x2), (x1, x2))
+    for sign, lo, hi in ((1, a, a + 20.0), (-1, -a - 20.0, -a)):
+        ok, worst, witness = second_difference_convexity(f, lo, hi, 801)
+        if not ok:
+            raise InvalidHypothesisError(
+                f"{f.name} is not convex on the {'right' if sign > 0 else 'left'} ray",
+                witness=witness)
 
     if a == 0.0:
         k0 = max(abs(_one_sided_derivative(f, 0.0, -1, f.dminus)),
@@ -321,8 +324,7 @@ def _a3_bridge(fn: Callable, fm: float, fp: float, k0: float, a: float) -> Calla
     return g
 
 
-def construct_A3_envelope(f: ScalarFunction, a: float, k: float,
-                          selfcheck: bool = True) -> EnvelopeConstruction:
+def construct_A3_envelope(f: ScalarFunction, a: float, k: float) -> EnvelopeConstruction:
     """Monotone envelope: keep f outside [-a, a], bridge the band with one slope
     -k0 piece and one flat piece so the result decreases then increases.
 
@@ -332,19 +334,15 @@ def construct_A3_envelope(f: ScalarFunction, a: float, k: float,
     """
     if k <= 0.0:
         raise ValueError("k must be positive")
-    if selfcheck:
-        if f.phi is None:
-            raise InvalidHypothesisError(f"{f.name} declares no growth envelope")
-        xs = _ENVELOPE_XS
-        _require(f, "exceeds its declared envelope", np.abs(f(xs)), f.phi(np.abs(xs)), (xs,))
-        x1, x2 = _selfcheck_pairs(_selfcheck_rng(5), -12.0, 12.0)
-        _require(f, f"violates the declared Lipschitz constant k={k} (global)",
-                 np.abs(f(x1) - f(x2)), k * np.abs(x1 - x2), (x1, x2))
-        # consecutive grid points on each ray: f(x_i) <= f(x_{i+1}) right, >= left
-        xs = np.linspace(a, a + 20.0, 801)
-        _require(f, f"is not nondecreasing right of {a}", -np.diff(f(xs)), 0.0, (xs[:-1],))
-        xs = np.linspace(-a - 20.0, -a, 801)
-        _require(f, f"is not nonincreasing left of {-a}", np.diff(f(xs)), 0.0, (xs[:-1],))
+    _require_envelope(f)
+    x1, x2 = _selfcheck_pairs(_selfcheck_rng(5), -12.0, 12.0)
+    _require(f, f"violates the declared Lipschitz constant k={k} (global)",
+             np.abs(f(x1) - f(x2)), k * np.abs(x1 - x2), (x1, x2))
+    # consecutive grid points on each ray: f(x_i) <= f(x_{i+1}) right, >= left
+    xs = np.linspace(a, a + 20.0, 801)
+    _require(f, f"is not nondecreasing right of {a}", -np.diff(f(xs)), 0.0, (xs[:-1],))
+    xs = np.linspace(-a - 20.0, -a, 801)
+    _require(f, f"is not nonincreasing left of {-a}", np.diff(f(xs)), 0.0, (xs[:-1],))
 
     if a == 0.0:
         g = f.fn

@@ -399,12 +399,10 @@ class ThetaResidual:
 
 
 def theta_residual(sol: SolutionField, sol_prime: SolutionField, theta: float,
-                   g: Optional[Generator] = None,
-                   g_prime: Optional[Generator] = None) -> ThetaResidual:
-    """Difference field dU = (Y - theta Y')/(1-theta), dV likewise for Z.
-
-    When both drivers are supplied, the pair is checked for one-step
-    consistency against the theta-difference driver anchored at (Y', Z').
+                   g: Generator, g_prime: Generator) -> ThetaResidual:
+    """Difference field dU = (Y - theta Y')/(1-theta), dV likewise for Z, checked
+    for one-step consistency against the theta-difference driver of ``g`` and
+    ``g_prime`` anchored at (Y', Z').
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -416,9 +414,6 @@ def theta_residual(sol: SolutionField, sol_prime: SolutionField, theta: float,
     dV = np.multiply(sol_prime.Z, theta)
     np.subtract(sol.Z, dV, out=dV)
     dV /= 1.0 - theta
-    if g is None or g_prime is None:
-        return ThetaResidual(theta=theta, dU=dU, dV=dV, consistency=np.zeros(sol.grid.steps))
-
     dg = theta_difference_generator(g, g_prime, theta, sol.grid, sol_prime.Y, sol_prime.Z)
     return ThetaResidual(theta=theta, dU=dU, dV=dV,
                          consistency=_fitted_residual(sol, dg, dU, dV))

@@ -102,7 +102,7 @@ def test_criterion_2_construction_exactness():
     outside = np.concatenate([np.linspace(-9.0, -1.0, 300), np.linspace(1.0, 9.0, 300)])
     for seed in range(100):
         f = A2_FAMILIES["convex-ray-spline"](seed)
-        con = construct_A2_envelope(f, f.a, f.k, selfcheck=False)
+        con = construct_A2_envelope(f, f.a, f.k)
         assert np.max(np.abs(con.g(outside) - f(outside))) <= 1e-12
         assert float(np.asarray(con.gbar(0.0))) == 0.0
         ok1, w1, _ = second_difference_convexity(con.gbar1, -10.0, 10.0, 1000)
@@ -110,7 +110,7 @@ def test_criterion_2_construction_exactness():
         assert ok1 and ok2, (seed, w1, w2)
 
         f3 = A3_FAMILIES["w-band"](seed)
-        con3 = construct_A3_envelope(f3, f3.a, f3.k, selfcheck=False)
+        con3 = construct_A3_envelope(f3, f3.a, f3.k)
         assert np.max(np.abs(con3.g(outside) - f3(outside))) <= 1e-12
     assert time.time() - started < 30.0
     _announce("2 construction exactness", started, "100 random f per construction")

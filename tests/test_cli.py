@@ -73,6 +73,14 @@ def test_parse_malformed_text():
         parse_config(MINIMAL + "paths = 1\n")     # duplicate key
 
 
+def test_readme_example_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)          # its `key = value ; comment` lines drop the comment
+    assert (cfg.generator, cfg.terminal, cfg.beta, cfg.comparison_shift) == (
+        "example1", "clamp-bt", "0.5", 1.0)
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     cfg = parse_config(SMALL_RUN)
     cfg.out = str(tmp_path / "runA")
@@ -142,6 +150,7 @@ def test_sign_changing_coefficient_of_the_built_profile_is_a_config_error(genera
     assert main(["run", "--config", str(cfg_file)]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
     assert len(errors) == 1 and f"{key} must be nonnegative" in errors[0], errors
+    assert f"({generator} builds it from {key} = 't - 0.3')" in errors[0], errors
     assert not (tmp_path / "run").exists()
 
 
@@ -478,6 +487,12 @@ def test_fhat_moment_inconsistency_is_a_run_violation(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg_file)]) == 1
 
 
+def test_long_horizon_constants_saturate(capsys):
+    # 2 A(T) = 800 overflows e^{2A} in the mu weight: the constants saturate to inf
+    assert main(["check-conditions", "--condition", "EX1", "--horizon", "400", "--beta", "1",
+                 "--samples", "1000"]) == 0, capsys.readouterr().err
+
+
 def test_beta_gamma_flags_take_expressions(tmp_path, capsys):
     assert main(["check-conditions", "--condition", "EX1", "--beta", "0.5*exp(0-t)",
                  "--samples", "1000"]) == 0
@@ -526,6 +541,13 @@ paths = 200
     pytest.param(["run"], "cloud_samples = 0", "cloud_samples must be >= 1, got 0",
                  id="cloud_samples"),
     pytest.param(["run"], "beta = 5%", "beta: cannot parse expression '5%'", id="percent"),
+    pytest.param(["run"], "beta = abs(t - 0.333333333333)^(-1)",
+                 "the integral of beta over [0, ", id="beta-not-integrable"),
+    pytest.param(["run"], "generator = zero\nchecks = UN-i",
+                 "check UN-i's gamma must have a finite positive integral over [0, 1], got 0.0",
+                 id="zero-gamma-UN-i"),
+    pytest.param(["run"], "generator = zero\nchecks = fhat-moment",
+                 "check fhat-moment's gamma must have a finite positive integral", id="zero-gamma-fhat"),
     pytest.param(["solve", "--scheme", "geometric", "--steps", "64"], "",
                  "geometric grid with steps=64 and ratio=0.5", id="geometric-steps"),
     pytest.param(["check-conditions", "--condition", "EX1", "--dims", "0"], "",
@@ -557,6 +579,35 @@ def test_bad_input_is_a_config_error_before_sampling(argv, lines, message, tiny_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err, err
+
+
+@pytest.mark.parametrize("changes,message", [
+    pytest.param({"paths": 900}, "Y has shape (800, 7), its config (paths, steps, dims) "
+                 "needs (900, 7)", id="paths"),
+    pytest.param({"steps": 5}, "its nodes differ from the 5-step uniform grid on [0, 1.0] "
+                 "of its config", id="steps"),
+])
+def test_solution_file_that_disagrees_with_its_config_is_a_config_error(
+        changes, message, tiny_solve, tmp_path, monkeypatch, capsys):
+    import subquad_bsde.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a path was sampled")
+
+    monkeypatch.setattr(cli, "sample_paths", no_sampling)
+    bad_file = _rewrite_meta(tiny_solve, tmp_path / "edited.npz", **changes)
+    for bound in ("pointwise", "sup"):
+        capsys.readouterr()
+        assert main(["verify-bounds", "--run", bad_file, "--bound", bound]) == 2
+        assert f"config error: {bad_file}: {message}" in capsys.readouterr().err
+
+
+def test_verify_bounds_gates_the_requested_bound(tiny_solve, tmp_path, capsys):
+    # the zero generator's gamma integrates to 0: fhat-moment is refused before sampling
+    zero_file = _rewrite_meta(tiny_solve, tmp_path / "zero.npz", generator="zero")
+    assert main(["verify-bounds", "--run", zero_file, "--bound", "fhat-moment"]) == 2
+    assert ("config error: check fhat-moment's gamma must have a finite positive integral"
+            in capsys.readouterr().err)
 
 
 def test_parser_defaults_are_the_config_defaults():

@@ -112,6 +112,12 @@ def test_mu_schedule_monotone_random_draws():
 def test_mu_schedule_saturates_instead_of_raising():
     mu = mu_schedule(1.5, lambda t: 5.0 + 0.0 * t, lambda s: s)
     assert mu(50.0) == math.inf
+    # past 2A(r) ~ 709.8 the weight e^{2A} itself leaves the double range
+    assert mu_schedule(1.5, lambda t: 0.25 + 0.0 * t, lambda s: s)(400.0) == math.inf
+    assert mu_schedule(1.5, ZERO, lambda s: s)(400.0) == 1.0
+    cs = derive_constants(1.5, 400.0, lambda t: 1.0 + 0.0 * t, lambda t: 0.25 + 0.0 * t)
+    assert cs.log_K.log == math.inf and cs.K_p(2.0).log == math.inf
+    assert derive_constants(1.5, 400.0, lambda t: 1.0 + 0.0 * t, ZERO).log_K.log == 400.0
 
 
 def test_gamma_integral_gate():

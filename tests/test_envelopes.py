@@ -116,11 +116,24 @@ def test_a2_main_and_intermediates(samples):
 
 
 def test_a2_apex_escape_detected():
-    # lie about the Lipschitz constant: |f(a)-f(-a)| / (2 k0) lands outside
+    # lie about the Lipschitz constant: the band self-check sees it on a steep line
     f = ScalarFunction(lambda x: 5.0 * x, name="steep", phi=lambda u: 5.0 * np.asarray(u),
                        a=1.0, k=0.1, dminus=0.1, dplus=0.1)
-    with pytest.raises(InvalidHypothesisError):
-        construct_A2_envelope(f, 1.0, 0.1, selfcheck=False)
+    with pytest.raises(InvalidHypothesisError, match="Lipschitz constant k=0.1"):
+        construct_A2_envelope(f, 1.0, 0.1)
+
+    # slope 0.5 on the band but a ramp to 5 in its last 1e-7, which the sampled
+    # pairs miss: only the tent apex (5 - (-0.5)) / 2 = 2.75 lands outside (-1, 1)
+    def ramp(x):
+        x = np.asarray(x, dtype=float)
+        edge = 1.0 - 1e-7
+        inside = np.where(x <= edge, 0.5 * x, 0.5 * edge + (x - edge) * (5.0 - 0.5 * edge) / 1e-7)
+        return np.where(x > 1.0, 4.0 + x, np.where(x < -1.0, -0.5 - (x + 1.0), inside))
+
+    f = ScalarFunction(ramp, name="ramp", phi=lambda u: 5.0 + np.asarray(u),
+                       a=1.0, k=1.0, dminus=-1.0, dplus=1.0)
+    with pytest.raises(InvalidHypothesisError, match=r"tent apex 2\.75 escaped"):
+        construct_A2_envelope(f, 1.0, 1.0)
 
 
 def test_a3_envelope_hand_values():

@@ -474,13 +474,13 @@ def test_theta_residual_identities(grid24, bundle24, poly_basis, example2):
     lo = sq.solve_bounded(gt, xi_lo, grid24, bundle24, poly_basis)
     hi = sq.solve_bounded(gt, xi_hi, grid24, bundle24, poly_basis)
 
-    same = theta_residual(lo, lo, 0.3)
+    same = theta_residual(lo, lo, 0.3, g=gt, g_prime=gt)
     assert np.allclose(same.dU, lo.Y) and np.allclose(same.dV, lo.Z)
 
-    ones = sq.solve_bounded(sq.make_generator("zero", 1.5),
-                            sq.make_terminal("constant", value=1.0),
+    zero = sq.make_generator("zero", 1.5)
+    ones = sq.solve_bounded(zero, sq.make_terminal("constant", value=1.0),
                             grid24, bundle24, poly_basis)
-    half = theta_residual(ones, ones, 0.5)
+    half = theta_residual(ones, ones, 0.5, g=zero, g_prime=zero)
     assert np.allclose(half.dU, 1.0, atol=1e-9)
 
     tr = theta_residual(lo, hi, 0.7, g=gt, g_prime=gt)
@@ -508,18 +508,17 @@ def test_theta_residual_matches_whole_field_reference(grid24, bundle24, example2
 
 
 def test_theta_residual_rejects_mismatch(grid24, bundle24, poly_basis):
-    sol = sq.solve_bounded(sq.make_generator("zero", 1.5),
-                           sq.make_terminal("constant", value=1.0),
+    zero = sq.make_generator("zero", 1.5)
+    sol = sq.solve_bounded(zero, sq.make_terminal("constant", value=1.0),
                            grid24, bundle24, poly_basis)
     other_grid = sq.build_grid(1.0, 12, "uniform")
-    other = sq.solve_bounded(sq.make_generator("zero", 1.5),
-                             sq.make_terminal("constant", value=1.0),
+    other = sq.solve_bounded(zero, sq.make_terminal("constant", value=1.0),
                              other_grid, sq.sample_paths(other_grid, 1, 100, 0),
                              poly_basis)
     with pytest.raises(ValueError):
-        theta_residual(sol, other, 0.5)
+        theta_residual(sol, other, 0.5, g=zero, g_prime=zero)
     with pytest.raises(ValueError):
-        theta_residual(sol, sol, 1.5)
+        theta_residual(sol, sol, 1.5, g=zero, g_prime=zero)
 
 
 def test_solution_summary_schema(grid24, bundle24, poly_basis):
