@@ -1,5 +1,6 @@
 """Simulation and numerical verification toolkit for scalar BSDEs with
-sub-quadratic drivers on general (finite or truncated-infinite) time intervals.
+sub-quadratic drivers on a finite time interval [0, T]; the paper's T = infinity
+case is out of scope for now.
 
 Layout:
     paths       time grids, Brownian bundles, conditional-expectation projectors

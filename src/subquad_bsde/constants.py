@@ -100,11 +100,14 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
 _EPMACH = sys.float_info.epsilon
+_OVERFLOW_SCALE = 2.0 ** -64      # exact: rescales an integrand whose sum overflows
 _UFLOW = sys.float_info.min
 
 
-def _gk21(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
-    """dqk21 on [a, b], in its operation order: (integral, error estimate, resasc).
+def _gk21(fn: Callable[[float], float], a: float,
+          b: float) -> tuple[float, float, float, bool]:
+    """dqk21 on [a, b], in its operation order: (integral, error estimate,
+    resasc, whether every sample of ``fn`` was finite).
 
     resasc approximates the integral of |f - mean f|; qags does not trust an
     error estimate equal to it.
@@ -141,7 +144,8 @@ def _gk21(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
         abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
     if resabs > _UFLOW / (50.0 * _EPMACH):
         abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resasc
+    finite = math.isfinite(fc) and all(map(math.isfinite, fv1)) and all(map(math.isfinite, fv2))
+    return result, abserr, resasc, finite
 
 
 def _integrate(fn: Callable[[float], float], lo: float, hi: float, name: str) -> float:
@@ -152,16 +156,24 @@ def _integrate(fn: Callable[[float], float], lo: float, hi: float, name: str) ->
     interval with the largest error estimate is bisected, without qags's
     extrapolation, until the summed error meets the tolerance.  Raises
     `InvalidCoefficientError` naming ``name`` when it does not within
-    QUAD_LIMIT intervals, or when that interval is too narrow to bisect.
+    QUAD_LIMIT intervals, when that interval is too narrow to bisect, or when
+    ``fn`` returns a non-finite value.  A finite integrand whose integral
+    leaves the double range gives +-inf, as `mu_schedule` saturates.
     """
     if hi <= lo:
         return 0.0
-    result, err, resasc = _gk21(fn, lo, hi)
-    if (err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(result)) and err != resasc) or err == 0.0:
+    result, err, resasc, finite = _gk21(fn, lo, hi)
+    if finite and math.isfinite(result) and (
+            (err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(result)) and err != resasc) or err == 0.0):
         return result
     heap = [(-err, lo, hi, result)]       # max-heap on the error estimate
     total = result
     while True:
+        if finite and not math.isfinite(total):
+            # finite samples whose sum leaves the double range: integrate a
+            # scaled copy; scaling back saturates to +-inf, as mu_schedule
+            # does, exactly when the integral itself leaves the range
+            return _integrate(lambda t: float(fn(t)) * _OVERFLOW_SCALE, lo, hi, name) / _OVERFLOW_SCALE
         neg_err, a, b, value = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         # dqagse's test for an interval shrunk to the rounding of its endpoints
@@ -174,8 +186,9 @@ def _integrate(fn: Callable[[float], float], lo: float, hi: float, name: str) ->
             raise InvalidCoefficientError(
                 f"the integral of {name} over [{lo:.6g}, {hi:.6g}] does not converge: "
                 f"estimate {total:.6g}, error {err:.3g}; {why}")
-        left, left_err, _ = _gk21(fn, a, mid)
-        right, right_err, _ = _gk21(fn, mid, b)
+        left, left_err, _, left_finite = _gk21(fn, a, mid)
+        right, right_err, _, right_finite = _gk21(fn, mid, b)
+        finite = finite and left_finite and right_finite
         total += left + right - value
         err += left_err + right_err + neg_err
         heapq.heappush(heap, (-left_err, a, mid, left))

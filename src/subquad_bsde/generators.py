@@ -166,8 +166,14 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _clamp(raw, upper, lower):
-    """raw with its positive part capped at ``upper`` and its negative part at ``lower``."""
-    return np.minimum(np.maximum(raw, 0.0), upper) - np.minimum(np.maximum(-raw, 0.0), lower)
+    """raw with its positive part capped at ``upper`` and its negative part at ``lower``.
+
+    Equal bit for bit to min(max(raw, 0), upper) - min(max(-raw, 0), lower):
+    adding 0.0 turns a clipped -0.0 into +0.0, as that difference does.
+    """
+    out = np.clip(raw, -lower, upper)
+    out += 0.0
+    return out
 
 
 def _sup_on_grid(fn: TimeFn, horizon: float) -> float:

@@ -125,6 +125,9 @@ class PathBundle:
         return self.levels[:, -1, :]
 
 
+_SAMPLE_CHUNK = 2048        # paths drawn into one contiguous buffer before the step-major copy
+
+
 def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle:
     """Draw ``count`` independent d-dimensional Brownian paths on ``grid``."""
     if dims < 1:
@@ -136,15 +139,22 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
     # Counter-based keying: path i is the stream of Philox(key=[seed, i]), a
     # pure function of (seed, i), independent of how many other paths exist or
     # the order they are drawn.  One bit generator is re-keyed per path to
-    # that fresh state (counter 0, empty buffer) instead of being rebuilt.
+    # that fresh state (counter 0, empty buffer) instead of being rebuilt; the
+    # state dict and its key are reused, and the draws of a chunk of paths go
+    # into one contiguous buffer before they are copied step-major.
     bitgen = np.random.Philox(0)
     draw = np.random.Generator(bitgen)
     state = bitgen.state
-    for i in range(count):
-        state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
-                          "key": np.array([seed, i], dtype=np.uint64)}
-        bitgen.state = state
-        levels[i, 1:] = draw.standard_normal((grid.steps, dims))
+    key = np.array([seed, 0], dtype=np.uint64)
+    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
+    chunk = np.empty((min(count, _SAMPLE_CHUNK), grid.steps, dims))
+    for first in range(0, count, len(chunk)):
+        rows = chunk[:min(len(chunk), count - first)]
+        for i, row in enumerate(rows, first):
+            key[1] = i
+            bitgen.state = state
+            draw.standard_normal(out=row)
+        levels[first:first + len(rows), 1:] = rows
     levels[:, 1:] *= np.sqrt(grid.dt)[None, :, None]
     # the running sum in place, step by step: each add reads and writes contiguous blocks
     for j in range(grid.steps):
@@ -156,7 +166,9 @@ class _SVDProjector:
     """Orthogonal projection onto the feature columns, factored once.
 
     SVD based so rank-deficient feature matrices project onto the true column
-    span in the minimum-norm sense instead of failing.
+    span in the minimum-norm sense instead of failing.  The left singular
+    vectors ``u`` are an orthonormal basis Q of the fitted span; ``coords``
+    and ``expand`` work in it.
     """
 
     def __init__(self, features: np.ndarray):
@@ -167,11 +179,26 @@ class _SVDProjector:
         self.vt = vt[keep]
         self.n_features = features.shape[1]
 
-    def fit(self, values: np.ndarray) -> np.ndarray:
-        # BLAS picks its summation order by the stride of ``values``: fit a
+    def coords(self, values: np.ndarray) -> np.ndarray:
+        """Q^T values, for a vector or a block of columns: coordinates in the
+        orthonormal basis u of the fitted span, not the feature coefficients
+        of `coefficients`."""
+        # BLAS picks its summation order by the stride of ``values``: use a
         # contiguous copy so equal values give equal bits in any layout
-        values = np.ascontiguousarray(values)
-        return self.u @ (self.u.T @ values)
+        return self.u.T @ np.ascontiguousarray(values)
+
+    def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Q coords: the per-path values of basis coordinates (see `coords`)."""
+        return np.matmul(self.u, coords, out=out)
+
+    def cross(self, other, weights: np.ndarray = None) -> np.ndarray:
+        """Q^T diag(weights) X, with X the basis u of ``other``, a projector
+        of this kind, or ``other`` itself, an (M, c) block of columns."""
+        x = other.u if isinstance(other, _SVDProjector) else other
+        return (self.u.T if weights is None else self.u.T * weights) @ x
+
+    def fit(self, values: np.ndarray) -> np.ndarray:
+        return self.expand(self.coords(values))
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         return self.vt.T @ ((self.u.T @ values) / self.s)
@@ -181,18 +208,50 @@ class _PartitionProjector:
     """Partition-basis projection: per-bin means, no factorization needed.
 
     Matches the minimum-norm least squares on one-hot bin columns exactly
-    (empty bins fit zero) at a fraction of the cost of factoring them.
+    (empty bins fit zero) at a fraction of the cost of factoring them.  Its
+    orthonormal basis Q, in which ``coords`` and ``expand`` work, is the bin
+    indicators scaled by 1/sqrt(n_k); an empty bin's column is zero.
     """
 
     def __init__(self, idx: np.ndarray, size: int):
         self.idx = idx
         self.size = size
         self.counts = np.bincount(idx, minlength=size).astype(float)
+        self.scale = 1.0 / np.sqrt(np.maximum(self.counts, 1.0))
         self.n_features = size
 
     def _means(self, col: np.ndarray) -> np.ndarray:
         sums = np.bincount(self.idx, weights=col, minlength=self.size)
         return sums / np.maximum(self.counts, 1.0)
+
+    def coords(self, values: np.ndarray) -> np.ndarray:
+        """Q^T values, for a vector or a block of columns: the scaled bin sums,
+        coordinates in the basis Q, not the bin means of `coefficients`."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            return np.bincount(self.idx, weights=values, minlength=self.size) * self.scale
+        # one bincount over (bin, column) pairs, summed in row order as per column
+        c = values.shape[1]
+        pairs = (self.idx[:, None] * c + np.arange(c)).ravel()
+        sums = np.bincount(pairs, weights=np.ascontiguousarray(values).ravel(),
+                           minlength=self.size * c)
+        return sums.reshape(self.size, c) * self.scale[:, None]
+
+    def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Q coords: the per-path values of basis coordinates (see `coords`)."""
+        coords = np.asarray(coords, dtype=float)
+        scaled = coords * (self.scale if coords.ndim == 1 else self.scale[:, None])
+        return np.take(scaled, self.idx, axis=0, out=out)
+
+    def cross(self, other, weights: np.ndarray = None) -> np.ndarray:
+        """Q^T diag(weights) X, with X the basis Q of ``other``, a projector
+        of this kind, or ``other`` itself, an (M, c) block of columns."""
+        if not isinstance(other, _PartitionProjector):
+            return self.coords(other if weights is None else weights[:, None] * other)
+        # entry (k, l) sums the weights of the paths in bin k here and bin l there
+        sums = np.bincount(self.idx * other.size + other.idx, weights=weights,
+                           minlength=self.size * other.size)
+        return sums.reshape(self.size, other.size) * np.outer(self.scale, other.scale)
 
     def fit(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -237,7 +296,10 @@ class RegressionBasis:
 
         The result's ``fit(values)`` returns the fitted values (the
         conditional-expectation proxy) and ``coefficients(values)`` the
-        minimum-norm coefficients; ``values`` may carry extra columns.
+        minimum-norm coefficients; ``values`` may carry extra columns.  In an
+        orthonormal basis Q of the fitted span, ``coords(values)`` is
+        Q^T values, ``expand(c)`` is Q c, and ``cross(other, w)`` is
+        Q^T diag(w) Q_other, so ``fit`` is ``expand(coords(values))``.
         """
         state = np.atleast_2d(np.asarray(state, dtype=float))
         if state.shape[0] == 0:

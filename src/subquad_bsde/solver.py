@@ -225,50 +225,75 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
 
     Independent implementation used to cross-validate the implicit sweep on
     Lipschitz drivers; both discretizations share the same fixed point.
+
+    Each iterate Y_j lies in the span of step j's orthonormal projector basis
+    Q_j, Y_j = Q_j a_j, so the sweep runs in those coordinates (`coords`,
+    `expand`): a_j = C_j a_{j+1} + dt Q_j^T f_j and Z_j = Q_j G_j a_{j+1},
+    with the transfer operators C_j = Q_j^T Q_{j+1} and
+    G_j = Q_j^T diag(dB_j) (Q_{j+1} - Q_j C_j) / dt (the centred
+    martingale-increment regression) built once per call; the terminal column
+    stands in for Q_N, with a_N = 1.  Per step and sweep only the driver, its
+    projection and the two expansions touch every path.  One (Y, Z) field is
+    updated in place: step j reads the previous iterate at node j and the new
+    one at node j + 1.
     """
     _check_inputs(grid, bundle)
     levels = bundle.levels
-    M, N = bundle.count, grid.steps
-    xi_vals = _terminal_values(xi, bundle)
+    M, N, d = bundle.count, grid.steps, bundle.dims
     projs = bundle.projectors(basis)
-
     Y = step_major_empty((M, N + 1))
-    Z = step_major_empty((M, N, bundle.dims))
-    Y[:, N] = xi_vals
-    for j in reversed(range(N)):       # driver-free warm start
-        m_fit = projs[j].fit(Y[:, j + 1])
-        Y[:, j] = m_fit
-        Z[:, j, :] = _z_step(projs[j], Y[:, j + 1], m_fit,
-                             levels[:, j, :], levels[:, j + 1, :], float(grid.dt[j]))
+    Z = step_major_empty((M, N, d))
+    Y[:, N] = _terminal_values(xi, bundle)
 
-    # the next iterate is written into a second pair of buffers; the two pairs
-    # swap after each sweep and both keep the terminal values in column N
-    Y_new = np.empty_like(Y)
-    Z_new = np.empty_like(Z)
-    Y_new[:, N] = xi_vals
+    # driver-free warm start Y_j = fit(Y_{j+1}), building the operators on the way
+    nodes, dts = grid.nodes, grid.dt
+    C, G = [None] * N, [None] * N
+    nxt, a = Y[:, N, None], np.ones(1)
+    for j in reversed(range(N)):
+        proj, dt = projs[j], float(dts[j])
+        db = levels[:, j + 1, :] - levels[:, j, :]
+        C[j] = proj.cross(nxt)
+        G[j] = np.stack([proj.cross(nxt, db[:, k]) - proj.cross(proj, db[:, k]) @ C[j]
+                         for k in range(d)]) / dt
+        proj.expand((G[j] @ a).T, out=Z[:, j, :])
+        a = C[j] @ a
+        proj.expand(a, out=Y[:, j])
+        nxt = proj
+
+    y = np.empty(M)
+    z = np.empty((M, d))
+    diff = np.empty(M)
     gap = math.inf
     step_gap = np.empty(N)
     step_noise_sq = np.zeros(N)
     for _ in range(_PICARD_MAX_ITER):
+        a = np.ones(1)
         for j in reversed(range(N)):
-            t = float(grid.nodes[j])
-            dt = float(grid.dt[j])
+            dt = float(dts[j])
             proj = projs[j]
-            frozen = g(t, levels[:, j, :], Y[:, j], Z[:, j, :])
-            if not np.all(np.isfinite(frozen)):
+            frozen = g(float(nodes[j]), levels[:, j, :], Y[:, j], Z[:, j, :])
+            proj.expand((G[j] @ a).T, out=z)
+            f_coords = proj.coords(frozen)
+            # a non-finite driver value makes its coordinates non-finite
+            if not np.all(np.isfinite(f_coords)):
                 raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
-            m_fit = proj.fit(Y_new[:, j + 1])
-            target = Y_new[:, j + 1] + dt * frozen
-            Y_new[:, j] = proj.fit(target)
-            Z_new[:, j, :] = _z_step(proj, Y_new[:, j + 1], m_fit,
-                                     levels[:, j, :], levels[:, j + 1, :], dt)
-            step_noise_sq[j] = np.var(target - Y_new[:, j]) * proj.n_features / M
+            a = C[j] @ a + dt * f_coords
+            proj.expand(a, out=y)
+            # the driver may return a view of node j: use it before node j is written
+            np.multiply(frozen, dt, out=diff)
+            diff += Y[:, j + 1]
+            diff -= y
+            diff -= diff.mean()
+            step_noise_sq[j] = np.dot(diff, diff) / M * proj.n_features / M
             # the driver reads both fields, so both must settle
-            step_gap[j] = np.maximum(np.max(np.abs(Y_new[:, j] - Y[:, j])),
-                                     np.max(np.abs(Z_new[:, j, :] - Z[:, j, :])))
+            np.abs(np.subtract(y, Y[:, j], out=diff), out=diff)
+            step_gap[j] = np.max(diff)
+            for k in range(d):
+                np.abs(np.subtract(z[:, k], Z[:, j, k], out=diff), out=diff)
+                step_gap[j] = np.maximum(step_gap[j], np.max(diff))
+            Y[:, j] = y
+            Z[:, j, :] = z
         gap = float(np.max(step_gap))
-        Y, Y_new = Y_new, Y
-        Z, Z_new = Z_new, Z
         if gap < _PICARD_TOL:
             return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
                                  method="picard", fit_noise=_fit_noise(step_noise_sq))

@@ -256,3 +256,27 @@ def test_toolkit_loads_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", [1e306, 1.7e308, -1.7e308])
+def test_overflowing_integral_of_a_finite_integrand_saturates(value):
+    # 1e306 overflows only in the final product with the interval, 1.7e308
+    # already in the rule's sum of two samples: both take one path
+    assert constants._integrate(lambda t: value, 0.0, 400.0, "c") == math.copysign(math.inf, value)
+
+
+def test_mixed_sign_overflow_keeps_its_finite_part():
+    # each part overflows the double range, their integral does not
+    fn = lambda t: 1.7e308 if t < 100.0 else -1.7e308
+    assert constants._integrate(fn, 0.0, 400.0, "c") == -math.inf
+    fn = lambda t: 1e308 if t < 1.0 else -1e308
+    value = constants._integrate(fn, 0.0, 2.5, "c")
+    assert math.isfinite(value) and abs(value - (-0.5e308)) <= 1e-6 * 0.5e308
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_integrand_raises(bad):
+    with pytest.raises(InvalidCoefficientError, match="the integrand is not finite"):
+        constants._integrate(lambda t: bad if t > 0.6 else 1.0, 0.0, 1.0, "c")
+    with pytest.raises(InvalidCoefficientError, match="the integrand is not finite"):
+        constants._integrate(lambda t: bad, 0.0, 1.0, "c")

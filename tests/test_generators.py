@@ -303,3 +303,23 @@ def test_terminal_truncation_monotone_property(xi_val, n1, n2, q):
     v_hi = truncate_terminal(xi, TruncationIndex(hi, q))(b)[0]
     assert v_lo <= v_hi + 1e-12
     assert abs(v_lo) <= min(abs(xi_val), max(lo, q)) + 1e-12
+
+
+def _clamp_min_max(raw, upper, lower):
+    # the clamp as the difference of the capped positive and negative parts
+    return np.minimum(np.maximum(raw, 0.0), upper) - np.minimum(np.maximum(-raw, 0.0), lower)
+
+
+def test_clamp_is_bit_equal_to_the_min_max_difference():
+    from subquad_bsde.generators import _clamp
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, np.nan,
+                        1e308, -1e308, 2.5, -2.5, 3.0 * math.exp(-0.25), -4.0 * math.exp(-0.25)])
+    raw = np.concatenate([special, np.random.default_rng(3).normal(0.0, 4.0, 100_000)])
+    per_path = np.random.default_rng(4).uniform(0.5, 8.0, (2, raw.size))
+    for upper, lower in ((3.0 * math.exp(-0.25), 4.0 * math.exp(-0.25)), (2.5, 2.5),
+                         (per_path[0], per_path[1])):
+        ours = _clamp(raw, upper, lower)
+        assert np.array_equal(ours.view(np.int64), _clamp_min_max(raw, upper, lower).view(np.int64))
+    assert np.array_equal(np.asarray(_clamp(raw[1], 2.0, 2.0)).view(np.int64),
+                          np.asarray(_clamp_min_max(raw[1], 2.0, 2.0)).view(np.int64))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from subquad_bsde import paths
 from subquad_bsde.paths import RegressionBasis, build_grid, sample_paths
 
 
@@ -278,3 +279,88 @@ def test_features_match_powers(dims):
     features = basis.features(0.0, state)
     assert features.shape == (400, 1 + 5 * dims)
     np.testing.assert_allclose(features, np.stack(expected, axis=1), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("count", [1, 16, 17, 37])
+def test_chunked_sampler_matches_per_path_philox(dims, count, monkeypatch):
+    # counts below, at and past a multiple of the chunk of paths drawn at once
+    monkeypatch.setattr(paths, "_SAMPLE_CHUNK", 16)
+    grid = build_grid(1.0, 5, "uniform")
+    bundle = sample_paths(grid, dims, count, 77)
+    steps = _per_path_philox_reference(grid, dims, count, 77)
+    expected = np.concatenate([np.zeros((count, 1, dims)), np.cumsum(steps, axis=1)], axis=1)
+    assert np.array_equal(bundle.levels, expected)
+
+
+def test_sampler_past_one_chunk_matches_per_path_philox():
+    count = 2 * paths._SAMPLE_CHUNK + 3
+    grid = build_grid(1.0, 3, "uniform")
+    bundle = sample_paths(grid, 2, count, 5)
+    steps = _per_path_philox_reference(grid, 2, count, 5)
+    expected = np.concatenate([np.zeros((count, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
+    assert np.array_equal(bundle.levels, expected)
+
+
+def _projector_pair(basis, spread):
+    rng = np.random.default_rng(21)
+    x = spread * rng.standard_normal(2500)
+    nxt = x + rng.standard_normal(2500)
+    return (basis.projector(0.5 * spread, x[:, None]), basis.projector(1.0, nxt[:, None]),
+            rng.standard_normal((2500, 3)))
+
+
+POLY4 = RegressionBasis("polynomial", 4)
+BINS12 = RegressionBasis("piecewise-constant-bins", 12, lo=-3.0, hi=3.0)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1.0], ids=["node0", "spread"])
+def test_svd_fit_is_expand_of_coords(spread):
+    proj, _, block = _projector_pair(POLY4, spread)
+    for values in (block[:, 0], block[:, 1], block):
+        assert np.array_equal(proj.expand(proj.coords(values)), proj.fit(values))
+    out = np.empty(2500)
+    assert proj.expand(proj.coords(block[:, 2]), out=out) is out
+    assert np.array_equal(out, proj.fit(block[:, 2]))
+
+
+def test_partition_expand_of_coords_matches_fit():
+    proj, _, block = _projector_pair(BINS12, 1.0)
+    for values in (block[:, 0], block):
+        fit = proj.fit(values)
+        assert np.all(np.abs(proj.expand(proj.coords(values)) - fit) <= 1e-14 * np.abs(fit))
+    out = np.empty((2500, 3))
+    assert proj.expand(proj.coords(block), out=out) is out
+
+
+@pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
+def test_block_coords_are_the_coords_of_its_columns(basis):
+    proj, _, block = _projector_pair(basis, 1.0)
+    coords = proj.coords(block)
+    for c in range(block.shape[1]):
+        col = proj.coords(block[:, c])
+        assert np.all(np.abs(coords[:, c] - col) <= 1e-14 * (1.0 + np.abs(col))), c
+
+
+@pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
+def test_coords_are_in_an_orthonormal_basis(basis):
+    # expand(I) is the basis Q: Q^T Q is the identity on the fitted span
+    proj, _, block = _projector_pair(basis, 1.0)
+    eye = np.eye(len(proj.coords(block[:, 0])))
+    q = proj.expand(eye)
+    assert np.allclose(proj.coords(q), eye, rtol=0.0, atol=1e-13)
+    assert np.allclose(q @ (q.T @ block), proj.fit(block), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
+def test_cross_products_match_the_dense_basis(basis):
+    # cross(other, w) = Q^T diag(w) Q_other, for a projector of the same
+    # kind or a block of columns
+    proj, nxt, block = _projector_pair(basis, 1.0)
+    r, r_next = len(proj.coords(block[:, 0])), len(nxt.coords(block[:, 0]))
+    q, q_next = proj.expand(np.eye(r)), nxt.expand(np.eye(r_next))
+    w = block[:, 0]
+    for other, dense in ((nxt, q_next), (proj, q), (block[:, 1:], block[:, 1:])):
+        np.testing.assert_allclose(proj.cross(other), q.T @ dense, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(proj.cross(other, w), q.T @ (w[:, None] * dense),
+                                   rtol=0.0, atol=1e-12)
