@@ -173,7 +173,8 @@ def _integrate(fn: Callable[[float], float], lo: float, hi: float, name: str) ->
             # finite samples whose sum leaves the double range: integrate a
             # scaled copy; scaling back saturates to +-inf, as mu_schedule
             # does, exactly when the integral itself leaves the range
-            return _integrate(lambda t: float(fn(t)) * _OVERFLOW_SCALE, lo, hi, name) / _OVERFLOW_SCALE
+            scaled = _integrate(lambda t: float(fn(t)) * _OVERFLOW_SCALE, lo, hi, name)
+            return scaled / _OVERFLOW_SCALE
         neg_err, a, b, value = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         # dqagse's test for an interval shrunk to the rounding of its endpoints

@@ -191,11 +191,11 @@ class _SVDProjector:
         """Q coords: the per-path values of basis coordinates (see `coords`)."""
         return np.matmul(self.u, coords, out=out)
 
-    def cross(self, other, weights: np.ndarray = None) -> np.ndarray:
-        """Q^T diag(weights) X, with X the basis u of ``other``, a projector
-        of this kind, or ``other`` itself, an (M, c) block of columns."""
-        x = other.u if isinstance(other, _SVDProjector) else other
-        return (self.u.T if weights is None else self.u.T * weights) @ x
+    def cross(self, others, weights: np.ndarray = None) -> list:
+        """[Q^T diag(weights) X for each of ``others``]: X is the basis u of a
+        projector of this kind, or the entry itself, an (M, c) block of columns."""
+        left = self.u.T if weights is None else self.u.T * weights     # formed once
+        return [left @ (x.u if isinstance(x, _SVDProjector) else x) for x in others]
 
     def fit(self, values: np.ndarray) -> np.ndarray:
         return self.expand(self.coords(values))
@@ -243,9 +243,12 @@ class _PartitionProjector:
         scaled = coords * (self.scale if coords.ndim == 1 else self.scale[:, None])
         return np.take(scaled, self.idx, axis=0, out=out)
 
-    def cross(self, other, weights: np.ndarray = None) -> np.ndarray:
-        """Q^T diag(weights) X, with X the basis Q of ``other``, a projector
-        of this kind, or ``other`` itself, an (M, c) block of columns."""
+    def cross(self, others, weights: np.ndarray = None) -> list:
+        """[Q^T diag(weights) X for each of ``others``]: X is the basis Q of a
+        projector of this kind, or the entry itself, an (M, c) block of columns."""
+        return [self._cross(x, weights) for x in others]
+
+    def _cross(self, other, weights):
         if not isinstance(other, _PartitionProjector):
             return self.coords(other if weights is None else weights[:, None] * other)
         # entry (k, l) sums the weights of the paths in bin k here and bin l there
@@ -298,8 +301,8 @@ class RegressionBasis:
         conditional-expectation proxy) and ``coefficients(values)`` the
         minimum-norm coefficients; ``values`` may carry extra columns.  In an
         orthonormal basis Q of the fitted span, ``coords(values)`` is
-        Q^T values, ``expand(c)`` is Q c, and ``cross(other, w)`` is
-        Q^T diag(w) Q_other, so ``fit`` is ``expand(coords(values))``.
+        Q^T values, ``expand(c)`` is Q c, and ``cross(others, w)`` holds
+        Q^T diag(w) Q_other per other, so ``fit`` is ``expand(coords(values))``.
         """
         state = np.atleast_2d(np.asarray(state, dtype=float))
         if state.shape[0] == 0:

@@ -252,9 +252,11 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     for j in reversed(range(N)):
         proj, dt = projs[j], float(dts[j])
         db = levels[:, j + 1, :] - levels[:, j, :]
-        C[j] = proj.cross(nxt)
-        G[j] = np.stack([proj.cross(nxt, db[:, k]) - proj.cross(proj, db[:, k]) @ C[j]
-                         for k in range(d)]) / dt
+        C[j] = proj.cross([nxt])[0]
+        G[j] = np.empty((d,) + C[j].shape)
+        for k in range(d):
+            D, E = proj.cross([nxt, proj], db[:, k])
+            G[j][k] = (D - E @ C[j]) / dt
         proj.expand((G[j] @ a).T, out=Z[:, j, :])
         a = C[j] @ a
         proj.expand(a, out=Y[:, j])
@@ -279,7 +281,8 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
                 raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
             a = C[j] @ a + dt * f_coords
             proj.expand(a, out=y)
-            # the driver may return a view of node j: use it before node j is written
+            # the driver may return a view of node j: use it before node j is
+            # written; var(target - Y_j), in place
             np.multiply(frozen, dt, out=diff)
             diff += Y[:, j + 1]
             diff -= y

@@ -293,15 +293,6 @@ def test_chunked_sampler_matches_per_path_philox(dims, count, monkeypatch):
     assert np.array_equal(bundle.levels, expected)
 
 
-def test_sampler_past_one_chunk_matches_per_path_philox():
-    count = 2 * paths._SAMPLE_CHUNK + 3
-    grid = build_grid(1.0, 3, "uniform")
-    bundle = sample_paths(grid, 2, count, 5)
-    steps = _per_path_philox_reference(grid, 2, count, 5)
-    expected = np.concatenate([np.zeros((count, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
-    assert np.array_equal(bundle.levels, expected)
-
-
 def _projector_pair(basis, spread):
     rng = np.random.default_rng(21)
     x = spread * rng.standard_normal(2500)
@@ -354,13 +345,14 @@ def test_coords_are_in_an_orthonormal_basis(basis):
 
 @pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
 def test_cross_products_match_the_dense_basis(basis):
-    # cross(other, w) = Q^T diag(w) Q_other, for a projector of the same
-    # kind or a block of columns
+    # cross(others, w) holds Q^T diag(w) Q_other, for a projector of the
+    # same kind or a block of columns
     proj, nxt, block = _projector_pair(basis, 1.0)
     r, r_next = len(proj.coords(block[:, 0])), len(nxt.coords(block[:, 0]))
     q, q_next = proj.expand(np.eye(r)), nxt.expand(np.eye(r_next))
     w = block[:, 0]
-    for other, dense in ((nxt, q_next), (proj, q), (block[:, 1:], block[:, 1:])):
-        np.testing.assert_allclose(proj.cross(other), q.T @ dense, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(proj.cross(other, w), q.T @ (w[:, None] * dense),
-                                   rtol=0.0, atol=1e-12)
+    others, dense = [nxt, proj, block[:, 1:]], [q_next, q, block[:, 1:]]
+    for got, x in zip(proj.cross(others), dense):
+        np.testing.assert_allclose(got, q.T @ x, rtol=0.0, atol=1e-12)
+    for got, x in zip(proj.cross(others, w), dense):
+        np.testing.assert_allclose(got, q.T @ (w[:, None] * x), rtol=0.0, atol=1e-12)
