@@ -133,14 +133,15 @@ def test_bin_sweep_cap_reports_step(grid24, bundle24, bins_basis, monkeypatch):
     assert err.value.step_index == grid24.steps - 1
 
 
-@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
-def test_non_finite_driver_names_step(grid24, bundle24, basis_fixture, request):
+def _nan_before_half_way(t, b, y, z):
     # finite on the last half of the horizon, NaN from t < 1/2 on: the first
     # step that sees it (backwards) is the one with node 11/24
-    def fn(t, b, y, z):
-        return np.full(np.shape(y), np.nan if t < 0.5 else 0.0)
+    return np.full(np.shape(y), np.nan if t < 0.5 else 0.0)
 
-    g = dataclasses.replace(sq.make_generator("zero", 1.5), fn=fn)
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_non_finite_driver_names_step(grid24, bundle24, basis_fixture, request):
+    g = dataclasses.replace(sq.make_generator("zero", 1.5), fn=_nan_before_half_way)
     with pytest.raises(PreconditionViolationError, match=r"at step 11\b"):
         sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
                          grid24, bundle24, request.getfixturevalue(basis_fixture))
@@ -303,10 +304,7 @@ def test_picard_holds_one_field(grid24, basis_fixture, request):
 
 @pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
 def test_picard_non_finite_driver_names_step(grid24, bundle24, basis_fixture, request):
-    def fn(t, b, y, z):
-        return np.full(np.shape(y), np.nan if t < 0.5 else 0.0)
-
-    g = dataclasses.replace(sq.make_generator("zero", 1.5), fn=fn)
+    g = dataclasses.replace(sq.make_generator("zero", 1.5), fn=_nan_before_half_way)
     with pytest.raises(PreconditionViolationError, match=r"at step 11\b"):
         sq.picard_solve(g, sq.make_terminal("constant", value=1.0),
                         grid24, bundle24, request.getfixturevalue(basis_fixture))
