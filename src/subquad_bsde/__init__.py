@@ -18,13 +18,12 @@ from .bounds import (BoundCheckResult, MomentEstimate, fhat_process, verify_comp
                      verify_fhat_moment, verify_pointwise_bound, verify_sup_bound)
 from .conditions import (ConditionReport, SampleCloud, build_cloud, check_condition,
                          check_growth, check_theta_convexity, check_y_regularity,
-                         check_z_regularity, subexp_moment_estimate)
-from .constants import (ConstantSet, LogValue, beta_integral, conjugate_exponent,
-                        derive_constants, khat, k_threshold, mu_schedule, theta_constants,
-                        young_margin)
+                         check_z_regularity)
+from .constants import (ConstantSet, LogValue, conjugate_exponent, derive_constants, khat,
+                        k_threshold, mu_schedule, theta_constants, young_margin)
 from .envelopes import (EnvelopeConstruction, ScalarFunction, construct_A2_envelope,
-                        construct_A2_shift, construct_A3_envelope, lemmaA1_check,
-                        lemmaA2_check, lemmaA3_check, lemma_samples, remainder_check)
+                        construct_A3_envelope, lemmaA1_check, lemmaA2_check, lemmaA3_check,
+                        lemma_samples, remainder_check)
 from .generators import (CoefficientProfile, Generator, TerminalData, TruncationIndex,
                          builtin_example_1, builtin_example_2, make_generator,
                          make_terminal, reflect_generator, theta_difference_generator,

@@ -23,13 +23,16 @@ from .paths import step_major_empty
 
 
 def log_mean_exp(logs: np.ndarray) -> tuple[float, float]:
-    """(log of the sample mean of exp(logs), relative standard error)."""
+    """(log of the sample mean of exp(logs), relative standard error).
+
+    A mean of fewer than two samples has no standard error: it is inf.
+    """
     logs = np.asarray(logs, dtype=float)
     top = float(logs.max())
     w = np.exp(logs - top)
     mean_w = float(w.mean())
     n = len(logs)
-    se_rel = float(w.std(ddof=1) / (mean_w * math.sqrt(n))) if n > 1 else 0.0
+    se_rel = float(w.std(ddof=1) / (mean_w * math.sqrt(n))) if n > 1 else math.inf
     return top + math.log(mean_w), se_rel
 
 
@@ -39,9 +42,6 @@ class MomentEstimate:
 
     log_value: float
     se_rel: float
-    p: float
-    transform: str = ""
-    heavy_tail: bool = False
 
     def __post_init__(self):
         if self.se_rel < 0.0:
@@ -54,10 +54,6 @@ class MomentEstimate:
     @property
     def value(self) -> float:
         return math.inf if self.overflowed else math.exp(self.log_value)
-
-    @property
-    def standard_error(self) -> float:
-        return math.inf if self.overflowed else self.se_rel * self.value
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,7 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
     dt = grid.dt
     integral = fhat @ dt
     log_m, se_m = log_mean_exp(p * integral ** (2.0 / alpha_star))
-    moment = MomentEstimate(log_m, se_m, p, transform="exp(p*(int fhat)^(2/a*))")
+    moment = MomentEstimate(log_m, se_m)
 
     half = alpha_star / 2.0
     gvals = np.asarray([float(gamma(t)) for t in grid.nodes[:-1]])
@@ -166,13 +162,13 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
     ln_term **= half
     ln_int = ln_term @ weights
     log_ln, se_ln = log_mean_exp(p * ln_int ** (2.0 / alpha_star))
-    ln_moment = MomentEstimate(log_ln, se_ln, p, transform="exp(p*(int gamma*ln-term)^(2/a*))")
+    ln_moment = MomentEstimate(log_ln, se_ln)
 
     k_alpha = math.exp(alpha_star / 2.0)
     delta_p = p * total ** (2.0 / alpha_star)
     w = (zn @ weights) / total
     log_mj, se_mj = log_mean_exp(delta_p * np.log(k_alpha + w))
-    majorant = MomentEstimate(log_mj, se_mj, p, transform="(k_alpha + int|Z'|dmu)^delta_p")
+    majorant = MomentEstimate(log_mj, se_mj)
     slack = 3.0 * math.hypot(se_ln, se_mj)
     return FhatMomentCheck(moment=moment, ln_moment=ln_moment, jensen_majorant=majorant,
                            jensen_consistent=bool(log_ln <= log_mj + slack))
@@ -292,7 +288,8 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
         q = zsq[:, j:].sum(axis=1)
         qp = q ** (p / 2.0)
         mean_qp = float(qp.mean())
-        se_b_rel = float(qp.std(ddof=1) / (max(mean_qp, 1e-300) * math.sqrt(len(qp))))
+        se_b_rel = (float(qp.std(ddof=1) / (max(mean_qp, 1e-300) * math.sqrt(len(qp))))
+                    if len(qp) > 1 else math.inf)
         log_b = math.log(max(mean_qp, 1e-300))
         log_lhs = float(np.logaddexp(log_a, log_b))
         wa, wb = math.exp(log_a - log_lhs), math.exp(log_b - log_lhs)

@@ -128,6 +128,9 @@ def _validate(cfg: ExperimentConfig, errors=()) -> ExperimentConfig:
         if c not in cond_mod.CONDITION_IDS and c not in _BOUND_IDS:
             errors.append(f"unknown check {c!r}; conditions: {', '.join(cond_mod.CONDITION_IDS)}; "
                           f"bounds: {', '.join(_BOUND_IDS)}")
+        elif c in cond_mod._Z_REGULARITY_IDS and cfg.dims != 1:
+            errors.append(f"check {c} is stated for scalar noise and needs dims = 1, "
+                          f"got {cfg.dims}")
     reported = {}          # bad coefficients; the generator is built on their defaults instead
     for key, fn in (("beta", ExperimentConfig.beta_fn), ("gamma", ExperimentConfig.gamma_fn)):
         try:

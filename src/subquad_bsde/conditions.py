@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import MomentEstimate, log_mean_exp
 from .constants import gamma_integral
 from .errors import ConfigurationError, UnsupportedDimensionError
-from .generators import Generator, _norm, reflect_generator
+from .generators import Generator, _norm
 
 MARGIN_RTOL = 1e-9
 
@@ -38,8 +37,6 @@ class SampleCloud:
     y2: np.ndarray
     z2: np.ndarray
     theta: np.ndarray
-    strategy: str = "random"
-    seed: int = 0
 
     def __post_init__(self):
         if np.any(self.theta <= 0.0) or np.any(self.theta >= 1.0):
@@ -59,8 +56,7 @@ class SampleCloud:
     def reflected(self) -> "SampleCloud":
         """Cloud with (y, z) negated; pairs the duality between one-sided checks."""
         return SampleCloud(t=self.t, b=self.b, y1=-self.y1, z1=-self.z1,
-                           y2=-self.y2, z2=-self.z2, theta=self.theta,
-                           strategy=self.strategy, seed=self.seed)
+                           y2=-self.y2, z2=-self.z2, theta=self.theta)
 
 
 def build_cloud(horizon: float, dims: int, size: int, strategy: str = "random",
@@ -108,8 +104,7 @@ def build_cloud(horizon: float, dims: int, size: int, strategy: str = "random",
         raise ValueError(f"unknown cloud strategy {strategy!r}")
 
     b = rng.standard_normal((len(y1), dims)) * np.sqrt(np.maximum(t, 1e-12))[:, None]
-    return SampleCloud(t=t, b=b, y1=y1, z1=z1, y2=y2, z2=z2, theta=theta,
-                       strategy=strategy, seed=seed)
+    return SampleCloud(t=t, b=b, y1=y1, z1=z1, y2=y2, z2=z2, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -328,37 +323,3 @@ def check_condition(g: Generator, condition_id: str, cloud: SampleCloud) -> Cond
                                  f"ids: {', '.join(CONDITION_IDS)}")
     return check(g, condition_id, cloud)
 
-
-def check_reflection_duality(g: Generator, cloud: SampleCloud,
-                             variant: str = "UN-i") -> tuple[ConditionReport, ConditionReport]:
-    """Verdicts of (g, variant-i) and (reflect(g), variant-ii) on mirrored clouds."""
-    dual = {"UN-i": "UN-ii", "UNprime-i": "UNprime-ii"}[variant]
-    return (check_theta_convexity(g, variant, cloud),
-            check_theta_convexity(reflect_generator(g), dual, cloud.reflected()))
-
-
-# ---------------------------------------------------------------------------
-# sub-exponential moment probe
-# ---------------------------------------------------------------------------
-
-def subexp_moment_estimate(samples: np.ndarray, p: float, alpha_star: float) -> MomentEstimate:
-    """Monte Carlo estimate of E[exp(p X^{2/alpha*})] for nonnegative X.
-
-    Estimated in log space so large exponents cannot overflow; flags a likely
-    divergent moment when the top percentile of weights carries most of the
-    sum (the heavy-tail signature of an infinite expectation).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    if np.any(samples < 0.0):
-        raise ValueError("samples must be nonnegative")
-    logs = p * samples ** (2.0 / alpha_star)
-    log_value, se_rel = log_mean_exp(logs)
-    n = len(logs)
-    k = max(1, n // 100)
-    log_top, _ = log_mean_exp(np.sort(logs)[-k:])
-    tail_share = (k / n) * math.exp(log_top - log_value)
-    return MomentEstimate(log_value=log_value, se_rel=se_rel, p=p,
-                          transform=f"exp({p:g}*x^(2/{alpha_star:g}))",
-                          heavy_tail=bool(tail_share > 0.5 and n >= 100))

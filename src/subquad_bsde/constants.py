@@ -206,14 +206,6 @@ def _probe_nonnegative(fn, hi: float, name: str) -> None:
         raise InvalidCoefficientError(f"{name} must be nonnegative; {name}({t_bad:.6g}) = {vals.min():.6g}")
 
 
-def beta_integral(beta: Callable[[float], float], s: float) -> float:
-    """A(s) = integral of beta over [0, s], by adaptive quadrature."""
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
-    _probe_nonnegative(beta, s, "beta")
-    return _integrate(beta, 0.0, s, "beta")
-
-
 def _cached_integral(integrand: Callable[[float], float], name: str):
     """Integral from 0 to s with node caching; monotone in s for nonneg integrands."""
     cache: dict[float, float] = {0.0: 0.0}
@@ -318,19 +310,6 @@ class ConstantSet:
     K_p: Callable[[float], LogValue]
     delta_p: Callable[[float], float | None]     # None when gamma integrates to 0
     k_alpha: float
-
-    def psi(self, s: float, x) -> np.ndarray:
-        """Test function exp(mu(s) x^{2/alpha*}) of the a-priori estimate.
-
-        No check evaluates it: the bound checks compare log_K and K_p in log space.
-        """
-        x = np.asarray(x, dtype=float)
-        return np.exp(self.mu(s) * x ** (2.0 / self.alpha_star))
-
-    def yhat(self, s: float, y, f_running: float | np.ndarray = 0.0) -> np.ndarray:
-        """Shifted magnitude e^{A(s)}|y| + k + accumulated weighted forcing."""
-        y = np.asarray(y, dtype=float)
-        return math.exp(self.A(s)) * np.abs(y) + self.k + np.asarray(f_running, dtype=float)
 
     def to_dict(self, p_values=(2.0,)) -> dict:
         out = {

@@ -228,21 +228,9 @@ def construct_A2_envelope(f: ScalarFunction, a: float, k: float) -> EnvelopeCons
                             np.where(x <= _x0, _k0 * (x + _a) + _fm,
                                      np.where(x < _a, -_k0 * (x - _a) + _fp, f.fn(x))))
 
-    gbar, gbar1, gbar2 = construct_A2_shift(g, x0, k0)
-
-    M = k0 * a + 3.0 * _band_sup(f.fn, a)
-    return EnvelopeConstruction(source=f, lemma="A2", a=a, k=k, k0=k0, x0=x0,
-                                g=g, h=_remainder(f, g, a), M=M,
-                                gbar=gbar, gbar1=gbar1, gbar2=gbar2)
-
-
-def construct_A2_shift(g: Callable, x0: float, k0: float):
-    """Recentred tent gbar(x) = g(x + x0) - g(x0) plus its two convex extensions.
-
-    gbar1 keeps gbar on the right half-line and continues with slope -k0 on the
-    left; gbar2 mirrors this.  Both are globally convex because the tent slopes
-    at the apex are exactly -+k0.
-    """
+    # the recentred tent gbar(x) = g(x + x0) - g(x0); gbar1 keeps it on the right
+    # half-line and continues with slope -k0 on the left, gbar2 mirrors this.  Both
+    # are globally convex because the tent slopes at the apex are exactly -+k0.
     g0 = float(np.asarray(g(x0), dtype=float))
 
     def gbar(x):
@@ -256,7 +244,10 @@ def construct_A2_shift(g: Callable, x0: float, k0: float):
         x = np.asarray(x, dtype=float)
         return np.where(x <= 0.0, gbar(x), k0 * x)
 
-    return gbar, gbar1, gbar2
+    M = k0 * a + 3.0 * _band_sup(f.fn, a)
+    return EnvelopeConstruction(source=f, lemma="A2", a=a, k=k, k0=k0, x0=x0,
+                                g=g, h=_remainder(f, g, a), M=M,
+                                gbar=gbar, gbar1=gbar1, gbar2=gbar2)
 
 
 def lemmaA2_check(f: ScalarFunction, a: float, k: float, samples,

@@ -19,6 +19,7 @@ class TimeGrid:
 
     horizon: float
     nodes: np.ndarray
+    dt: np.ndarray = field(init=False, repr=False, compare=False)   # step sizes, read-only
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -27,17 +28,15 @@ class TimeGrid:
             raise ValueError("horizon must be positive")
         if nodes[0] != 0.0 or nodes[-1] != self.horizon:
             raise ValueError("nodes must start at 0 and end at the horizon")
-        if np.any(np.diff(nodes) <= 0.0):
+        dt = np.diff(nodes)
+        if np.any(dt <= 0.0):
             raise ValueError("nodes must be strictly increasing")
+        dt.flags.writeable = False
+        object.__setattr__(self, "dt", dt)
 
     @property
     def steps(self) -> int:
         return len(self.nodes) - 1
-
-    @property
-    def dt(self) -> np.ndarray:
-        """Step sizes, length ``steps``."""
-        return np.diff(self.nodes)
 
 
 GRID_SCHEMES = ("uniform", "geometric")
@@ -98,7 +97,6 @@ class PathBundle:
 
     grid: TimeGrid
     levels: np.ndarray
-    seed: int
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -159,7 +157,7 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
     # the running sum in place, step by step: each add reads and writes contiguous blocks
     for j in range(grid.steps):
         np.add(levels[:, j, :], levels[:, j + 1, :], out=levels[:, j + 1, :])
-    return PathBundle(grid=grid, levels=levels, seed=seed)
+    return PathBundle(grid=grid, levels=levels)
 
 
 class _SVDProjector:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import subquad_bsde as sq
 from subquad_bsde.bounds import (fhat_process, log_mean_exp, verify_comparison,
@@ -29,6 +30,22 @@ def test_log_mean_exp_matches_direct():
     val, se = log_mean_exp(logs)
     assert val == pytest.approx(math.log(2.0))
     assert se > 0.0
+    # constant samples: the mean is exact and its standard error 0
+    for c in (0.0, 2.0):
+        assert log_mean_exp(np.full(500, c)) == (pytest.approx(c), 0.0)
+    # one sample has no standard error
+    assert log_mean_exp(np.array([1.5])) == (1.5, math.inf)
+
+
+def test_log_mean_exp_gaussian_against_quadrature():
+    # E[exp(1.5 |N|^{2/3})] within three standard errors
+    rng = np.random.default_rng(12)
+    x = np.abs(rng.standard_normal(200_000))
+    log_val, se_rel = log_mean_exp(1.5 * x ** (2.0 / 3.0))
+    target, _ = quad(lambda u: np.exp(1.5 * u ** (2.0 / 3.0))
+                     * np.sqrt(2.0 / np.pi) * np.exp(-u * u / 2.0), 0.0, 12.0)
+    value = math.exp(log_val)
+    assert abs(value - target) < 3.0 * se_rel * value
 
 
 def test_log_mean_exp_no_overflow():
@@ -115,6 +132,17 @@ def test_sup_bound_zero_problem(zero_solution, zero_constants):
                          lambda t, b: np.zeros(np.atleast_2d(b).shape[0]), p=2.0)
     assert r.satisfied
     assert np.allclose(r.margin_min, zero_constants.K_p(2.0).log, atol=1e-6)
+
+
+def test_sup_bound_on_one_path_is_indeterminate(grid24, poly_basis, zero_constants):
+    # one path gives a mean without a standard error, so nothing is certified
+    bundle = sq.sample_paths(grid24, 1, 1, 0)
+    sol = sq.solve_bounded(sq.make_generator("zero", 1.5), sq.make_terminal("zero"),
+                           grid24, bundle, poly_basis)
+    r = verify_sup_bound(sol, zero_constants, np.zeros(1),
+                         lambda t, b: np.zeros(np.atleast_2d(b).shape[0]), p=2.0)
+    assert np.all(r.se == math.inf)
+    assert r.verdict == "indeterminate"
 
 
 def test_sup_bound_ode_case(grid24, bundle24, poly_basis, zero_constants):
@@ -219,10 +247,10 @@ def test_pointwise_rejects_unknown_variant(zero_solution, zero_constants):
 
 def test_moment_estimate_validation():
     from subquad_bsde.bounds import MomentEstimate
-    m = MomentEstimate(log_value=800.0, se_rel=0.1, p=2.0)
-    assert m.overflowed and m.value == math.inf and m.standard_error == math.inf
+    m = MomentEstimate(log_value=800.0, se_rel=0.1)
+    assert m.overflowed and m.value == math.inf
     with pytest.raises(ValueError):
-        MomentEstimate(log_value=1.0, se_rel=-0.1, p=2.0)
+        MomentEstimate(log_value=1.0, se_rel=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,8 @@ paths = 200
                  "basis piecewise-constant-bins needs dims = 1, got 2", id="bins-dims"),
     pytest.param(["run"], "cloud_samples = 0", "cloud_samples must be >= 1, got 0",
                  id="cloud_samples"),
+    pytest.param(["run"], "dims = 2\nchecks = A4",
+                 "check A4 is stated for scalar noise and needs dims = 1, got 2", id="A4-dims"),
     pytest.param(["run"], "beta = 5%", "beta: cannot parse expression '5%'", id="percent"),
     pytest.param(["run"], "beta = abs(t - 0.333333333333)^(-1)",
                  "the integral of beta over [0, ", id="beta-not-integrable"),
@@ -552,6 +554,9 @@ paths = 200
                  "geometric grid with steps=64 and ratio=0.5", id="geometric-steps"),
     pytest.param(["check-conditions", "--condition", "EX1", "--dims", "0"], "",
                  "dims must be >= 1, got 0", id="check-conditions-dims"),
+    pytest.param(["check-conditions", "--condition", "A3i", "--dims", "2"], "",
+                 "check A3i is stated for scalar noise and needs dims = 1, got 2",
+                 id="check-conditions-A3i-dims"),
     pytest.param(["verify-bounds", "--bound", "sup", "--p", "1"], "", "p must exceed 1, got 1.0",
                  id="verify-bounds-p"),
     pytest.param(["lemma-tests", "--lemma", "A1", "--samples", "0"], "",
@@ -579,6 +584,8 @@ def test_bad_input_is_a_config_error_before_sampling(argv, lines, message, tiny_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err, err
+    assert err.count("config error:") == 1, err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("changes,message", [

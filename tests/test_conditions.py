@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import subquad_bsde as sq
 from subquad_bsde.conditions import (SampleCloud, build_cloud, check_growth,
-                                     check_reflection_duality, check_theta_convexity,
-                                     check_y_regularity, check_z_regularity,
-                                     subexp_moment_estimate)
+                                     check_theta_convexity, check_y_regularity,
+                                     check_z_regularity)
 from subquad_bsde.errors import (ConfigurationError, InvalidCoefficientError,
                                  UnsupportedDimensionError)
 from subquad_bsde.generators import (CoefficientProfile, Generator, expression_generator,
@@ -141,11 +139,6 @@ def test_un_requires_integrable_gamma(cloud_random):
         check_theta_convexity(broken, "UN-i", cloud_random)
 
 
-def test_reflection_duality(example2, cloud_random):
-    r1, r2 = check_reflection_duality(example2, cloud_random, "UN-i")
-    assert r1.verdict == r2.verdict == "pass"
-
-
 def test_closure_under_sum_max_min(cloud_random):
     g1 = sq.make_generator("convex-power", 1.5, gamma=1.0)
     g2 = sq.make_generator("linear", 1.5, b_y=-0.5, b_z=0.25)
@@ -186,31 +179,6 @@ def test_verdicts_deterministic(example1):
     a = check_growth(example1, "EX1", build_cloud(1.0, 1, 5000, "random", 9))
     b = check_growth(example1, "EX1", build_cloud(1.0, 1, 5000, "random", 9))
     assert a.worst_margin == b.worst_margin and a.verdict == b.verdict
-
-
-def test_subexp_constant_and_zero():
-    m = subexp_moment_estimate(np.ones(500), 2.0, 3.0)
-    assert m.log_value == pytest.approx(2.0)
-    assert not m.heavy_tail
-    m0 = subexp_moment_estimate(np.zeros(500), 2.0, 3.0)
-    assert m0.log_value == pytest.approx(0.0)
-    assert m0.value == pytest.approx(1.0)
-
-
-def test_subexp_gaussian_against_quadrature():
-    rng = np.random.default_rng(12)
-    x = np.abs(rng.standard_normal(200_000))
-    m = subexp_moment_estimate(x, 1.5, 3.0)
-    target, _ = quad(lambda u: np.exp(1.5 * u ** (2.0 / 3.0))
-                     * np.sqrt(2.0 / np.pi) * np.exp(-u * u / 2.0), 0.0, 12.0)
-    assert abs(m.value - target) < 3.0 * m.standard_error
-
-
-def test_subexp_heavy_tail_flag():
-    x = np.zeros(1000)
-    x[0] = 40.0            # one dominating sample
-    m = subexp_moment_estimate(x, 2.0, 3.0)
-    assert m.heavy_tail
 
 
 def test_cloud_strategies_shapes():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from subquad_bsde import constants
-from subquad_bsde.constants import (LogValue, beta_integral, conjugate_exponent,
-                                    derive_constants, gamma_integral, k_threshold, khat,
-                                    mu_schedule, theta_constants, young_margin)
+from subquad_bsde.constants import (LogValue, conjugate_exponent, derive_constants,
+                                    gamma_integral, k_threshold, khat, mu_schedule,
+                                    theta_constants, young_margin)
 from subquad_bsde.errors import InvalidCoefficientError
 
 ZERO = lambda t: 0.0 * np.asarray(t, dtype=float)
@@ -71,18 +71,21 @@ def test_k_threshold_properties_sweep():
         assert k > (astar / 2.0) ** (astar / 2.0)
 
 
+# A(s) = int_0^s beta, as derive_constants integrates it
 def test_beta_integral_constant_and_zero():
-    assert beta_integral(lambda t: 0.3 + 0.0 * t, 2.0) == pytest.approx(0.6)
-    assert beta_integral(ZERO, 5.0) == 0.0
+    assert derive_constants(1.5, 2.0, lambda t: 0.3 + 0.0 * t, ZERO).A(2.0) == pytest.approx(0.6)
+    assert derive_constants(1.5, 5.0, ZERO, ZERO).A(5.0) == 0.0
 
 
 def test_beta_integral_closed_form():
-    assert beta_integral(lambda t: np.exp(-t), 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
+    A = derive_constants(1.5, 1.0, lambda t: np.exp(-t), ZERO).A
+    assert A(1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
+    assert A(0.5) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-8)
 
 
 def test_beta_integral_rejects_negative():
-    with pytest.raises(InvalidCoefficientError):
-        beta_integral(lambda t: -1.0 + 0.0 * t, 1.0)
+    with pytest.raises(InvalidCoefficientError, match=r"beta must be nonnegative; beta\(0\) = -1"):
+        derive_constants(1.5, 1.0, lambda t: -1.0 + 0.0 * t, ZERO)
 
 
 def test_mu_schedule_zero_gamma():
@@ -188,12 +191,6 @@ def test_constant_set_dump_is_bit_stable():
     b = derive_constants(1.5, 1.0, beta, gamma).dump(p_values=(1.5, 2.0))
     assert a == b
     assert '"alpha": 1.5' in a and '"log_K"' in a
-
-
-def test_constant_set_test_surface():
-    cs = derive_constants(1.5, 1.0, ZERO, ZERO)
-    assert cs.psi(0.5, 1.0) == pytest.approx(math.exp(1.0))
-    assert cs.yhat(0.0, -2.0) == pytest.approx(2.0 + cs.k)
 
 
 def test_constant_set_schedules_monotone():

@@ -18,6 +18,15 @@ def test_minimal_grid():
     assert np.array_equal(grid.nodes, [0.0, 1.0])
 
 
+def test_grid_steps_are_computed_once_and_read_only():
+    grid = build_grid(2.0, 8, "geometric", ratio=0.5)
+    assert grid.dt is grid.dt
+    assert not grid.dt.flags.writeable
+    assert np.array_equal(grid.dt, np.diff(grid.nodes))
+    with pytest.raises(ValueError):
+        grid.dt[0] = 1.0
+
+
 def test_geometric_grid_invariants():
     grid = build_grid(2.0, 8, "geometric", ratio=0.5)
     assert np.all(np.diff(grid.nodes) > 0.0)
