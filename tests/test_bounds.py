@@ -30,6 +30,9 @@ def test_log_mean_exp_matches_direct():
     val, se = log_mean_exp(logs)
     assert val == pytest.approx(math.log(2.0))
     assert se > 0.0
+
+
+def test_log_mean_exp_constant_and_zero():
     # constant samples: the mean is exact and its standard error 0
     for c in (0.0, 2.0):
         assert log_mean_exp(np.full(500, c)) == (pytest.approx(c), 0.0)
