@@ -196,8 +196,10 @@ def _tail_forcing(f_process, grid, levels) -> np.ndarray:
 
 
 def _fit_se(targets: np.ndarray, fitted: np.ndarray, n_features: int) -> float:
-    resid = targets - fitted
     n = len(targets)
+    if n <= n_features:
+        return math.inf     # the fit can interpolate its samples: its residual says nothing
+    resid = targets - fitted
     return float(np.std(resid) * math.sqrt(max(n_features, 1) / n))
 
 

@@ -3,6 +3,9 @@
 Everything here is deterministic given its arguments: path generation is keyed
 by (seed, path index) through a counter-based bit generator, so any subset of
 paths can be regenerated bit-exactly without producing the rest of the bundle.
+
+Every regression basis gives a projector with one contract (`_Projector`):
+coordinates are least-squares coefficients in a basis B of the fitted span.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class PathBundle:
         the list is factored once per basis and shared by all of them.
         """
         if basis not in self._cache:
-            self._cache[basis] = [basis.projector(float(self.grid.nodes[j]), self.levels[:, j, :])
+            self._cache[basis] = [basis.projector(self.levels[:, j, :])
                                   for j in range(self.grid.steps)]
         return self._cache[basis]
 
@@ -160,90 +163,76 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
     return PathBundle(grid=grid, levels=levels)
 
 
-class _SVDProjector:
-    """Orthogonal projection onto the feature columns, factored once.
+class _Projector:
+    """Least-squares projection onto the span of a basis B of per-path columns.
 
-    SVD based so rank-deficient feature matrices project onto the true column
-    span in the minimum-norm sense instead of failing.  The left singular
-    vectors ``u`` are an orthonormal basis Q of the fitted span; ``coords``
-    and ``expand`` work in it.
+    ``coords(values)`` are the least-squares coefficients of ``values`` (a
+    vector or a block of columns) in B, ``expand(c)`` is B c, and
+    ``cross(others, w)`` holds coords(diag(w) X) per other, X the basis of a
+    projector of the same kind or the entry itself, an (M, c) block of columns.
+    """
+
+    def fit(self, values: np.ndarray) -> np.ndarray:
+        """The fitted values: the conditional-expectation proxy."""
+        return self.expand(self.coords(values))
+
+
+class _SVDProjector(_Projector):
+    """Projection onto the feature columns, factored once.
+
+    B is the left singular vectors ``u`` of the design, an orthonormal basis
+    of its column span, so ``coords`` is u^T values and rank-deficient designs
+    project onto the true span instead of failing.
     """
 
     def __init__(self, features: np.ndarray):
-        u, s, vt = np.linalg.svd(features, full_matrices=False)
-        keep = s > s[0] * max(features.shape) * np.finfo(float).eps if s[0] > 0 else s > -1.0
-        self.u = u[:, keep]
-        self.s = s[keep]
-        self.vt = vt[keep]
+        u, s, _ = np.linalg.svd(features, full_matrices=False)
+        # every design holds the constant column, so s[0] >= sqrt(M) > 0
+        self.u = u[:, s > s[0] * max(features.shape) * np.finfo(float).eps]
         self.n_features = features.shape[1]
 
     def coords(self, values: np.ndarray) -> np.ndarray:
-        """Q^T values, for a vector or a block of columns: coordinates in the
-        orthonormal basis u of the fitted span, not the feature coefficients
-        of `coefficients`."""
         # BLAS picks its summation order by the stride of ``values``: use a
         # contiguous copy so equal values give equal bits in any layout
         return self.u.T @ np.ascontiguousarray(values)
 
     def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Q coords: the per-path values of basis coordinates (see `coords`)."""
         return np.matmul(self.u, coords, out=out)
 
     def cross(self, others, weights: np.ndarray = None) -> list:
-        """[Q^T diag(weights) X for each of ``others``]: X is the basis u of a
-        projector of this kind, or the entry itself, an (M, c) block of columns."""
         left = self.u.T if weights is None else self.u.T * weights     # formed once
         return [left @ (x.u if isinstance(x, _SVDProjector) else x) for x in others]
 
-    def fit(self, values: np.ndarray) -> np.ndarray:
-        return self.expand(self.coords(values))
 
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return self.vt.T @ ((self.u.T @ values) / self.s)
-
-
-class _PartitionProjector:
+class _PartitionProjector(_Projector):
     """Partition-basis projection: per-bin means, no factorization needed.
 
-    Matches the minimum-norm least squares on one-hot bin columns exactly
-    (empty bins fit zero) at a fraction of the cost of factoring them.  Its
-    orthonormal basis Q, in which ``coords`` and ``expand`` work, is the bin
-    indicators scaled by 1/sqrt(n_k); an empty bin's column is zero.
+    B is the bin indicators, so ``coords`` are the bin means (an empty bin's
+    is zero) and ``expand`` gathers them by ``idx``: the minimum-norm least
+    squares on the one-hot bin columns at a fraction of the cost of factoring them.
     """
 
     def __init__(self, idx: np.ndarray, size: int):
         self.idx = idx
         self.size = size
-        self.counts = np.bincount(idx, minlength=size).astype(float)
-        self.scale = 1.0 / np.sqrt(np.maximum(self.counts, 1.0))
+        self._denom = np.maximum(np.bincount(idx, minlength=size), 1).astype(float)
         self.n_features = size
 
-    def _means(self, col: np.ndarray) -> np.ndarray:
-        sums = np.bincount(self.idx, weights=col, minlength=self.size)
-        return sums / np.maximum(self.counts, 1.0)
-
     def coords(self, values: np.ndarray) -> np.ndarray:
-        """Q^T values, for a vector or a block of columns: the scaled bin sums,
-        coordinates in the basis Q, not the bin means of `coefficients`."""
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
-            return np.bincount(self.idx, weights=values, minlength=self.size) * self.scale
+            return np.bincount(self.idx, weights=values, minlength=self.size) / self._denom
         # one bincount over (bin, column) pairs, summed in row order as per column
         c = values.shape[1]
         pairs = (self.idx[:, None] * c + np.arange(c)).ravel()
         sums = np.bincount(pairs, weights=np.ascontiguousarray(values).ravel(),
                            minlength=self.size * c)
-        return sums.reshape(self.size, c) * self.scale[:, None]
+        return sums.reshape(self.size, c) / self._denom[:, None]
 
     def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Q coords: the per-path values of basis coordinates (see `coords`)."""
-        coords = np.asarray(coords, dtype=float)
-        scaled = coords * (self.scale if coords.ndim == 1 else self.scale[:, None])
-        return np.take(scaled, self.idx, axis=0, out=out)
+        return np.take(coords, self.idx, axis=0, out=out)
 
     def cross(self, others, weights: np.ndarray = None) -> list:
-        """[Q^T diag(weights) X for each of ``others``]: X is the basis Q of a
-        projector of this kind, or the entry itself, an (M, c) block of columns."""
         return [self._cross(x, weights) for x in others]
 
     def _cross(self, other, weights):
@@ -252,19 +241,7 @@ class _PartitionProjector:
         # entry (k, l) sums the weights of the paths in bin k here and bin l there
         sums = np.bincount(self.idx * other.size + other.idx, weights=weights,
                            minlength=self.size * other.size)
-        return sums.reshape(self.size, other.size) * np.outer(self.scale, other.scale)
-
-    def fit(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            return self._means(values)[self.idx]
-        out = np.empty_like(values)
-        for c in range(values.shape[1]):
-            out[:, c] = self._means(values[:, c])[self.idx]
-        return out
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return self._means(np.asarray(values, dtype=float))
+        return sums.reshape(self.size, other.size) / self._denom[:, None]
 
 
 BASIS_KINDS = ("polynomial", "piecewise-constant-bins")
@@ -292,24 +269,24 @@ class RegressionBasis:
         if self.kind == "piecewise-constant-bins" and not self.hi > self.lo:
             raise ValueError(f"bin range must satisfy hi > lo, got lo={self.lo}, hi={self.hi}")
 
-    def projector(self, t: float, state: np.ndarray):
+    def projector(self, state: np.ndarray):
         """Least-squares projection onto the basis evaluated at per-path states.
 
         The result's ``fit(values)`` returns the fitted values (the
-        conditional-expectation proxy) and ``coefficients(values)`` the
-        minimum-norm coefficients; ``values`` may carry extra columns.  In an
-        orthonormal basis Q of the fitted span, ``coords(values)`` is
-        Q^T values, ``expand(c)`` is Q c, and ``cross(others, w)`` holds
-        Q^T diag(w) Q_other per other, so ``fit`` is ``expand(coords(values))``.
+        conditional-expectation proxy); ``values`` may carry extra columns.
+        ``coords``, ``expand`` and ``cross`` work in a basis B of the fitted
+        span (see `_Projector`): the bin indicators for the partition, whose
+        ``coords`` are the bin means, and an orthonormal basis Q of the
+        feature span for the polynomial, whose ``coords`` are Q^T values.
         """
         state = np.atleast_2d(np.asarray(state, dtype=float))
         if state.shape[0] == 0:
             raise ValueError("regression needs at least one sample")
         if self.kind == "piecewise-constant-bins":
             return _PartitionProjector(self.bin_indices(state), self.size)
-        return _SVDProjector(self.features(t, state))
+        return _SVDProjector(self.features(state))
 
-    def features(self, t: float, state: np.ndarray) -> np.ndarray:
+    def features(self, state: np.ndarray) -> np.ndarray:
         """Monomial feature matrix for per-path states, shape (n_paths, n_features)."""
         if self.kind != "polynomial":
             raise ValueError("feature matrices only exist for the polynomial basis")

@@ -118,7 +118,7 @@ def _bin_step(g_at, proj, y_next: np.ndarray, dt: float,
     A residual that does not decrease means dt * dg/dy >= 1: the step is
     ill-posed.  Returns the per-path values and the driver evaluated there.
     """
-    m = proj.coefficients(y_next)
+    m = proj.coords(y_next)
     c = m.copy()
     lo = np.full_like(m, -np.inf)
     hi = np.full_like(m, np.inf)
@@ -128,10 +128,10 @@ def _bin_step(g_at, proj, y_next: np.ndarray, dt: float,
         gval = g_at(c, proj.idx)
         if not np.all(np.isfinite(gval)):
             raise PreconditionViolationError(f"driver produced non-finite values at step {step}")
-        r = m + dt * proj.coefficients(gval) - c
+        r = m + dt * proj.coords(gval) - c
         done |= np.abs(r) < _FP_TOL
         if done.all():
-            return c[proj.idx], gval
+            return proj.expand(c), gval
         lo = np.where(r > 0.0, np.maximum(lo, c), lo)
         hi = np.where(r < 0.0, np.minimum(hi, c), hi)
         a = np.flatnonzero(~done)
@@ -226,13 +226,13 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     Independent implementation used to cross-validate the implicit sweep on
     Lipschitz drivers; both discretizations share the same fixed point.
 
-    Each iterate Y_j lies in the span of step j's orthonormal projector basis
-    Q_j, Y_j = Q_j a_j, so the sweep runs in those coordinates (`coords`,
-    `expand`): a_j = C_j a_{j+1} + dt Q_j^T f_j and Z_j = Q_j G_j a_{j+1},
-    with the transfer operators C_j = Q_j^T Q_{j+1} and
-    G_j = Q_j^T diag(dB_j) (Q_{j+1} - Q_j C_j) / dt (the centred
+    Each iterate Y_j lies in the span of step j's projector basis B_j,
+    Y_j = B_j a_j, so the sweep runs in its coordinates (`coords`, `expand`;
+    the basis need not be orthonormal): a_j = C_j a_{j+1} + dt coords_j(f_j)
+    and Z_j = B_j G_j a_{j+1}, with the transfer operators C_j = coords_j(B_{j+1})
+    and G_j = coords_j(diag(dB_j) (B_{j+1} - B_j C_j)) / dt (the centred
     martingale-increment regression) built once per call; the terminal column
-    stands in for Q_N, with a_N = 1.  Per step and sweep only the driver, its
+    stands in for B_N, with a_N = 1.  Per step and sweep only the driver, its
     projection and the two expansions touch every path.  One (Y, Z) field is
     updated in place: step j reads the previous iterate at node j and the new
     one at node j + 1.

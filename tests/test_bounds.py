@@ -138,14 +138,17 @@ def test_sup_bound_zero_problem(zero_solution, zero_constants):
 
 
 def test_sup_bound_on_one_path_is_indeterminate(grid24, poly_basis, zero_constants):
-    # one path gives a mean without a standard error, so nothing is certified
+    # one path gives a mean without a standard error, and a regression that
+    # interpolates its one sample leaves no residual, so nothing is certified
     bundle = sq.sample_paths(grid24, 1, 1, 0)
     sol = sq.solve_bounded(sq.make_generator("zero", 1.5), sq.make_terminal("zero"),
                            grid24, bundle, poly_basis)
-    r = verify_sup_bound(sol, zero_constants, np.zeros(1),
-                         lambda t, b: np.zeros(np.atleast_2d(b).shape[0]), p=2.0)
-    assert np.all(r.se == math.inf)
-    assert r.verdict == "indeterminate"
+    xi, f = np.zeros(1), lambda t, b: np.zeros(np.atleast_2d(b).shape[0])
+    for r in (verify_sup_bound(sol, zero_constants, xi, f, p=2.0),
+              verify_pointwise_bound(sol, zero_constants, xi, f),
+              verify_pointwise_bound(sol, zero_constants, xi, f, variant="one-sided")):
+        assert np.all(r.se == math.inf), r.bound_id
+        assert r.verdict == "indeterminate", r.bound_id
 
 
 def test_sup_bound_ode_case(grid24, bundle24, poly_basis, zero_constants):
@@ -287,7 +290,7 @@ def _pointwise_reference(sol, constants, xi_values, f_process, variant):
     rows = []
     for j in _decile_indices(grid):
         t = float(grid.nodes[j])
-        proj = basis.projector(t, levels[:, j, :])
+        proj = basis.projector(levels[:, j, :])
         q_fit = np.maximum(proj.fit(tail_q[:, j]), 0.0)
         se_q = _fit_se(tail_q[:, j], q_fit, proj.n_features)
         y = sol.Y[:, j]

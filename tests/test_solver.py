@@ -172,8 +172,8 @@ def test_bin_step_matches_brentq_reference(example1):
     for j in range(grid.steps):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
         b, z = levels[:, j, :], sol.Z[:, j, :]
-        proj = basis.projector(t, b)
-        m = proj.coefficients(sol.Y[:, j + 1])
+        proj = basis.projector(b)
+        m = proj.coords(sol.Y[:, j + 1])
         for k in np.unique(proj.idx):
             rows = np.flatnonzero(proj.idx == k)
 
