@@ -330,7 +330,10 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
     eps = 0.5 sqrt(max dt) + 3 (noise + noise'): a discretization allowance
     plus three times the solvers' accumulated regression noise
     (`SolutionField.noise_scale`).  The verdict is ``satisfied`` when at most
-    0.5% of the (path, node) pairs exceed it.  The caller asserts the
+    0.5% of the (path, node) pairs exceed it, and ``indeterminate`` on a
+    bundle with no more paths than the basis has features: there the
+    regressions can interpolate their samples, so their noise is no
+    allowance (the rule `_fit_se` applies).  The caller asserts the
     hypothesis pattern; when terminal samples are supplied they are validated
     first and an order violation there raises with witness paths.
     """
@@ -358,7 +361,10 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
         np.subtract(eps[j], gap, out=gap)
         margin_median[j] = np.median(gap, overwrite_input=True)
     fraction = float(counts.sum() / (M * nodes))
-    verdict = "satisfied" if fraction <= _COMPARISON_MAX_FRACTION else "violated"
+    if M <= sol.bundle.projectors(sol.basis)[0].n_features:
+        verdict = "indeterminate"
+    else:
+        verdict = "satisfied" if fraction <= _COMPARISON_MAX_FRACTION else "violated"
     return BoundCheckResult(bound_id="comparison", times=sol.grid.nodes.copy(),
                             log_lhs=gap_max, log_rhs=eps,
                             se=counts / M, margin_min=eps - gap_max,

@@ -20,12 +20,15 @@ class UnsupportedDimensionError(ValueError):
 
 
 class SolverDivergedError(RuntimeError):
-    """The implicit per-step fixed point failed to settle."""
+    """The implicit per-step fixed point failed to settle; ``rung`` names the
+    truncation (n, q) when the failing solve was one rung of a ladder."""
 
-    def __init__(self, step_index, gap):
+    def __init__(self, step_index, gap, rung=None):
         self.step_index = step_index
         self.gap = gap
-        super().__init__(f"fixed point diverged at step {step_index} (last gap {gap:.3e})")
+        self.rung = rung
+        where = f"step {step_index}" if rung is None else f"step {step_index}, rung {rung}"
+        super().__init__(f"fixed point diverged at {where} (last gap {gap:.3e})")
 
 
 class IterationLimitError(RuntimeError):

@@ -86,19 +86,27 @@ class CoefficientProfile:
 class Generator:
     """Evaluatable driver with declared structural flags and its profile.
 
-    ``at(t, b, z)`` freezes (t, b, z) and returns ``at(y, idx=None)``, equal
-    to ``g(t, b, y, z)``, or to ``g(t, b, y[idx], z)`` when ``idx`` is given:
-    the implicit solver iterates on y alone within a step.  By default it
-    closes over ``fn``.  A driver opts into a cheaper step-frozen form by
-    giving its ``fn`` a ``freeze(t, b, z)`` attribute that returns such a
-    callable, precomputing the y-independent part once per step.  An opt-in
-    must be bit-identical to ``fn`` on every input (same operations in the
-    same order; a gather by ``idx`` may move ahead of or behind elementwise
+    ``at(t, b, z, idx=None)`` freezes (t, b, z) and returns ``at(y)``: the
+    implicit solver iterates on y alone within a step.  ``b`` holds the M
+    paths' Brownian values (M, d).  Without ``idx``, z is per path,
+    (..., M, d), and y (..., M); with ``idx`` (M,), z and y hold per-bin
+    values, (..., K, d) and (..., K), and path i reads bin ``idx[i]``.  Any
+    leading axes (the solver stacks rungs of a ladder there) carry through,
+    and ``at(y)`` has shape (..., M): entry [..., i] is
+    ``g(t, b[i], y[..., idx[i]], z[..., idx[i], :])``, or the same without
+    the gathers.  By default ``at`` closes over ``fn``: it gathers z once,
+    and per call gathers y and flattens the leading axes into rows (``b``
+    tiled to match), so a plain ``fn`` only ever sees (n,) rows.  A driver
+    opts into a cheaper step-frozen form by giving its ``fn`` a
+    ``freeze(t, b, z, idx=None)`` attribute that returns such a callable,
+    precomputing the y-independent part once per step.  An opt-in must be
+    bit-identical to ``fn`` on every input (same operations in the same
+    order; a gather by ``idx`` may move ahead of or behind elementwise
     work), because solver outputs are compared byte for byte; the builtin
-    drivers keep it by defining ``fn(t, b, y, z)`` as
-    ``freeze(t, b, z)(y)``, so the formula has one copy.  The
-    specialisation travels with ``fn``: a generator built with another
-    ``fn``, a wrapper of the old one included, falls back to the default.
+    drivers keep it by defining ``fn(t, b, y, z)`` as ``freeze(t, b, z)(y)``,
+    so the formula has one copy.  The specialisation travels with ``fn``: a
+    generator built with another ``fn``, a wrapper of the old one included,
+    falls back to the default.
     """
 
     fn: Callable
@@ -110,14 +118,24 @@ class Generator:
         """g at time(s) t for per-path Brownian values b (n,d), y (n,), z (n,d)."""
         return np.asarray(self.fn(t, b, y, z), dtype=float)
 
-    def at(self, t, b, z) -> Callable:
-        """``y, idx=None -> g(t, b, y if idx is None else y[idx], z)`` with (t, b, z) frozen."""
+    def at(self, t, b, z, idx=None) -> Callable:
+        """``y -> g(t, b, y, z)`` with (t, b, z) frozen, per bin when ``idx`` is given."""
         freeze = getattr(self.fn, "freeze", None)
         if freeze is not None:
-            return freeze(t, b, z)
+            return freeze(t, b, z, idx)
+        z = np.asarray(z, dtype=float)
+        if idx is not None:
+            z = np.take(z, idx, axis=-2)
+        rows = math.prod(z.shape[:-2])
+        if rows > 1:
+            b = np.tile(b, (rows, 1))
+        z = z.reshape(-1, z.shape[-1])
 
-        def at(y, idx=None):
-            return self(t, b, y if idx is None else np.asarray(y)[idx], z)
+        def at(y):
+            y = np.asarray(y, dtype=float)
+            if idx is not None:
+                y = np.take(y, idx, axis=-1)
+            return self(t, b, y.reshape(-1), z).reshape(y.shape)
 
         return at
 
@@ -184,18 +202,22 @@ def _sup_on_grid(fn: TimeFn, horizon: float) -> float:
 def _split_driver(br: TimeFn, y_part: Callable, z_part: Callable) -> Callable:
     """Driver fn = |B_t| + beta(t) y_part(y) + z_part(t, z), with its ``freeze``.
 
-    The step-frozen form computes |B_t|, beta(t) and the z-part once per step;
-    per call it evaluates beta(t) y_part on the values passed in and gathers
-    after that product, so a bin solve evaluates y_part once per bin.  ``fn``
-    is that form frozen and called at once, so the formula exists only here.
+    The step-frozen form computes |B_t|, beta(t) and the z-part once per step,
+    the z-part on the values passed in (once per bin when z is per bin) and
+    then gathered; per call it evaluates beta(t) y_part on the values passed
+    in and gathers after that product, so a bin solve evaluates y_part once
+    per bin.  ``fn`` is that form frozen and called at once, so the formula
+    exists only here.
     """
 
-    def freeze(t, b, z):
+    def freeze(t, b, z, idx=None):
         b_abs, beta_t, z_term = _norm(b), br(t), z_part(t, np.atleast_2d(z))
+        if idx is not None:
+            z_term = np.take(z_term, idx, axis=-1)
 
-        def at(y, idx=None):
+        def at(y):
             y_term = beta_t * y_part(y)
-            return b_abs + (y_term if idx is None else y_term[idx]) + z_term
+            return b_abs + (y_term if idx is None else np.take(y_term, idx, axis=-1)) + z_term
 
         return at
 
@@ -352,23 +374,35 @@ def truncate_terminal(xi: TerminalData, idx: TruncationIndex) -> TerminalData:
     return TerminalData(fn=fn, description=f"{xi.description}^({idx.n},{idx.q})")
 
 
+def _cap(level, t):
+    """The truncation cap level e^{-t}; ``level`` may hold one value per rung."""
+    return level * np.exp(-np.asarray(t, dtype=float))
+
+
+def truncated_at(g: Generator, n, q) -> Callable:
+    """`Generator.at` of g with g+ clamped at n e^{-t} and g- at q e^{-t}.
+
+    ``n`` and ``q`` are numbers, or one level per rung shaped (R, 1): then
+    the R clamped problems g^{(n_r, q_r)}, stacked on the leading axis of y
+    and z, are evaluated in one call.
+    """
+
+    def at(t, b, z, idx=None):
+        # clamps after the inner sum; only the caps are hoisted
+        inner, upper, lower = g.at(t, b, z, idx), _cap(n, t), _cap(q, t)
+
+        def clamped(y):
+            return _clamp(inner(y), upper, lower)
+
+        return clamped
+
+    return at
+
+
 def truncate_generator(g: Generator, idx: TruncationIndex) -> Generator:
     """Clamp g+ at n e^{-t} and g- at q e^{-t}; result is dominated by cap * e^{-t}."""
 
-    n, q = idx.n, idx.q
-
-    def caps(t):
-        decay = np.exp(-np.asarray(t, dtype=float))
-        return n * decay, q * decay
-
-    def freeze(t, b, z):
-        # clamps after the inner sum; only the caps are hoisted
-        inner, (upper, lower) = g.at(t, b, z), caps(t)
-
-        def at(y, idx=None):
-            return _clamp(inner(y, idx), upper, lower)
-
-        return at
+    freeze = truncated_at(g, idx.n, idx.q)
 
     def fn(t, b, y, z):
         return freeze(t, b, z)(y)
@@ -379,7 +413,7 @@ def truncate_generator(g: Generator, idx: TruncationIndex) -> Generator:
     old_f = prof.f
 
     def f(t, b):
-        return np.minimum(old_f(t, b), idx.cap * np.exp(-np.asarray(t, dtype=float)))
+        return np.minimum(old_f(t, b), _cap(idx.cap, t))
 
     return Generator(fn=fn, profile=replace(prof, f=f),
                      flags=g.flags | {"truncated"},

@@ -176,6 +176,27 @@ class _Projector:
         """The fitted values: the conditional-expectation proxy."""
         return self.expand(self.coords(values))
 
+    def rows(self, count: int) -> "_Rows":
+        """This projector applied to ``count`` stacked rows: see `_Rows`."""
+        return _Rows(self)
+
+
+class _Rows:
+    """A projector applied to each leading row of a stack.
+
+    ``coords`` maps (R, M, ...) to (R, p, ...) and ``expand`` maps back; row
+    r of either result equals the projector's own call on row r bit for bit.
+    """
+
+    def __init__(self, proj: _Projector):
+        self.proj = proj
+
+    def coords(self, values: np.ndarray) -> np.ndarray:
+        return np.stack([self.proj.coords(v) for v in values])
+
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        return np.stack([self.proj.expand(c) for c in coords])
+
 
 class _SVDProjector(_Projector):
     """Projection onto the feature columns, factored once.
@@ -219,15 +240,23 @@ class _PartitionProjector(_Projector):
         self.n_features = size
 
     def coords(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
+        return self._means(self.idx, np.asarray(values, dtype=float), 1)[0]
+
+    def rows(self, count: int) -> "_PartitionRows":
+        return _PartitionRows(self, count)
+
+    def _means(self, index: np.ndarray, values: np.ndarray, parts: int) -> np.ndarray:
+        # bin means, (parts, size[, c]); ``index`` numbers the bins of ``parts``
+        # partitions stacked one after the other
         if values.ndim == 1:
-            return np.bincount(self.idx, weights=values, minlength=self.size) / self._denom
+            sums = np.bincount(index, weights=values, minlength=parts * self.size)
+            return sums.reshape(parts, self.size) / self._denom
         # one bincount over (bin, column) pairs, summed in row order as per column
         c = values.shape[1]
-        pairs = (self.idx[:, None] * c + np.arange(c)).ravel()
+        pairs = index if c == 1 else (index[:, None] * c + np.arange(c)).ravel()
         sums = np.bincount(pairs, weights=np.ascontiguousarray(values).ravel(),
-                           minlength=self.size * c)
-        return sums.reshape(self.size, c) / self._denom[:, None]
+                           minlength=parts * self.size * c)
+        return sums.reshape(parts, self.size, c) / self._denom[:, None]
 
     def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         return np.take(coords, self.idx, axis=0, out=out)
@@ -242,6 +271,24 @@ class _PartitionProjector(_Projector):
         sums = np.bincount(self.idx * other.size + other.idx, weights=weights,
                            minlength=self.size * other.size)
         return sums.reshape(self.size, other.size) / self._denom[:, None]
+
+
+class _PartitionRows(_Rows):
+    """Partition rows: bin k of row r is stacked bin r K + k, so one bincount
+    regresses every row, summing each bin in path order as the row's own call does."""
+
+    def __init__(self, proj: _PartitionProjector, count: int):
+        super().__init__(proj)
+        self._count = count
+        self._stacked = (np.arange(count)[:, None] * proj.size + proj.idx).ravel()
+
+    def coords(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        return self.proj._means(self._stacked, values.reshape((-1,) + values.shape[2:]),
+                                self._count)
+
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        return np.take(coords, self.proj.idx, axis=1)
 
 
 BASIS_KINDS = ("polynomial", "piecewise-constant-bins")

@@ -4,8 +4,9 @@ Both solvers discretize the same backward equation on a path bundle.  Per step
 the noise coefficient is the martingale-increment estimator (regression of the
 centered next value times the Brownian increment over dt), and the value update
 is implicit in y.  The ladder solves the clamped problems along the diagonal
-and the first row/column of the index lattice and counts order violations; the
-theta residual forms the difference field the comparison argument contracts.
+and the first row/column of the index lattice, one backward pass per walk with
+its rungs stacked, and counts order violations; the theta residual forms the
+difference field the comparison argument contracts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
 from .generators import (Generator, TerminalData, TruncationIndex, _norm,
-                         theta_difference_generator, truncate_generator, truncate_terminal)
+                         theta_difference_generator, truncate_terminal, truncated_at)
 from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
 _FP_TOL = 1e-10            # implicit step: residual (bins) or sup-change (polynomial) target
@@ -93,45 +94,54 @@ def _fit_noise(step_noise_sq: np.ndarray) -> np.ndarray:
     return fit_noise
 
 
-def _z_step(proj, y_next: np.ndarray, m_fit: np.ndarray,
-            b: np.ndarray, b_next: np.ndarray, dt: float) -> np.ndarray:
-    # centered martingale-increment estimator: E_t[(Y_{t+dt} - E_t Y_{t+dt}) dB] / dt
-    centered = y_next - m_fit
-    weighted = b_next - b
-    weighted *= centered[:, None]
-    return proj.fit(weighted) / dt
+def _check_finite(gval: np.ndarray, step: int, rungs, live=None) -> None:
+    # one check per sweep; on failure, name the first rung (of the ``live`` ones) at fault
+    bad = ~np.isfinite(gval).all(axis=1)
+    if live is not None:
+        bad &= live
+    if bad.any():
+        where = "" if rungs is None else f", rung {rungs[int(np.argmax(bad))]}"
+        raise PreconditionViolationError(f"driver produced non-finite values at step {step}{where}")
 
 
-def _bin_step(g_at, proj, y_next: np.ndarray, dt: float,
-              step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit value update on the partition basis, all bins at once.
+def _diverged(step: int, rungs, r: np.ndarray, bins: np.ndarray, K: int) -> SolverDivergedError:
+    # the first rung among the stacked ``bins``, with its largest residual there
+    rung = int(bins[0] // K)
+    gap = float(np.max(np.abs(r[bins[bins // K == rung]])))
+    return SolverDivergedError(step, gap, None if rungs is None else rungs[rung])
+
+
+def _bin_update(g_at, rows, m: np.ndarray, dt: float, step: int,
+                rungs) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit value update on the partition basis, all bins of all rungs at once.
 
     After one update y is constant within each bin, so the step is the scalar
-    root problem r(c) = m + dt * mean_bin g(c) - c = 0 per bin, with m the bin
-    means of ``y_next``.  The first sweep takes the fixed-point step c + r(c);
-    later sweeps take per-bin secant steps, bisecting the tightest bracket
-    seen (r > 0 at lo, r < 0 at hi) when a step would leave it.  Each sweep is
-    one driver call over all paths, ``g_at(c, proj.idx)`` with ``g_at`` the
-    step's frozen driver (`Generator.at`), so a step-frozen driver evaluates
-    its y-part once per bin before the gather; bins with |r| < ``_FP_TOL``
-    stay frozen.
+    root problem r(c) = m + dt * mean_bin g(c) - c = 0 per bin, with m (R, K)
+    the bin means of Y_next.  The first sweep takes the fixed-point step
+    c + r(c); later sweeps take per-bin secant steps, bisecting the tightest
+    bracket seen (r > 0 at lo, r < 0 at hi) when a step would leave it.  Each
+    sweep is one driver call ``g_at(c)`` over all paths of all rungs, with
+    ``g_at`` the step's driver frozen per bin (`Generator.at`); bins with
+    |r| < ``_FP_TOL`` stay frozen, so every bin takes exactly the steps it
+    takes when its rung is solved alone.
     A residual that does not decrease means dt * dg/dy >= 1: the step is
     ill-posed.  Returns the per-path values and the driver evaluated there.
     """
-    m = proj.coords(y_next)
+    R, K = m.shape
+    m = m.ravel()
     c = m.copy()
     lo = np.full_like(m, -np.inf)
     hi = np.full_like(m, np.inf)
     done = np.zeros(m.shape, dtype=bool)
     c_prev = r_prev = None
     for _ in range(_FP_MAX_ITER):
-        gval = g_at(c, proj.idx)
-        if not np.all(np.isfinite(gval)):
-            raise PreconditionViolationError(f"driver produced non-finite values at step {step}")
-        r = m + dt * proj.coords(gval) - c
+        gval = g_at(c.reshape(R, K))
+        _check_finite(gval, step, rungs)
+        r = m + dt * rows.coords(gval).ravel() - c
         done |= np.abs(r) < _FP_TOL
         if done.all():
-            return proj.expand(c), gval
+            return rows.expand(c.reshape(R, K)), gval
+        gval = None                     # not held through the next driver call
         lo = np.where(r > 0.0, np.maximum(lo, c), lo)
         hi = np.where(r < 0.0, np.minimum(hi, c), hi)
         a = np.flatnonzero(~done)
@@ -140,8 +150,9 @@ def _bin_step(g_at, proj, y_next: np.ndarray, dt: float,
         else:
             dc, dr = c[a] - c_prev[a], r[a] - r_prev[a]
             moved = dc != 0.0
-            if np.any(dc[moved] * dr[moved] >= 0.0):
-                raise SolverDivergedError(step, float(np.max(np.abs(r[a]))))
+            rising = moved & (dc * dr >= 0.0)
+            if rising.any():
+                raise _diverged(step, rungs, r, a[rising], K)
             # an unmoved bin keeps c, which sits on its bracket, so it bisects
             nxt = c[a] - r[a] * dc / np.where(moved, dr, 1.0)
             inside = (lo[a] < nxt) & (nxt < hi[a])
@@ -152,69 +163,121 @@ def _bin_step(g_at, proj, y_next: np.ndarray, dt: float,
             nxt = np.where(inside, nxt, fallback)
         c_prev, r_prev = c.copy(), r
         c[a] = nxt
-    raise SolverDivergedError(step, float(np.max(np.abs(r[~done]))))
+    raise _diverged(step, rungs, r, np.flatnonzero(~done), K)
+
+
+def _damped_update(g_at, proj, m_fit: np.ndarray, dt: float, step: int,
+                   rungs) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit value update on a general basis: per rung, y = m_fit + dt fit(g(y))
+    iterated with 0.5 damping whenever the iteration stops contracting.
+
+    Each sweep is one driver call over all rungs; a rung whose sup-change
+    falls below ``_FP_TOL`` keeps its y and the driver values of its last
+    sweep, as when it is solved alone.
+    """
+    y = m_fit.copy()
+    gval = np.empty_like(y)
+    prev_gap = [math.inf] * len(y)
+    live = np.ones(len(y), dtype=bool)
+    for _ in range(_FP_MAX_ITER):
+        g_now = g_at(y)
+        _check_finite(g_now, step, rungs, live)
+        for r in np.flatnonzero(live):
+            y_new = m_fit[r] + dt * proj.fit(g_now[r])
+            gap = float(np.max(np.abs(y_new - y[r])))
+            if gap > 0.9 * prev_gap[r]:
+                # damp whenever the iteration stops contracting; steep drivers
+                # near a kink otherwise ping-pong at constant amplitude
+                y_new = 0.5 * (y_new + y[r])
+                gap = float(np.max(np.abs(y_new - y[r])))
+            y[r] = y_new
+            prev_gap[r] = gap
+            if gap < _FP_TOL:
+                gval[r] = g_now[r]
+                live[r] = False
+        if not live.any():
+            return y, gval
+    r = int(np.argmax(live))
+    raise SolverDivergedError(step, prev_gap[r], None if rungs is None else rungs[r])
+
+
+def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
+              basis: RegressionBasis, rungs=None, keep=None):
+    """Backward sweep of R problems on one bundle, stacked on a leading rung axis.
+
+    ``at(t, b, z, idx=None)`` freezes the R drivers of a step (`Generator.at`,
+    z and y with a leading rung axis) and ``y_end`` (R, M) holds their
+    terminal values; ``rungs`` names the problems in error messages.  Per
+    step: Z from the centered martingale-increment regression, then the
+    implicit value update y = fit(Y_next + g(t, y, Z) dt), solved to
+    ``_FP_TOL`` within ``_FP_MAX_ITER`` driver sweeps (else
+    `SolverDivergedError` naming the step and rung): on the partition basis
+    as one safeguarded secant per bin (`_bin_update`), with the driver's
+    z-part evaluated once per bin, otherwise as a damped fixed point
+    (`_damped_update`).  Each rung's regressions and updates are those of its
+    own one-rung solve, bit for bit.
+
+    Yields ``(j, y, z, noise)`` for j = N, ..., 0: the values (R, M) at node
+    j, the fit noise (R,) there, and Z (M, d) of rung ``keep`` on step j
+    (None at j = N or without ``keep``).
+    """
+    levels, projs = bundle.levels, bundle.projectors(basis)
+    R, M = y_end.shape
+    bins = basis.kind == "piecewise-constant-bins"
+    noise_sq = np.zeros(R)          # step variances summed from the horizon, as in _fit_noise
+    y_next, y_end = y_end, None     # held once, as y_next
+    yield grid.steps, y_next, None, np.sqrt(noise_sq)
+    for j in reversed(range(grid.steps)):
+        t, dt = float(grid.nodes[j]), float(grid.dt[j])
+        b, proj = levels[:, j, :], projs[j]
+        rows = proj.rows(R)
+        m = rows.coords(y_next)
+        m_fit = rows.expand(m)
+        # centered martingale-increment estimator: E_t[(Y_{t+dt} - E_t Y_{t+dt}) dB] / dt
+        zc = rows.coords((levels[:, j + 1, :] - b) * (y_next - m_fit)[:, :, None])
+        if bins:
+            m_fit = None
+            zc /= dt            # a gather commutes with / dt: Z = fit(weighted) / dt
+            y, gval = _bin_update(at(t, b, zc, proj.idx), rows, m, dt, j, rungs)
+            z = None if keep is None else proj.expand(zc[keep])
+        else:
+            z = rows.expand(zc)
+            z /= dt
+            y, gval = _damped_update(at(t, b, z), proj, m_fit, dt, j, rungs)
+            m_fit = None
+            z = None if keep is None else z[keep]
+        resid = y_next + dt * gval - y      # spread the value fit had to average out
+        gval = None
+        noise_sq = noise_sq + np.array([np.var(row) for row in resid]) * proj.n_features / M
+        y_next, resid = y, None
+        yield j, y, z, np.sqrt(noise_sq)
 
 
 def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
                   basis: RegressionBasis) -> SolutionField:
     """Backward sweep for problems with bounded (e.g. truncated) data.
 
-    Per step: Z from the centered martingale-increment regression, then the
-    implicit value update y = fit(Y_next + g(t, y, Z) dt) solved to
-    ``_FP_TOL`` within ``_FP_MAX_ITER`` driver sweeps (else
-    `SolverDivergedError` naming the step): on the partition basis as one
-    safeguarded secant per bin (see ``_bin_step``), otherwise iterated with 0.5
-    damping whenever the iteration stops contracting.  Each step freezes the
-    driver at (t, b, Z) once (`Generator.at`) and iterates on y alone.  Only
-    sampled finiteness of the inputs is enforced; boundedness is the caller's
-    contract.
+    The one-rung case of `_backward`: per step, Z from the centered
+    martingale-increment regression, then the implicit value update
+    y = fit(Y_next + g(t, y, Z) dt) solved to ``_FP_TOL`` within
+    ``_FP_MAX_ITER`` driver sweeps (else `SolverDivergedError` naming the
+    step), per bin on the partition basis and damped otherwise.  Each step
+    freezes the driver at (t, b, Z) once (`Generator.at`) and iterates on y
+    alone.  Only sampled finiteness of the inputs is enforced; boundedness is
+    the caller's contract.
     """
     _check_inputs(grid, bundle)
-    levels = bundle.levels
     M, N = bundle.count, grid.steps
     Y = step_major_empty((M, N + 1))
     Z = step_major_empty((M, N, bundle.dims))
-    Y[:, N] = _terminal_values(xi, bundle)
-    projs = bundle.projectors(basis)
-    step_noise_sq = np.zeros(N)
-
-    for j in reversed(range(N)):
-        t = float(grid.nodes[j])
-        dt = float(grid.dt[j])
-        b = levels[:, j, :]
-        proj = projs[j]
-        m_fit = proj.fit(Y[:, j + 1])
-        Z[:, j, :] = _z_step(proj, Y[:, j + 1], m_fit, b, levels[:, j + 1, :], dt)
-        g_at = g.at(t, b, Z[:, j, :])
-
-        if basis.kind == "piecewise-constant-bins":
-            y, gval = _bin_step(g_at, proj, Y[:, j + 1], dt, j)
-        else:
-            y = m_fit.copy()
-            prev_gap = math.inf
-            for _ in range(_FP_MAX_ITER):
-                gval = g_at(y)
-                if not np.all(np.isfinite(gval)):
-                    raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
-                y_new = m_fit + dt * proj.fit(gval)
-                gap = float(np.max(np.abs(y_new - y)))
-                if gap > 0.9 * prev_gap:
-                    # damp whenever the iteration stops contracting; steep drivers
-                    # near a kink otherwise ping-pong at constant amplitude
-                    y_new = 0.5 * (y_new + y)
-                    gap = float(np.max(np.abs(y_new - y)))
-                y = y_new
-                if gap < _FP_TOL:
-                    break
-                prev_gap = gap
-            else:
-                raise SolverDivergedError(j, gap)
-        Y[:, j] = y
-        resid = Y[:, j + 1] + dt * gval - y     # spread the value fit had to average out
-        step_noise_sq[j] = np.var(resid) * proj.n_features / M
-
+    fit_noise = np.empty(N + 1)
+    steps = _backward(g.at, _terminal_values(xi, bundle)[None], grid, bundle, basis, keep=0)
+    for j, y, z, noise in steps:
+        Y[:, j], fit_noise[j] = y[0], noise[0]
+        if z is not None:
+            Z[:, j, :] = z
     return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
-                         method="backward-regression", fit_noise=_fit_noise(step_noise_sq))
+                         method="backward-regression", fit_noise=fit_noise)
 
 
 def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -359,9 +422,17 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     their accumulated fit noise, so a comparison counts as violated when the
     ordering fails by more than 3x the combined per-node noise scale (plus
     ``_ORDER_TOL`` * (1 + |Y|) for exact ties).  The diagonal holds the shorter
-    ladder at its top level.  Only the rung being solved is held whole; of the
-    shared first rung and the rung before it, only Y and the noise scale are kept.
+    ladder at its top level.
+
+    Each walk (the row with the shared first rung, then the rest of the
+    column and of the diagonal) is one backward pass of `_backward` over all
+    its rungs at once, and every rung comes out bit for bit as its own
+    `solve_bounded` would.  The pass counts violations and diagonal gaps node
+    by node as it visits them, so only the first rung's Y and the returned
+    field, the last rung solved, are held whole.  A failure names its step
+    and rung (n, q).
     """
+    _check_inputs(grid, bundle)
     if levels is None:
         lv_n, lv_q = _doubling_levels(n_max), _doubling_levels(q_max)
     else:
@@ -370,47 +441,61 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     column = [(lv_n[0], q) for q in lv_q]
     diagonal = [(lv_n[min(k, len(lv_n) - 1)], lv_q[min(k, len(lv_q) - 1)])
                 for k in range(max(len(lv_n), len(lv_q)))]
+    M, N = bundle.count, grid.steps
     violations = comparisons = 0
     gaps = []
-
-    def solve(n: int, q: int) -> SolutionField:
-        idx = TruncationIndex(n, q)
-        return solve_bounded(truncate_generator(g, idx), truncate_terminal(xi, idx),
-                             grid, bundle, basis)
+    first_y = step_major_empty((M, N + 1))
+    first_noise = np.empty(N + 1)
 
     def count(low, high):
-        # expects high Y >= low Y up to the statistical allowance, node by node
+        # expects high Y >= low Y up to the statistical allowance, at one node
         nonlocal violations, comparisons
         (low_y, low_noise), (high_y, high_noise) = low, high
-        allowance = 3.0 * (low_noise + high_noise)
-        for j in range(low_y.shape[1]):
-            tol = allowance[j] + _ORDER_TOL * (1.0 + np.abs(high_y[:, j]))
-            violations += int(np.count_nonzero(low_y[:, j] > high_y[:, j] + tol))
+        tol = 3.0 * (low_noise + high_noise) + _ORDER_TOL * (1.0 + np.abs(high_y))
+        violations += int(np.count_nonzero(low_y > high_y + tol))
         comparisons += low_y.size
 
-    def walk(keys, compare=None):
-        # solve keys[1:] in order, passing each with the rung before as (Y, noise scale)
-        nonlocal field
-        prev = first
-        for n, q in keys[1:]:
-            field = None                        # release the last rung's Z before solving
-            field = solve(n, q)
-            cur = (field.Y, field.noise_scale())
-            if compare is not None:
-                compare(prev, cur)
-            if keys == diagonal:
-                # field distance per node (mean over paths), then sup over nodes
-                gaps.append(float(np.max([np.mean(np.abs(cur[0][:, j] - prev[0][:, j]))
-                                          for j in range(grid.steps + 1)])))
-            prev = cur
+    def walk(keys, compare, last):
+        # solve the walk's rungs in one pass; each is compared with the rung before it
+        rungs = keys if keys is row else keys[1:]   # the row pass solves the first rung too
+        n, q = (np.array([[k[i]] for k in rungs], dtype=float) for i in (0, 1))
+        xis = [truncate_terminal(xi, TruncationIndex(*k)) for k in rungs]
+        y_end = np.stack([_terminal_values(x, bundle) for x in xis])
+        steps = _backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs,
+                          keep=-1 if last else None)
+        del y_end                           # the pass holds it until its first step
+        if last:
+            Y, Z = step_major_empty((M, N + 1)), step_major_empty((M, N, bundle.dims))
+            fit_noise = np.empty(N + 1)
+        on_diagonal = keys == diagonal
+        node_gaps = np.empty((len(keys) - 1, N + 1))
+        for j, y, z, noise in steps:
+            if keys is row:
+                first_y[:, j], first_noise[j] = y[0], noise[0]
+            chain = [] if keys is row else [(first_y[:, j], first_noise[j])]
+            chain += [(y[r], noise[r]) for r in range(len(rungs))]
+            for k in range(1, len(chain)):
+                if compare is not None:
+                    compare(chain[k - 1], chain[k])
+                if on_diagonal:
+                    # field distance per node (mean over paths); sup over nodes below
+                    node_gaps[k - 1, j] = np.mean(np.abs(chain[k][0] - chain[k - 1][0]))
+            if last:
+                Y[:, j], fit_noise[j] = y[-1], noise[-1]
+                if z is not None:
+                    Z[:, j, :] = z
+        if on_diagonal:
+            gaps.extend(float(v) for v in np.max(node_gaps, axis=1))
+        if last:
+            return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis, fit_noise=fit_noise)
 
-    field = solve(lv_n[0], lv_q[0])
-    first = (field.Y, field.noise_scale())
-    walk(row, count)                                            # increasing in n
-    walk(column, lambda prev, cur: count(cur, prev))            # decreasing in q
+    walks = [(row, count), (column, lambda prev, cur: count(cur, prev))]    # up in n, down in q
     if diagonal not in (row, column):    # else a one-level ladder made it the row or column
-        walk(diagonal)
-    return LadderResult(final=field, violations=violations, comparisons=comparisons,
+        walks.append((diagonal, None))
+    walks = [(keys, compare) for keys, compare in walks if keys is row or len(keys) > 1]
+    for i, (keys, compare) in enumerate(walks):
+        final = walk(keys, compare, i == len(walks) - 1)
+    return LadderResult(final=final, violations=violations, comparisons=comparisons,
                         diagonal_gaps=tuple(gaps), levels=tuple(lv_n))
 
 

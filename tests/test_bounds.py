@@ -221,6 +221,25 @@ def test_comparison_antisymmetric(grid24, bundle24, poly_basis):
     assert forward.satisfied and backward.verdict == "violated"
 
 
+@pytest.mark.parametrize("paths", [1, 4])
+def test_comparison_on_no_more_paths_than_features_is_indeterminate(grid24, poly_basis, paths):
+    # the cubic basis has 4 features: its regressions interpolate up to 4
+    # samples, so the fit noise in the allowance is 0 and certifies nothing
+    bundle = sq.sample_paths(grid24, 1, paths, 0)
+    zero = sq.make_generator("zero", 1.5)
+    lo = sq.solve_bounded(zero, sq.make_terminal("constant", value=0.0), grid24, bundle,
+                          poly_basis)
+    hi = sq.solve_bounded(zero, sq.make_terminal("constant", value=1.0), grid24, bundle,
+                          poly_basis)
+    r = verify_comparison(lo, hi, xi_values=np.zeros(paths), xi_prime_values=np.ones(paths))
+    assert r.violation_fraction == 0.0
+    assert r.verdict == "indeterminate"
+    more = sq.sample_paths(grid24, 1, 5, 0)
+    lo, hi = (sq.solve_bounded(zero, sq.make_terminal("constant", value=v), grid24, more,
+                               poly_basis) for v in (0.0, 1.0))
+    assert verify_comparison(lo, hi).verdict == "satisfied"
+
+
 def test_comparison_precondition_witnesses(grid24, bundle24, poly_basis):
     zero = sq.solve_bounded(sq.make_generator("zero", 1.5), sq.make_terminal("zero"),
                             grid24, bundle24, poly_basis)

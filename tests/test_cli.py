@@ -632,3 +632,12 @@ def test_parser_defaults_are_the_config_defaults():
     assert seen == set(defaults) - {"ladder", "checks", "comparison_shift", "out"}
     # run's overrides have no default: an unset flag keeps the config file's value
     assert not set(vars(parser.parse_args(["run", "--config", "c.ini"]))) & set(defaults)
+
+
+def test_one_path_comparison_run_is_indeterminate(tmp_path, capsys):
+    # one path on any basis: the comparison's fit noise is 0 and certifies nothing
+    cfg_file = tmp_path / "one.ini"
+    cfg_file.write_text("[experiment]\nsteps = 4\npaths = 1\nchecks = comparison\n"
+                        f"out = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    assert "bound comparison: indeterminate" in capsys.readouterr().out

@@ -8,7 +8,7 @@ import subquad_bsde as sq
 from subquad_bsde.generators import (GENERATOR_IDS, TruncationIndex, example1_q,
                                      expression_generator, make_generator, reflect_generator,
                                      theta_difference_generator, truncate_generator,
-                                     truncate_terminal)
+                                     truncate_terminal, truncated_at)
 
 
 def test_kink_function_knots():
@@ -258,23 +258,25 @@ def test_step_frozen_driver_is_bit_identical(grid24, d):
     y = np.concatenate([kink, rng.standard_normal(48) * 3])
     c = np.concatenate([kink, rng.standard_normal(6)])            # per-bin values
     idx = np.concatenate([np.arange(len(c)), rng.integers(0, len(c), 60 - len(c))])
+    zc = z[:len(c)]
     frozen = set()
     for name, gen in _frozen_cases(grid24, d):
         at = gen.at(t, b, z)
         assert np.array_equal(at(y), gen(t, b, y, z)), name
-        assert np.array_equal(at(c, idx), gen(t, b, c[idx], z)), name
+        per_bin = gen.at(t, b, zc, idx)
+        assert np.array_equal(per_bin(c), gen(t, b, c[idx], zc[idx])), name
         # array_equal calls 0.0 and -0.0 equal; the signs must agree too
-        assert np.array_equal(np.signbit(at(c, idx)), np.signbit(gen(t, b, c[idx], z))), name
+        assert np.array_equal(np.signbit(per_bin(c)), np.signbit(gen(t, b, c[idx], zc[idx]))), name
         if hasattr(gen.fn, "freeze"):
             frozen.add(name)
     assert {"example1", "example2", "example1^(1,16)", "custom-expression^(4,2)"} <= frozen
 
 
 def test_replacing_fn_drops_the_step_frozen_form(example1):
-    b, z = np.ones((4, 1)), np.ones((4, 1))
+    b, z = np.ones((4, 1)), np.ones((2, 1))
     c, idx = np.array([-1.0, 2.0]), np.array([0, 1, 1, 0])
     plain = replace(example1, fn=lambda t, b, y, z: np.full(len(y), 7.0))
-    assert np.array_equal(plain.at(0.5, b, z)(c, idx), np.full(4, 7.0))
+    assert np.array_equal(plain.at(0.5, b, z, idx)(c), np.full(4, 7.0))
     rows = []
 
     def wrapped(t, b, y, z):
@@ -282,9 +284,47 @@ def test_replacing_fn_drops_the_step_frozen_form(example1):
         return example1.fn(t, b, y, z)
 
     # a wrapper of the old fn evaluates through itself on the gathered values
-    out = replace(example1, fn=wrapped).at(0.5, b, z)(c, idx)
+    out = replace(example1, fn=wrapped).at(0.5, b, z, idx)(c)
     assert rows == [4]
-    assert np.array_equal(out, example1.at(0.5, b, z)(c, idx))
+    assert np.array_equal(out, example1.at(0.5, b, z, idx)(c))
+
+
+def _same_bits(a, b):
+    # array_equal calls 0.0 and -0.0 equal; the signs must agree too
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_at_with_a_rung_axis_matches_per_path_evaluation(grid24, d):
+    # R rungs of per-bin y and z, gathered by one bin index, on the step-frozen
+    # and on the default path, truncated per rung or not: each row is the
+    # per-path evaluation of its own driver
+    rng = np.random.default_rng(21 + d)
+    t = float(grid24.nodes[7])
+    R, K, M = 3, 9, 50
+    b = rng.standard_normal((M, d)) * 2
+    c = rng.standard_normal((R, K)) * 3
+    c[:, :4] = [-0.0, 0.0, -1e-7, 1e-7]
+    zc = rng.standard_normal((R, K, d)) * 3
+    idx = np.concatenate([np.arange(K), rng.integers(0, K, M - K)])
+    rungs = [TruncationIndex(1, 16), TruncationIndex(4, 2), TruncationIndex(16, 16)]
+    n, q = (np.array([[getattr(k, a)] for k in rungs], dtype=float) for a in "nq")
+    for gid in GENERATOR_IDS:
+        gen = make_generator(gid, 1.5, d=d, b_z=0.4,
+                             expression="abs(y)^0.5*ind(0-y) + exp(min(y, 1)) + 0.3*z1 + babs")
+        plain = replace(gen, fn=lambda t, b, y, z, fn=gen.fn: fn(t, b, y, z))
+        for g in (gen, plain):
+            per_bin = g.at(t, b, zc, idx)(c)
+            per_path = g.at(t, b, zc[:, idx])(c[:, idx])
+            clamped = truncated_at(g, n, q)(t, b, zc, idx)(c)
+            assert per_bin.shape == per_path.shape == clamped.shape == (R, M)
+            for r in range(R):
+                y_r, z_r = c[r][idx], zc[r][idx]
+                ref = gen(t, b, y_r, z_r)
+                assert _same_bits(per_bin[r], ref), (gid, g is plain, r)
+                assert _same_bits(per_path[r], ref), (gid, g is plain, r)
+                ref = truncate_generator(gen, rungs[r])(t, b, y_r, z_r)
+                assert _same_bits(clamped[r], ref), (gid, g is plain, r)
 
 
 from hypothesis import given, settings

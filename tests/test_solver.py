@@ -10,7 +10,8 @@ from scipy.stats import norm
 import subquad_bsde as sq
 from subquad_bsde import solver
 from subquad_bsde.errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
-from subquad_bsde.generators import TruncationIndex, truncate_generator, truncate_terminal
+from subquad_bsde.generators import (TruncationIndex, truncate_generator, truncate_terminal,
+                                     truncated_at)
 from subquad_bsde.solver import consistency_residual, theta_residual
 
 
@@ -197,6 +198,14 @@ def test_picard_iteration_limit(grid24, bundle24, poly_basis, monkeypatch):
     assert err.value.gap > 0.0
 
 
+def _z_step(proj, y_next, m_fit, b, b_next, dt):
+    # centered martingale-increment estimator: E_t[(Y_{t+dt} - E_t Y_{t+dt}) dB] / dt
+    centered = y_next - m_fit
+    weighted = b_next - b
+    weighted *= centered[:, None]
+    return proj.fit(weighted) / dt
+
+
 def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
     """Reference Picard loop: fresh Y/Z buffers every sweep, gap over the whole
     field.  Returns (Y, Z, fit_noise, gap); fit_noise is None without convergence."""
@@ -212,8 +221,8 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
     for j in reversed(range(N)):
         m_fit = projs[j].fit(Y[:, j + 1])
         Y[:, j] = m_fit
-        Z[:, j, :] = solver._z_step(projs[j], Y[:, j + 1], m_fit,
-                                    levels[:, j, :], levels[:, j + 1, :], float(grid.dt[j]))
+        Z[:, j, :] = _z_step(projs[j], Y[:, j + 1], m_fit,
+                             levels[:, j, :], levels[:, j + 1, :], float(grid.dt[j]))
     gap = math.inf
     step_noise_sq = np.zeros(N)
     for _ in range(max_iter):
@@ -226,8 +235,8 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
             m_fit = proj.fit(Y_new[:, j + 1])
             target = Y_new[:, j + 1] + dt * frozen
             Y_new[:, j] = proj.fit(target)
-            Z_new[:, j, :] = solver._z_step(proj, Y_new[:, j + 1], m_fit,
-                                            levels[:, j, :], levels[:, j + 1, :], dt)
+            Z_new[:, j, :] = _z_step(proj, Y_new[:, j + 1], m_fit,
+                                     levels[:, j, :], levels[:, j + 1, :], dt)
             step_noise_sq[j] = np.var(target - Y_new[:, j]) * proj.n_features / M
         gap = float(max(np.max(np.abs(Y_new - Y)), np.max(np.abs(Z_new - Z))))
         Y, Z = Y_new, Z_new
@@ -453,17 +462,31 @@ def _counted(gen, frozen):
         return gen.fn(t, b, y, z)
 
     if frozen:
-        def freeze(t, b, z):
-            at = gen.fn.freeze(t, b, z)
+        def freeze(t, b, z, idx=None):
+            at = gen.fn.freeze(t, b, z, idx)
 
-            def counted(y, idx=None):
-                calls.append(len(y) if idx is None else len(idx))
-                return at(y, idx)
+            def counted(y):
+                out = at(y)
+                calls.append(out.size)
+                return out
 
             return counted
 
         fn.freeze = freeze
     return dataclasses.replace(gen, fn=fn), calls
+
+
+def _per_rung_default_path(g, n, q):
+    """`generators.truncated_at` for stacked rungs, rebuilt from one
+    `truncate_generator` per rung behind a plain fn (the default `at` path)."""
+    gens = [_counted(truncate_generator(g, TruncationIndex(int(a), int(b))), frozen=False)[0]
+            for a, b in zip(n[:, 0], q[:, 0])]
+
+    def at(t, b, z, idx=None):
+        ats = [gen.at(t, b, z_r, idx) for gen, z_r in zip(gens, z)]
+        return lambda y: np.stack([at_r(y_r) for at_r, y_r in zip(ats, y)])
+
+    return at
 
 
 def _same_field(a, b):
@@ -479,15 +502,16 @@ def test_step_frozen_ladder_matches_default_path(grid24, monkeypatch):
     levels = [1, 2, 4, 8, 16]
     g, frozen_calls = _counted(base, frozen=True)
     lad = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=levels)
-    # the default path for the truncation as well as for example 1
-    monkeypatch.setattr(solver, "truncate_generator",
-                        lambda g, idx: _counted(truncate_generator(g, idx), frozen=False)[0])
+    # the default path for the truncation as well as for example 1: each rung
+    # of a walk clamped by its own truncated generator through a plain fn
+    monkeypatch.setattr(solver, "truncated_at", _per_rung_default_path)
     g, plain_calls = _counted(base, frozen=False)
     ref = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=levels)
     assert _same_field(lad.final, ref.final)
     assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.levels) == \
         (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.levels)
-    assert frozen_calls == plain_calls and len(frozen_calls) > 13 * grid24.steps
+    # one stacked call per walk and sweep against one call per rung and sweep
+    assert sum(frozen_calls) == sum(plain_calls) and len(frozen_calls) > 3 * grid24.steps
 
 
 @pytest.mark.parametrize("example", ["example1", "example2"])
@@ -515,6 +539,73 @@ def test_ladder_of_unequal_lengths_ends_at_top_rung(n_max, q_max, grid24, bins_b
     assert len(lad.diagonal_gaps) == longer - 1
     rungs = len(solver._doubling_levels(n_max)) + len(solver._doubling_levels(q_max)) - 2
     assert lad.comparisons == rungs * bundle.count * (grid24.steps + 1)
+
+
+def _walk(g, xi, grid, bundle, basis, rungs):
+    """Y and fit noise of every rung and Z of the last, from one stacked pass
+    of the solver's kernel."""
+    n, q = (np.array([[k[i]] for k in rungs], dtype=float) for i in (0, 1))
+    y_end = np.stack([truncate_terminal(xi, TruncationIndex(*k))(bundle.terminal()) for k in rungs])
+    R, M, N = len(rungs), bundle.count, grid.steps
+    Y, noise, Z = np.empty((R, M, N + 1)), np.empty((R, N + 1)), np.empty((M, N, bundle.dims))
+    steps = solver._backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs, keep=-1)
+    for j, y, z, nz in steps:
+        Y[:, :, j], noise[:, j] = y, nz
+        if z is not None:
+            Z[:, j] = z
+    return Y, noise, Z
+
+
+@pytest.mark.parametrize("basis", [sq.RegressionBasis("polynomial", 3),
+                                   sq.RegressionBasis("piecewise-constant-bins", 30,
+                                                      lo=-4.8, hi=4.8)],
+                         ids=["polynomial", "bins30"])
+def test_every_rung_of_a_walk_matches_its_own_solve(basis, example1):
+    grid = sq.build_grid(1.0, 12, "uniform")
+    bundle = sq.sample_paths(grid, 1, 400, 13)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    if basis.kind != "polynomial":      # the outer bins hold no path
+        assert min(np.bincount(p.idx, minlength=30).min() for p in bundle.projectors(basis)) == 0
+    sweeps = set()
+    for rungs in ([(1, 1), (2, 1), (4, 1), (8, 1), (16, 1)], [(1, 2), (1, 4), (1, 16)],
+                  [(2, 2), (4, 4), (16, 16)]):
+        Y, noise, Z = _walk(example1, xi, grid, bundle, basis, rungs)
+        for r, rung in enumerate(rungs):
+            idx = TruncationIndex(*rung)
+            g, calls = _counted(truncate_generator(example1, idx), frozen=True)
+            ref = sq.solve_bounded(g, truncate_terminal(xi, idx), grid, bundle, basis)
+            assert np.array_equal(Y[r], ref.Y), rung
+            assert np.array_equal(noise[r], ref.fit_noise), rung
+            sweeps.add(len(calls))
+        assert np.array_equal(Z, ref.Z), rung
+    assert len(sweeps) > 1              # the rungs of a pass settle after different sweeps
+
+
+def _switch_driver(value):
+    # 0 below y = 2.5, ``value`` above: with xi = 3 only the rungs n >= 4 see it
+    return dataclasses.replace(sq.make_generator("zero", 1.5),
+                               fn=lambda t, b, y, z: np.where(np.asarray(y) > 2.5, value, 0.0))
+
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_ladder_failure_names_step_and_rung(grid24, bundle24, basis_fixture, request,
+                                            monkeypatch):
+    basis = request.getfixturevalue(basis_fixture)
+    xi = sq.make_terminal("constant", value=3.0)
+    last = grid24.steps - 1
+    with pytest.raises(PreconditionViolationError,
+                       match=rf"non-finite values at step {last}, rung \(4, 1\)$"):
+        sq.solve_ladder(_switch_driver(np.nan), xi, grid24, bundle24, basis, levels=[1, 2, 4])
+    # one sweep settles the rungs where g = 0, not the first one where it is 1
+    monkeypatch.setattr(solver, "_FP_MAX_ITER", 1)
+    with pytest.raises(SolverDivergedError,
+                       match=rf"diverged at step {last}, rung \(4, 1\) \(last gap") as err:
+        sq.solve_ladder(_switch_driver(1.0), xi, grid24, bundle24, basis, levels=[1, 2, 4])
+    assert (err.value.step_index, err.value.rung) == (last, (4, 1))
+    # a solve of its own names no rung
+    with pytest.raises(SolverDivergedError, match=rf"at step {last} \(last gap"):
+        sq.solve_bounded(truncate_generator(_switch_driver(1.0), TruncationIndex(4, 1)),
+                         xi, grid24, bundle24, basis)
 
 
 def test_ladder_memory_holds_three_rungs(bins_basis, example1):
