@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.ma  # noqa: F401 - np.unique/np.median load it lazily: load it here, not in a check
+import numpy.ma  # noqa: F401 - np.unique loads it lazily: load it here, not in a check
 
 from .constants import _OVERFLOW_LOG
 from .errors import InvalidCoefficientError, PreconditionViolationError
@@ -71,10 +71,8 @@ class BoundCheckResult:
     log_rhs: np.ndarray
     se: np.ndarray               # combined log-scale standard error per time
     margin_min: np.ndarray       # min over paths of log_rhs - log_lhs
-    margin_median: np.ndarray
     verdict: str                 # satisfied | violated | indeterminate
     violation_fraction: float = 0.0
-    worst_gap: float = 0.0
 
     @property
     def satisfied(self) -> bool:
@@ -195,14 +193,6 @@ def _tail_forcing(f_process, grid, levels) -> np.ndarray:
     return tail
 
 
-def _fit_se(targets: np.ndarray, fitted: np.ndarray, n_features: int) -> float:
-    n = len(targets)
-    if n <= n_features:
-        return math.inf     # the fit can interpolate its samples: its residual says nothing
-    resid = targets - fitted
-    return float(np.std(resid) * math.sqrt(max(n_features, 1) / n))
-
-
 def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
                            variant: str = "two-sided") -> BoundCheckResult:
     """Conditional bound exp(|Y_t|^{2/a*}) + E_t[int_t^T |Z|^2] <= K E_t[exp(K(|xi|+int f)^{2/a*})].
@@ -211,6 +201,7 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     by {Y > 0}, and uses xi+ on the right.  Conditional expectations are the
     solver's regression proxies at decile times; the right side is lowered to
     its conditional Jensen minorant, so a satisfied verdict is conservative.
+    A regression's standard error is its projector's `noise_sq`.
     """
     if variant not in ("two-sided", "one-sided"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -234,19 +225,19 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
         np.add(tail_q[:, j + 1], q, out=tail_q[:, j])
 
     idx = _decile_indices(grid)
-    times, lhs_t, rhs_t, se_t, mmin, mmed = [], [], [], [], [], []
+    times, lhs_t, rhs_t, se_t, mmin = [], [], [], [], []
     for j in idx:
         t = float(grid.nodes[j])
         proj = projs[j]
         q_fit = np.maximum(proj.fit(tail_q[:, j]), 0.0)
-        se_q = _fit_se(tail_q[:, j], q_fit, proj.n_features)
+        se_q = math.sqrt(proj.noise_sq(tail_q[:, j] - q_fit))
         y = sol.Y[:, j]
         ypart = np.maximum(y, 0.0) ** power if one_sided else np.abs(y) ** power
         log_lhs = np.logaddexp(ypart, np.log(np.maximum(q_fit, 1e-300)))
 
         big = np.minimum(K_float * (xi_eff + tail_f[:, j]) ** power, _OVERFLOW_LOG)
         big_fit = proj.fit(big)
-        se_big = _fit_se(big, big_fit, proj.n_features)
+        se_big = math.sqrt(proj.noise_sq(big - big_fit))
         log_rhs = log_K + big_fit
 
         margins = log_rhs - log_lhs
@@ -258,14 +249,12 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
         rhs_t.append(float(log_rhs[worst]))
         se_t.append(float(se_comb[worst]))
         mmin.append(float(margins.min()))
-        mmed.append(float(np.median(margins)))
 
     verdict = _classify(np.asarray(mmin), np.asarray(se_t))
     return BoundCheckResult(bound_id=f"pointwise-{variant}", times=np.asarray(times),
                             log_lhs=np.asarray(lhs_t), log_rhs=np.asarray(rhs_t),
                             se=np.asarray(se_t), margin_min=np.asarray(mmin),
-                            margin_median=np.asarray(mmed), verdict=verdict,
-                            worst_gap=float(np.min(mmin)))
+                            verdict=verdict)
 
 
 def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
@@ -311,8 +300,7 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
     return BoundCheckResult(bound_id=f"sup-p{p:g}", times=np.asarray(times),
                             log_lhs=np.asarray(lhs_t), log_rhs=np.asarray(rhs_t),
                             se=np.asarray(se_t), margin_min=np.asarray(mmin),
-                            margin_median=np.asarray(mmin), verdict=verdict,
-                            worst_gap=float(np.min(mmin)))
+                            verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +317,11 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
 
     eps = 0.5 sqrt(max dt) + 3 (noise + noise'): a discretization allowance
     plus three times the solvers' accumulated regression noise
-    (`SolutionField.noise_scale`).  The verdict is ``satisfied`` when at most
-    0.5% of the (path, node) pairs exceed it, and ``indeterminate`` on a
-    bundle with no more paths than the basis has features: there the
-    regressions can interpolate their samples, so their noise is no
-    allowance (the rule `_fit_se` applies).  The caller asserts the
+    (`SolutionField.fit_noise`; a field without it is a ValueError).  The
+    verdict is ``satisfied`` when at most 0.5% of the (path, node) pairs
+    exceed it, and ``indeterminate`` when eps is not finite at some node:
+    there a regression can interpolate its samples, so no gap exceeds its
+    allowance and none is evidence of order.  The caller asserts the
     hypothesis pattern; when terminal samples are supplied they are validated
     first and an order violation there raises with witness paths.
     """
@@ -341,6 +329,8 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
         raise ValueError("solutions must share one grid")
     if sol.Y.shape != sol_prime.Y.shape:
         raise ValueError("solutions must share one path bundle")
+    if sol.fit_noise is None or sol_prime.fit_noise is None:
+        raise ValueError("the comparison allowance needs both solutions' fit_noise")
     if xi_values is not None and xi_prime_values is not None:
         bad = np.flatnonzero(xi_values > xi_prime_values + 1e-12)
         if bad.size:
@@ -349,25 +339,18 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
                 f"terminal ordering xi <= xi' fails on {bad.size} paths", witnesses)
 
     eps = (_COMPARISON_C * math.sqrt(float(np.max(sol.grid.dt)))
-           + 3.0 * (sol.noise_scale() + sol_prime.noise_scale()))
+           + 3.0 * (sol.fit_noise + sol_prime.fit_noise))
     M, nodes = sol.Y.shape
     gap_max = np.empty(nodes)
-    margin_median = np.empty(nodes)
     counts = np.empty(nodes, dtype=np.int64)
     for j in range(nodes):
         gap = sol.Y[:, j] - sol_prime.Y[:, j]          # should be <= eps everywhere
         counts[j] = np.count_nonzero(gap > eps[j])
         gap_max[j] = gap.max()
-        np.subtract(eps[j], gap, out=gap)
-        margin_median[j] = np.median(gap, overwrite_input=True)
     fraction = float(counts.sum() / (M * nodes))
-    if M <= sol.bundle.projectors(sol.basis)[0].n_features:
-        verdict = "indeterminate"
-    else:
-        verdict = "satisfied" if fraction <= _COMPARISON_MAX_FRACTION else "violated"
+    verdict = ("indeterminate" if not np.all(np.isfinite(eps)) else
+               "satisfied" if fraction <= _COMPARISON_MAX_FRACTION else "violated")
     return BoundCheckResult(bound_id="comparison", times=sol.grid.nodes.copy(),
                             log_lhs=gap_max, log_rhs=eps,
                             se=counts / M, margin_min=eps - gap_max,
-                            margin_median=margin_median,
-                            verdict=verdict, violation_fraction=fraction,
-                            worst_gap=float(gap_max.max()))
+                            verdict=verdict, violation_fraction=fraction)

@@ -299,8 +299,7 @@ def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol, xi_
             r = bounds_mod.BoundCheckResult(
                 bound_id="comparison", times=sol.grid.nodes.copy(),
                 log_lhs=np.zeros(nodes), log_rhs=np.zeros(nodes), se=np.zeros(nodes),
-                margin_min=np.zeros(nodes), margin_median=np.zeros(nodes), verdict="violated",
-                violation_fraction=1.0, worst_gap=float("nan"))
+                margin_min=np.zeros(nodes), verdict="violated", violation_fraction=1.0)
             report.notes.append(f"comparison hypothesis violated: {exc} "
                                 f"(witnesses {exc.witnesses[:3]})")
         report.bound_results.append(r)
@@ -427,7 +426,7 @@ def _load_solution(path: str, **overrides):
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     # the solvers' layout, whatever order the file was written in
     sol = SolutionField(Y=as_step_major(Y), Z=as_step_major(Z), bundle=bundle,
-                        basis=_build_basis(cfg), method="loaded", fit_noise=data.get("fit_noise"))
+                        basis=_build_basis(cfg), fit_noise=data.get("fit_noise"))
     return sol, cfg, TruncationIndex(meta["n_max"], meta["q_max"])
 
 

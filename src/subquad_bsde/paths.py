@@ -176,6 +176,14 @@ class _Projector:
         """The fitted values: the conditional-expectation proxy."""
         return self.expand(self.coords(values))
 
+    def noise_sq(self, resid: np.ndarray) -> float:
+        """Squared standard error of the fit, from its residual on the M paths:
+        the residual variance on M - rank degrees of freedom times rank / M,
+        rank the dimension of the fitted span; inf when M <= rank, where the
+        fit can interpolate its samples."""
+        M = len(resid)
+        return float(np.var(resid)) * self.rank / (M - self.rank) if M > self.rank else np.inf
+
     def rows(self, count: int) -> "_Rows":
         """This projector applied to ``count`` stacked rows: see `_Rows`."""
         return _Rows(self)
@@ -210,7 +218,7 @@ class _SVDProjector(_Projector):
         u, s, _ = np.linalg.svd(features, full_matrices=False)
         # every design holds the constant column, so s[0] >= sqrt(M) > 0
         self.u = u[:, s > s[0] * max(features.shape) * np.finfo(float).eps]
-        self.n_features = features.shape[1]
+        self.rank = self.u.shape[1]
 
     def coords(self, values: np.ndarray) -> np.ndarray:
         # BLAS picks its summation order by the stride of ``values``: use a
@@ -236,8 +244,9 @@ class _PartitionProjector(_Projector):
     def __init__(self, idx: np.ndarray, size: int):
         self.idx = idx
         self.size = size
-        self._denom = np.maximum(np.bincount(idx, minlength=size), 1).astype(float)
-        self.n_features = size
+        counts = np.bincount(idx, minlength=size)
+        self.rank = int(np.count_nonzero(counts))      # the nonempty bins
+        self._denom = np.maximum(counts, 1).astype(float)
 
     def coords(self, values: np.ndarray) -> np.ndarray:
         return self._means(self.idx, np.asarray(values, dtype=float), 1)[0]
@@ -334,7 +343,7 @@ class RegressionBasis:
         return _SVDProjector(self.features(state))
 
     def features(self, state: np.ndarray) -> np.ndarray:
-        """Monomial feature matrix for per-path states, shape (n_paths, n_features)."""
+        """Monomial feature matrix for per-path states, shape (n_paths, 1 + dims * size)."""
         if self.kind != "polynomial":
             raise ValueError("feature matrices only exist for the polynomial basis")
         state = np.atleast_2d(np.asarray(state, dtype=float))

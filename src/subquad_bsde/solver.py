@@ -38,26 +38,21 @@ class SolutionField:
     ``PathBundle.levels``, so each per-step slice ``Y[:, j]`` or
     ``Z[:, j, :]`` is contiguous.  The grid is the bundle's.
 
-    ``fit_noise`` is the accumulated standard error of the per-step value
-    regressions from each node to the horizon: the honest statistical scale
-    below which two fields on the same bundle cannot be distinguished.
+    ``fit_noise`` is the accumulated standard error (`noise_sq`) of the
+    per-step value regressions from each node to the horizon: the honest
+    statistical scale below which two fields on the same bundle cannot be
+    distinguished; inf back from a step whose fit interpolates its samples.
     """
 
     Y: np.ndarray
     Z: np.ndarray
     bundle: PathBundle
     basis: RegressionBasis
-    method: str = "backward-regression"
     fit_noise: Optional[np.ndarray] = None
 
     @property
     def grid(self) -> TimeGrid:
         return self.bundle.grid
-
-    def noise_scale(self) -> np.ndarray:
-        if self.fit_noise is None:
-            return np.zeros(self.grid.steps + 1)
-        return self.fit_noise
 
     def summary(self) -> dict:
         """Per-node summary columns for the CSV report."""
@@ -218,11 +213,12 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
     own one-rung solve, bit for bit.
 
     Yields ``(j, y, z, noise)`` for j = N, ..., 0: the values (R, M) at node
-    j, the fit noise (R,) there, and Z (M, d) of rung ``keep`` on step j
-    (None at j = N or without ``keep``).
+    j, the fit noise (R,) there (per step, `noise_sq` of each rung's value
+    residual), and Z (M, d) of rung ``keep`` on step j (None at j = N or
+    without ``keep``).
     """
     levels, projs = bundle.levels, bundle.projectors(basis)
-    R, M = y_end.shape
+    R = len(y_end)
     bins = basis.kind == "piecewise-constant-bins"
     noise_sq = np.zeros(R)          # step variances summed from the horizon, as in _fit_noise
     y_next, y_end = y_end, None     # held once, as y_next
@@ -248,7 +244,7 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
             z = None if keep is None else z[keep]
         resid = y_next + dt * gval - y      # spread the value fit had to average out
         gval = None
-        noise_sq = noise_sq + np.array([np.var(row) for row in resid]) * proj.n_features / M
+        noise_sq = noise_sq + np.array([proj.noise_sq(row) for row in resid])
         y_next, resid = y, None
         yield j, y, z, np.sqrt(noise_sq)
 
@@ -276,8 +272,7 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
         Y[:, j], fit_noise[j] = y[0], noise[0]
         if z is not None:
             Z[:, j, :] = z
-    return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
-                         method="backward-regression", fit_noise=fit_noise)
+    return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis, fit_noise=fit_noise)
 
 
 def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -345,12 +340,11 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
             a = C[j] @ a + dt * f_coords
             proj.expand(a, out=y)
             # the driver may return a view of node j: use it before node j is
-            # written; var(target - Y_j), in place
+            # written; the residual target - Y_j, in place
             np.multiply(frozen, dt, out=diff)
             diff += Y[:, j + 1]
             diff -= y
-            diff -= diff.mean()
-            step_noise_sq[j] = np.dot(diff, diff) / M * proj.n_features / M
+            step_noise_sq[j] = proj.noise_sq(diff)
             # the driver reads both fields, so both must settle
             np.abs(np.subtract(y, Y[:, j], out=diff), out=diff)
             step_gap[j] = np.max(diff)
@@ -362,7 +356,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         gap = float(np.max(step_gap))
         if gap < _PICARD_TOL:
             return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
-                                 method="picard", fit_noise=_fit_noise(step_noise_sq))
+                                 fit_noise=_fit_noise(step_noise_sq))
     raise IterationLimitError(_PICARD_MAX_ITER, gap)
 
 
@@ -403,7 +397,8 @@ class LadderResult:
 
     @property
     def violation_fraction(self) -> float:
-        return self.violations / self.comparisons if self.comparisons else 0.0
+        # no comparison made is no evidence of order: nan fails every "<=" rule
+        return self.violations / self.comparisons if self.comparisons else math.nan
 
 
 def _doubling_levels(top: int) -> list[int]:
@@ -421,8 +416,9 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     ordering exactly; the regression fields can only be distinguished above
     their accumulated fit noise, so a comparison counts as violated when the
     ordering fails by more than 3x the combined per-node noise scale (plus
-    ``_ORDER_TOL`` * (1 + |Y|) for exact ties).  The diagonal holds the shorter
-    ladder at its top level.
+    ``_ORDER_TOL`` * (1 + |Y|) for exact ties).  Where that noise is inf, on
+    every rung alike, nothing is ordered: the ladder counts no comparisons.
+    The diagonal holds the shorter ladder at its top level.
 
     Each walk (the row with the shared first rung, then the rest of the
     column and of the diagonal) is one backward pass of `_backward` over all
@@ -495,6 +491,8 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     walks = [(keys, compare) for keys, compare in walks if keys is row or len(keys) > 1]
     for i, (keys, compare) in enumerate(walks):
         final = walk(keys, compare, i == len(walks) - 1)
+    if not np.isfinite(first_noise[0]):     # the noise accumulates from the horizon to node 0
+        violations = comparisons = 0
     return LadderResult(final=final, violations=violations, comparisons=comparisons,
                         diagonal_gaps=tuple(gaps), levels=tuple(lv_n))
 

@@ -635,7 +635,8 @@ def test_parser_defaults_are_the_config_defaults():
 
 
 def test_one_path_comparison_run_is_indeterminate(tmp_path, capsys):
-    # one path on any basis: the comparison's fit noise is 0 and certifies nothing
+    # one path on any basis: every regression interpolates it, so the fit noise
+    # in the comparison's allowance is inf and certifies nothing
     cfg_file = tmp_path / "one.ini"
     cfg_file.write_text("[experiment]\nsteps = 4\npaths = 1\nchecks = comparison\n"
                         f"out = {tmp_path / 'out'}\n")

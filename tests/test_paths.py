@@ -382,3 +382,38 @@ def test_cross_products_match_the_dense_basis(basis):
     for got, x in zip(proj.cross(others, w), dense):
         np.testing.assert_allclose(got, np.linalg.lstsq(b, w[:, None] * x, rcond=None)[0],
                                    rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
+@pytest.mark.parametrize("spread", [0.0, 1.0], ids=["node0", "spread"])
+def test_noise_sq_is_the_residual_variance_on_the_rank_of_the_fitted_span(basis, spread):
+    # the rank is the nonempty bins or the SVD's; node 0's state is all zeros,
+    # so both bases fit the constants alone there
+    rng = np.random.default_rng(24)
+    x = spread * rng.standard_normal(60)
+    proj = basis.projector(x[:, None])
+    if spread == 0.0:
+        rank = 1
+    elif basis is BINS12:
+        rank = len(np.unique(proj.idx))
+        assert rank < BINS12.size             # an empty bin adds no dimension
+    else:
+        rank = 1 + POLY4.size
+    assert proj.rank == rank
+    resid = 2.0 + rng.standard_normal(60)     # off centre: the estimator centres
+    rss = np.sum((resid - resid.mean()) ** 2)
+    assert proj.noise_sq(resid) == pytest.approx(rss / (60 - rank) * rank / 60, rel=1e-14)
+
+
+def test_noise_sq_is_inf_on_no_more_paths_than_the_rank():
+    poly = POLY4.projector(np.array([[0.1], [0.7], [-1.2], [2.0], [0.4]]))
+    assert poly.rank == 5 and poly.noise_sq(np.arange(5.0)) == np.inf
+    poly = POLY4.projector(np.array([[0.1], [0.7], [-1.2], [2.0], [0.4], [-0.3]]))
+    assert np.isfinite(poly.noise_sq(np.arange(6.0)))
+    # two paths in one bin leave one degree of freedom; in two bins, none
+    same = BINS12.projector(np.array([[0.1], [0.2]]))
+    apart = BINS12.projector(np.array([[0.1], [2.0]]))
+    assert same.rank == 1 and same.noise_sq(np.array([0.0, 1.0])) == 0.25
+    assert apart.rank == 2 and apart.noise_sq(np.array([0.0, 1.0])) == np.inf
+    for basis in (POLY4, BINS12):
+        assert basis.projector(np.zeros((1, 1))).noise_sq(np.array([3.0])) == np.inf

@@ -63,8 +63,10 @@ def test_zero_driver_picard_single_iteration(grid24, bundle24, poly_basis, monke
     monkeypatch.setattr(solver, "_PICARD_MAX_ITER", 1)
     sol = sq.picard_solve(sq.make_generator("zero", 1.5), sq.make_terminal("bt"),
                           grid24, bundle24, poly_basis)
-    # no feedback: warm start is already the fixed point
-    assert sol.method == "picard"
+    # no feedback: the warm start is already the fixed point the implicit sweep reaches
+    implicit = sq.solve_bounded(sq.make_generator("zero", 1.5), sq.make_terminal("bt"),
+                                grid24, bundle24, poly_basis)
+    assert np.max(np.abs(sol.Y - implicit.Y)) < 1e-12
 
 
 def test_grid_refinement_improves_ode():
@@ -206,6 +208,13 @@ def _z_step(proj, y_next, m_fit, b, b_next, dt):
     return proj.fit(weighted) / dt
 
 
+def _fit_rank(basis, state):
+    # the dimension of the fitted span: nonempty bins, or the feature matrix's rank
+    if basis.kind == "piecewise-constant-bins":
+        return len(np.unique(basis.bin_indices(state)))
+    return int(np.linalg.matrix_rank(basis.features(state)))
+
+
 def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
     """Reference Picard loop: fresh Y/Z buffers every sweep, gap over the whole
     field.  Returns (Y, Z, fit_noise, gap); fit_noise is None without convergence."""
@@ -213,6 +222,7 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
     M, N = bundle.count, grid.steps
     xi_vals = solver._terminal_values(xi, bundle)
     projs = bundle.projectors(basis)
+    ranks = [_fit_rank(basis, levels[:, j, :]) for j in range(N)]
     # step-major like the solver: the rank-1 projector at node 0 sums a
     # contiguous column in another order than a strided one
     Y = np.zeros((N + 1, M)).T
@@ -237,7 +247,10 @@ def _picard_fresh_buffers(g, xi, grid, bundle, basis, max_iter=60, tol=1e-8):
             Y_new[:, j] = proj.fit(target)
             Z_new[:, j, :] = _z_step(proj, Y_new[:, j + 1], m_fit,
                                      levels[:, j, :], levels[:, j + 1, :], dt)
-            step_noise_sq[j] = np.var(target - Y_new[:, j]) * proj.n_features / M
+            # residual sum of squares on M - rank degrees of freedom, times rank / M
+            resid = target - Y_new[:, j]
+            rss = np.sum((resid - resid.mean()) ** 2)
+            step_noise_sq[j] = rss / (M - ranks[j]) * ranks[j] / M if M > ranks[j] else math.inf
         gap = float(max(np.max(np.abs(Y_new - Y)), np.max(np.abs(Z_new - Z))))
         Y, Z = Y_new, Z_new
         if gap < tol:
@@ -339,13 +352,13 @@ def test_per_step_slices_are_contiguous(poly_basis):
         assert bundle.levels[:, j, :].flags.c_contiguous
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
     xi = sq.TerminalData(lambda b: np.atleast_2d(b)[:, 0], "bt1")
-    for sol in (sq.solve_bounded(g, xi, grid, bundle, poly_basis),
-                sq.picard_solve(g, xi, grid, bundle, poly_basis)):
+    for name, sol in (("implicit", sq.solve_bounded(g, xi, grid, bundle, poly_basis)),
+                      ("picard", sq.picard_solve(g, xi, grid, bundle, poly_basis))):
         assert sol.Y.shape == (300, 7) and sol.Z.shape == (300, 6, 2)
         for j in range(grid.steps + 1):
-            assert sol.Y[:, j].flags.c_contiguous, (sol.method, j)
+            assert sol.Y[:, j].flags.c_contiguous, (name, j)
         for j in range(grid.steps):
-            assert sol.Z[:, j, :].flags.c_contiguous, (sol.method, j)
+            assert sol.Z[:, j, :].flags.c_contiguous, (name, j)
 
 
 def test_non_finite_terminal_rejected(grid24, bundle24, poly_basis):
@@ -360,6 +373,18 @@ def test_ladder_constant_when_truncation_inactive(grid24, bundle24, poly_basis):
     lad = sq.solve_ladder(g, xi, grid24, bundle24, poly_basis, levels=[1, 2, 4])
     assert lad.violations == 0
     assert all(gap == 0.0 for gap in lad.diagonal_gaps)
+
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_one_path_ladder_counts_no_comparisons(grid24, example1, basis_fixture, request):
+    # one path: every regression interpolates it, so the allowance is inf and
+    # no order is evidenced, though the clamped terminal values are ordered
+    bundle = sq.sample_paths(grid24, 1, 1, 7)
+    lad = sq.solve_ladder(example1, sq.make_terminal("clamp-bt", bound=3.0), grid24, bundle,
+                          request.getfixturevalue(basis_fixture), levels=[1, 2, 4])
+    assert np.all(np.isinf(lad.final.fit_noise[:-1])) and lad.final.fit_noise[-1] == 0.0
+    assert (lad.violations, lad.comparisons) == (0, 0)
+    assert math.isnan(lad.violation_fraction)
 
 
 def test_ladder_zero_driver_clamped_gaussian_oracle(bins_basis):
@@ -415,7 +440,7 @@ def _reference_ladder(g, xi, grid, bundle, basis, levels, order_tol=1e-10):
 
     def count(low, high):
         nonlocal violations, comparisons
-        allowance = 3.0 * (low.noise_scale() + high.noise_scale())[None, :]
+        allowance = 3.0 * (low.fit_noise + high.fit_noise)[None, :]
         tol = allowance + order_tol * (1.0 + np.abs(high.Y))
         violations += int(np.sum(low.Y > high.Y + tol))
         comparisons += low.Y.size
@@ -445,7 +470,7 @@ def test_streamed_ladder_matches_cached_reference(example, basis):
     final, violations, comparisons, gaps = _reference_ladder(g, xi, grid, bundle, basis, levels)
     assert (lad.violations, lad.comparisons, lad.diagonal_gaps) == (violations, comparisons, gaps)
     assert np.array_equal(lad.final.Y, final.Y) and np.array_equal(lad.final.Z, final.Z)
-    assert np.array_equal(lad.final.noise_scale(), final.noise_scale())
+    assert np.array_equal(lad.final.fit_noise, final.fit_noise)
     assert lad.levels == tuple(levels)
     if basis.kind == "polynomial":
         assert lad.violations > 0           # the comparison counts real violations
