@@ -78,6 +78,19 @@ class BoundCheckResult:
     def satisfied(self) -> bool:
         return self.verdict == "satisfied"
 
+    @property
+    def undecided(self) -> int:
+        """How many checked nodes settle nothing on their own: on the
+        comparison, those with a non-finite allowance eps; on a bound, those
+        whose margin is neither below -3 se (violated) nor at least 0 with se
+        within half of it (satisfied), the rule `_classify` applies at the
+        tightest node."""
+        if self.bound_id == "comparison":
+            return int(np.count_nonzero(~np.isfinite(self.log_rhs)))
+        m, se = self.margin_min, self.se
+        decided = (m < -3.0 * se) | ((m >= 0.0) & (se <= 0.5 * np.abs(m)))
+        return int(np.count_nonzero(~decided))
+
     def columns(self) -> dict:
         """CSV columns, one row per checked time, headed by what each value is."""
         names = (("gap_max", "eps", "violation_fraction") if self.bound_id == "comparison"

@@ -324,6 +324,20 @@ def _condition_block(r) -> str:
     return "\n".join(lines)
 
 
+def _bound_line(r) -> str:
+    """The one-line verdict of a bound check, as `run` reports and `verify-bounds` prints it.
+
+    An ``indeterminate`` check states how many of its nodes were undecided
+    in place of a margin: the minimum over nodes would come from the nodes
+    that were never in doubt, such as the comparison's horizon node.
+    """
+    if r.verdict == "indeterminate":
+        return (f"bound {r.bound_id}: indeterminate "
+                f"({r.undecided} of {len(r.times)} nodes undecided)")
+    return (f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(r.margin_min))!r}, "
+            f"violation fraction {r.violation_fraction!r})")
+
+
 def _write_report(path: Path, report: ReportDocument) -> None:
     cfg = report.config
     lines = ["experiment report", "=" * 17, ""]
@@ -341,9 +355,7 @@ def _write_report(path: Path, report: ReportDocument) -> None:
         lines.append(_condition_block(r))
         lines.append("")
     for r in report.bound_results:
-        lines.append(f"bound {r.bound_id}: {r.verdict} "
-                     f"(min margin {float(np.min(r.margin_min))!r}, "
-                     f"violation fraction {r.violation_fraction!r})")
+        lines.append(_bound_line(r))
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append("")
@@ -441,7 +453,7 @@ def _cmd_verify_bounds(args) -> int:
     for r in report.bound_results:
         if args.out:
             _write_csv(Path(args.out), r.columns())
-        print(f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(r.margin_min))!r})")
+        print(_bound_line(r))
     for note in report.notes:
         print(note)
     return 1 if report.any_violation else 0

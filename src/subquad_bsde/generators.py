@@ -206,8 +206,10 @@ def _split_driver(br: TimeFn, y_part: Callable, z_part: Callable) -> Callable:
     the z-part on the values passed in (once per bin when z is per bin) and
     then gathered; per call it evaluates beta(t) y_part on the values passed
     in and gathers after that product, so a bin solve evaluates y_part once
-    per bin.  ``fn`` is that form frozen and called at once, so the formula
-    exists only here.
+    per bin.  The value is built in that product's (gathered) buffer:
+    |B_t| is added to it, then the z-part, which is (|B_t| + y-part) + z-part
+    as written out.  ``fn`` is that form frozen and called at once, so the
+    formula exists only here.
     """
 
     def freeze(t, b, z, idx=None):
@@ -216,8 +218,12 @@ def _split_driver(br: TimeFn, y_part: Callable, z_part: Callable) -> Callable:
             z_term = np.take(z_term, idx, axis=-1)
 
         def at(y):
-            y_term = beta_t * y_part(y)
-            return b_abs + (y_term if idx is None else np.take(y_term, idx, axis=-1)) + z_term
+            value = beta_t * y_part(y)
+            if idx is not None:
+                value = np.take(value, idx, axis=-1)
+            value += b_abs
+            value += z_term
+            return value
 
         return at
 

@@ -176,13 +176,18 @@ class _Projector:
         """The fitted values: the conditional-expectation proxy."""
         return self.expand(self.coords(values))
 
-    def noise_sq(self, resid: np.ndarray) -> float:
+    def noise_sq(self, resid: np.ndarray):
         """Squared standard error of the fit, from its residual on the M paths:
         the residual variance on M - rank degrees of freedom times rank / M,
         rank the dimension of the fitted span; inf when M <= rank, where the
-        fit can interpolate its samples."""
-        M = len(resid)
-        return float(np.var(resid)) * self.rank / (M - self.rank) if M > self.rank else np.inf
+        fit can interpolate its samples.  ``resid`` is one residual (M,), or a
+        block (R, M) of them reduced row by row in one call, each row's value
+        equal bit for bit to the call on that row alone; the result is a
+        float, or (R,)."""
+        M = resid.shape[-1]
+        if M <= self.rank:
+            return np.inf if resid.ndim == 1 else np.full(resid.shape[:-1], np.inf)
+        return np.var(resid, axis=-1) * self.rank / (M - self.rank)
 
     def rows(self, count: int) -> "_Rows":
         """This projector applied to ``count`` stacked rows: see `_Rows`."""
@@ -256,16 +261,17 @@ class _PartitionProjector(_Projector):
 
     def _means(self, index: np.ndarray, values: np.ndarray, parts: int) -> np.ndarray:
         # bin means, (parts, size[, c]); ``index`` numbers the bins of ``parts``
-        # partitions stacked one after the other
-        if values.ndim == 1:
-            sums = np.bincount(index, weights=values, minlength=parts * self.size)
-            return sums.reshape(parts, self.size) / self._denom
-        # one bincount over (bin, column) pairs, summed in row order as per column
-        c = values.shape[1]
+        # partitions stacked one after the other.  One scatter-add into zeros
+        # over (bin, column) pairs sums each bin in path order, per column.  It sums
+        # non-finite values without a warning: the callers check the means.
+        cols = values.shape[1:]
+        c = cols[0] if cols else 1
         pairs = index if c == 1 else (index[:, None] * c + np.arange(c)).ravel()
-        sums = np.bincount(pairs, weights=np.ascontiguousarray(values).ravel(),
-                           minlength=parts * self.size * c)
-        return sums.reshape(parts, self.size, c) / self._denom[:, None]
+        sums = np.zeros(parts * self.size * c)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.add.at(sums, pairs, np.ascontiguousarray(values).ravel())
+        return sums.reshape((parts, self.size) + cols) / (self._denom[:, None] if cols
+                                                          else self._denom)
 
     def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         return np.take(coords, self.idx, axis=0, out=out)
@@ -283,8 +289,9 @@ class _PartitionProjector(_Projector):
 
 
 class _PartitionRows(_Rows):
-    """Partition rows: bin k of row r is stacked bin r K + k, so one bincount
-    regresses every row, summing each bin in path order as the row's own call does."""
+    """Partition rows: bin k of row r is stacked bin r K + k, so one scatter-add
+    (`_PartitionProjector._means`) regresses every row, summing each bin in
+    path order as the row's own call does."""
 
     def __init__(self, proj: _PartitionProjector, count: int):
         super().__init__(proj)

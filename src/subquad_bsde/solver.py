@@ -58,11 +58,12 @@ class SolutionField:
         """Per-node summary columns for the CSV report."""
         zn = _norm(self.Z)
         zn = np.concatenate([zn, zn[:, -1:]], axis=1)   # carry last step to the horizon row
+        q05, q95 = np.quantile(self.Y, [0.05, 0.95], axis=0)
         return {
             "time": self.grid.nodes.copy(),
             "y_mean": self.Y.mean(axis=0),
-            "y_q05": np.quantile(self.Y, 0.05, axis=0),
-            "y_q95": np.quantile(self.Y, 0.95, axis=0),
+            "y_q05": q05,
+            "y_q95": q95,
             "z_norm_mean": zn.mean(axis=0),
         }
 
@@ -90,7 +91,7 @@ def _fit_noise(step_noise_sq: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(gval: np.ndarray, step: int, rungs, live=None) -> None:
-    # one check per sweep; on failure, name the first rung (of the ``live`` ones) at fault
+    # per-path values of all rungs; on failure, name the first rung (of the ``live`` ones) at fault
     bad = ~np.isfinite(gval).all(axis=1)
     if live is not None:
         bad &= live
@@ -120,7 +121,11 @@ def _bin_update(g_at, rows, m: np.ndarray, dt: float, step: int,
     |r| < ``_FP_TOL`` stay frozen, so every bin takes exactly the steps it
     takes when its rung is solved alone.
     A residual that does not decrease means dt * dg/dy >= 1: the step is
-    ill-posed.  Returns the per-path values and the driver evaluated there.
+    ill-posed.  Every sweep works on whole (R K) arrays and keeps the settled
+    bins by the ``done`` mask.  Finiteness is checked on the bin means, which
+    a non-finite driver value always makes non-finite; only then are the
+    per-path values searched for the rung at fault (`_check_finite`).
+    Returns the per-path values and the driver evaluated there.
     """
     R, K = m.shape
     m = m.ravel()
@@ -131,33 +136,37 @@ def _bin_update(g_at, rows, m: np.ndarray, dt: float, step: int,
     c_prev = r_prev = None
     for _ in range(_FP_MAX_ITER):
         gval = g_at(c.reshape(R, K))
-        _check_finite(gval, step, rungs)
-        r = m + dt * rows.coords(gval).ravel() - c
+        g_mean = rows.coords(gval).ravel()
+        if not np.isfinite(g_mean).all():
+            _check_finite(gval, step, rungs)
+        r = m + dt * g_mean - c
         done |= np.abs(r) < _FP_TOL
         if done.all():
             return rows.expand(c.reshape(R, K)), gval
         gval = None                     # not held through the next driver call
         lo = np.where(r > 0.0, np.maximum(lo, c), lo)
         hi = np.where(r < 0.0, np.minimum(hi, c), hi)
-        a = np.flatnonzero(~done)
         if c_prev is None:
-            nxt = c[a] + r[a]
+            nxt = c + r
         else:
-            dc, dr = c[a] - c_prev[a], r[a] - r_prev[a]
+            dc, dr = c - c_prev, r - r_prev
             moved = dc != 0.0
-            rising = moved & (dc * dr >= 0.0)
+            rising = moved & (dc * dr >= 0.0) & ~done
             if rising.any():
-                raise _diverged(step, rungs, r, a[rising], K)
+                raise _diverged(step, rungs, r, np.flatnonzero(rising), K)
             # an unmoved bin keeps c, which sits on its bracket, so it bisects
-            nxt = c[a] - r[a] * dc / np.where(moved, dr, 1.0)
-            inside = (lo[a] < nxt) & (nxt < hi[a])
+            nxt = c - r * dc / np.where(moved & ~done, dr, 1.0)
+            inside = (lo < nxt) & (nxt < hi)
             # a bracket stays one-sided only while r keeps its sign; there the
-            # fixed-point step c + r moves towards the root
-            two_sided = np.isfinite(lo[a]) & np.isfinite(hi[a])
-            fallback = np.where(two_sided, 0.5 * (lo[a] + hi[a]), c[a] + r[a])
+            # fixed-point step c + r moves towards the root.  The midpoint is
+            # formed on two-sided brackets only: a settled bin's may be (-inf, inf)
+            two_sided = np.isfinite(lo) & np.isfinite(hi)
+            fallback = c + r
+            np.add(lo, hi, out=fallback, where=two_sided)
+            np.multiply(fallback, 0.5, out=fallback, where=two_sided)
             nxt = np.where(inside, nxt, fallback)
-        c_prev, r_prev = c.copy(), r
-        c[a] = nxt
+        c_prev, r_prev = c, r
+        c = np.where(done, c, nxt)
     raise _diverged(step, rungs, r, np.flatnonzero(~done), K)
 
 
@@ -214,8 +223,8 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
 
     Yields ``(j, y, z, noise)`` for j = N, ..., 0: the values (R, M) at node
     j, the fit noise (R,) there (per step, `noise_sq` of each rung's value
-    residual), and Z (M, d) of rung ``keep`` on step j (None at j = N or
-    without ``keep``).
+    residual, all rungs in one call), and Z (M, d) of rung ``keep`` on step
+    j (None at j = N or without ``keep``).
     """
     levels, projs = bundle.levels, bundle.projectors(basis)
     R = len(y_end)
@@ -244,7 +253,7 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
             z = None if keep is None else z[keep]
         resid = y_next + dt * gval - y      # spread the value fit had to average out
         gval = None
-        noise_sq = noise_sq + np.array([proj.noise_sq(row) for row in resid])
+        noise_sq = noise_sq + proj.noise_sq(resid)
         y_next, resid = y, None
         yield j, y, z, np.sqrt(noise_sq)
 
@@ -444,10 +453,11 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     first_noise = np.empty(N + 1)
 
     def count(low, high):
-        # expects high Y >= low Y up to the statistical allowance, at one node
+        # expects high Y >= low Y up to the statistical allowance, at one node:
+        # rung pairs stacked on the leading axis, Y (P, M) and noise (P,)
         nonlocal violations, comparisons
         (low_y, low_noise), (high_y, high_noise) = low, high
-        tol = 3.0 * (low_noise + high_noise) + _ORDER_TOL * (1.0 + np.abs(high_y))
+        tol = 3.0 * (low_noise + high_noise)[:, None] + _ORDER_TOL * (1.0 + np.abs(high_y))
         violations += int(np.count_nonzero(low_y > high_y + tol))
         comparisons += low_y.size
 
@@ -468,14 +478,15 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         for j, y, z, noise in steps:
             if keys is row:
                 first_y[:, j], first_noise[j] = y[0], noise[0]
-            chain = [] if keys is row else [(first_y[:, j], first_noise[j])]
-            chain += [(y[r], noise[r]) for r in range(len(rungs))]
-            for k in range(1, len(chain)):
-                if compare is not None:
-                    compare(chain[k - 1], chain[k])
-                if on_diagonal:
-                    # field distance per node (mean over paths); sup over nodes below
-                    node_gaps[k - 1, j] = np.mean(np.abs(chain[k][0] - chain[k - 1][0]))
+            else:       # the walk's chain starts at the shared first rung
+                y = np.concatenate([first_y[None, :, j], y])
+                noise = np.concatenate([first_noise[j:j + 1], noise])
+            # every rung pair of the chain at once: each rung against the one before it
+            if compare is not None:
+                compare((y[:-1], noise[:-1]), (y[1:], noise[1:]))
+            if on_diagonal:
+                # field distance per node (mean over paths); sup over nodes below
+                node_gaps[:, j] = np.mean(np.abs(y[1:] - y[:-1]), axis=1)
             if last:
                 Y[:, j], fit_noise[j] = y[-1], noise[-1]
                 if z is not None:

@@ -642,3 +642,15 @@ def test_one_path_comparison_run_is_indeterminate(tmp_path, capsys):
                         f"out = {tmp_path / 'out'}\n")
     assert main(["run", "--config", str(cfg_file)]) == 1
     assert "bound comparison: indeterminate" in capsys.readouterr().out
+
+
+def test_one_path_run_reports_undecided_nodes_not_a_margin(tmp_path, capsys):
+    # only the horizon node of the comparison has a finite allowance; the
+    # report line counts the undecided nodes and quotes no margin from it
+    cfg_file = tmp_path / "one.ini"
+    cfg_file.write_text("[experiment]\nsteps = 4\npaths = 1\nchecks = pointwise, comparison\n"
+                        f"out = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("bound ")]
+    assert lines == ["bound pointwise-two-sided: indeterminate (4 of 4 nodes undecided)",
+                     "bound comparison: indeterminate (4 of 5 nodes undecided)"]

@@ -344,6 +344,19 @@ def test_partition_coords_and_fit_are_the_bin_means(count):
         means, fitted = _bin_means_reference(proj.idx, BINS12.size, values)
         assert np.array_equal(proj.coords(values), means)
         assert np.array_equal(proj.fit(values), fitted)
+    # stacked rows, one scatter for all of them: each row is its own bin means,
+    # also where bins are empty, and on the (M, c) column path with c = 1 and c = 3
+    narrow = BINS12.projector(0.2 * rng.standard_normal((count, 1)))
+    assert np.any(np.bincount(narrow.idx, minlength=BINS12.size) == 0)
+    stack = rng.standard_normal((4, count, 3))
+    for p in (proj, narrow):
+        rows = p.rows(len(stack))
+        for values in (stack[..., 0], stack[..., :1], stack):
+            coords = rows.coords(values)
+            assert coords.shape == (len(stack), BINS12.size) + values.shape[2:]
+            for r in range(len(stack)):
+                assert np.array_equal(coords[r], _bin_means_reference(p.idx, BINS12.size,
+                                                                      values[r])[0]), r
 
 
 @pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
@@ -403,6 +416,21 @@ def test_noise_sq_is_the_residual_variance_on_the_rank_of_the_fitted_span(basis,
     resid = 2.0 + rng.standard_normal(60)     # off centre: the estimator centres
     rss = np.sum((resid - resid.mean()) ** 2)
     assert proj.noise_sq(resid) == pytest.approx(rss / (60 - rank) * rank / 60, rel=1e-14)
+
+
+@pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
+def test_noise_sq_of_a_block_is_each_rows_own_bit_for_bit(basis):
+    # one reduction over (R, M) rows, as the stacked rungs use it; at M <= rank
+    # (five distinct points for the quartic, three paths in three bins) all inf
+    rng = np.random.default_rng(26)
+    for state in (rng.standard_normal((60, 1)), rng.standard_normal((50_000, 1)),
+                  np.array([[0.1], [0.7], [-1.2], [2.0], [0.4]])[:5 if basis is POLY4 else 3]):
+        proj = basis.projector(state)
+        block = 2.0 + rng.standard_normal((3, len(state)))
+        got = proj.noise_sq(block)
+        assert got.shape == (3,)
+        assert np.array_equal(got, [proj.noise_sq(row) for row in block])
+        assert np.all(np.isinf(got)) == (len(state) <= proj.rank)
 
 
 def test_noise_sq_is_inf_on_no_more_paths_than_the_rank():

@@ -150,6 +150,23 @@ def test_non_finite_driver_names_step(grid24, bundle24, basis_fixture, request):
                          grid24, bundle24, request.getfixturevalue(basis_fixture))
 
 
+def test_opposite_infinities_in_one_bin_name_the_step(grid24, bundle24, bins_basis):
+    # an untruncated driver with +inf and -inf on two paths of one bin at the
+    # node 11/24: their bin mean is NaN, and the per-path search names the step
+    proj = bundle24.projectors(bins_basis)[11]
+    first, second = np.flatnonzero(proj.idx == proj.idx[0])[:2]
+
+    def fn(t, b, y, z):
+        out = np.zeros(np.shape(y))
+        if t == grid24.nodes[11]:
+            out[first], out[second] = np.inf, -np.inf
+        return out
+
+    g = dataclasses.replace(sq.make_generator("zero", 1.5), fn=fn)
+    with pytest.raises(PreconditionViolationError, match=r"non-finite values at step 11$"):
+        sq.solve_bounded(g, sq.make_terminal("constant", value=1.0), grid24, bundle24, bins_basis)
+
+
 def test_bin_step_matches_brentq_reference(example1):
     # example 1 at the rung (1, 16) on a bundle where a damped path-level
     # fixed point cycles near the cube-root kink at 0-; the per-bin roots
