@@ -101,11 +101,18 @@ class BoundCheckResult:
 
 
 def _classify(margins: np.ndarray, ses: np.ndarray) -> str:
-    worst = float(np.min(margins))
-    se_at = float(ses[int(np.argmin(margins))])
+    """Verdict at the tightest margin: ``violated`` below -3 se, ``satisfied``
+    at least 0 with se within half of it, else ``indeterminate``.  A NaN
+    margin (say inf - inf) decides nothing: the tightest is taken over the
+    other nodes, and the check cannot read ``satisfied``."""
+    undefined = np.isnan(margins)
+    if undefined.all():
+        return "indeterminate"
+    k = int(np.nanargmin(margins))
+    worst, se_at = float(margins[k]), float(ses[k])
     if worst < -3.0 * se_at:
         return "violated"
-    if worst < 0.0 or se_at > 0.5 * abs(worst):
+    if worst < 0.0 or not se_at <= 0.5 * abs(worst) or undefined.any():
         return "indeterminate"
     return "satisfied"
 

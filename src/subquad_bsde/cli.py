@@ -329,12 +329,16 @@ def _bound_line(r) -> str:
 
     An ``indeterminate`` check states how many of its nodes were undecided
     in place of a margin: the minimum over nodes would come from the nodes
-    that were never in doubt, such as the comparison's horizon node.
+    that were never in doubt, such as the comparison's horizon node.  A
+    decided comparison quotes the minimum over nodes 0..N-1 for the same
+    reason: at node N its allowance holds no fit noise and the terminal order
+    was validated before the check.
     """
     if r.verdict == "indeterminate":
         return (f"bound {r.bound_id}: indeterminate "
                 f"({r.undecided} of {len(r.times)} nodes undecided)")
-    return (f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(r.margin_min))!r}, "
+    margins = r.margin_min[:-1] if r.bound_id == "comparison" else r.margin_min
+    return (f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(margins))!r}, "
             f"violation fraction {r.violation_fraction!r})")
 
 

@@ -303,6 +303,14 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     projection and the two expansions touch every path.  One (Y, Z) field is
     updated in place: step j reads the previous iterate at node j and the new
     one at node j + 1.
+
+    Only the last sweep's gap and fit noise are read, so a sweep stops
+    measuring (residual, noise, step gap) once a step has moved by
+    ``_PICARD_TOL`` or more: it cannot be the last.  Its remaining steps only
+    evaluate the driver, take its coordinates and expand the new iterate
+    straight into node j.  A NaN gap keeps the sweep measuring, and the sweep
+    at ``_PICARD_MAX_ITER`` measures every step, so the error's gap is the
+    whole sweep's.
     """
     _check_inputs(grid, bundle)
     levels = bundle.levels
@@ -335,18 +343,26 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     gap = math.inf
     step_gap = np.empty(N)
     step_noise_sq = np.zeros(N)
-    for _ in range(_PICARD_MAX_ITER):
+    for sweep in range(_PICARD_MAX_ITER):
         a = np.ones(1)
+        measure = True
         for j in reversed(range(N)):
             dt = float(dts[j])
             proj = projs[j]
             frozen = g(float(nodes[j]), levels[:, j, :], Y[:, j], Z[:, j, :])
-            proj.expand((G[j] @ a).T, out=z)
+            z_coords = (G[j] @ a).T
             f_coords = proj.coords(frozen)
             # a non-finite driver value makes its coordinates non-finite
             if not np.all(np.isfinite(f_coords)):
                 raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
             a = C[j] @ a + dt * f_coords
+            if not measure:
+                # the driver value (maybe a view of node j) is in f_coords:
+                # node j takes the new iterate directly
+                proj.expand(z_coords, out=Z[:, j, :])
+                proj.expand(a, out=Y[:, j])
+                continue
+            proj.expand(z_coords, out=z)
             proj.expand(a, out=y)
             # the driver may return a view of node j: use it before node j is
             # written; the residual target - Y_j, in place
@@ -362,6 +378,10 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
                 step_gap[j] = np.maximum(step_gap[j], np.max(diff))
             Y[:, j] = y
             Z[:, j, :] = z
+            # a step that moved by the tolerance rules this sweep out as the
+            # last (a NaN gap does not); the sweep at the limit measures all
+            measure = not step_gap[j] >= _PICARD_TOL or sweep == _PICARD_MAX_ITER - 1
+        # a sweep that stopped measuring holds a step gap >= _PICARD_TOL
         gap = float(np.max(step_gap))
         if gap < _PICARD_TOL:
             return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,

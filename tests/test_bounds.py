@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import subquad_bsde as sq
-from subquad_bsde.bounds import (fhat_process, log_mean_exp, verify_comparison,
+from subquad_bsde.bounds import (_classify, fhat_process, log_mean_exp, verify_comparison,
                                  verify_fhat_moment, verify_pointwise_bound, verify_sup_bound)
 from subquad_bsde.errors import PreconditionViolationError
 from subquad_bsde.generators import TruncationIndex, truncate_generator, truncate_terminal
@@ -283,6 +283,17 @@ def test_pointwise_rejects_unknown_variant(zero_solution, zero_constants):
                                np.zeros(zero_solution.bundle.count),
                                lambda t, b: np.zeros(np.atleast_2d(b).shape[0]),
                                "sideways")
+
+
+@pytest.mark.parametrize("margins, ses", [([np.nan, 5.0], [1.0, 0.1]), ([np.nan], [np.inf])])
+def test_a_nan_margin_is_never_satisfied(margins, ses):
+    # every comparison with NaN is false: the margin must not pass for >= 0
+    assert _classify(np.array(margins), np.array(ses)) == "indeterminate"
+
+
+def test_a_nan_margin_keeps_a_violated_node_violated():
+    assert _classify(np.array([np.nan, -5.0, 2.0]), np.array([1.0, 0.1, 0.1])) == "violated"
+    assert _classify(np.array([-5.0, np.nan]), np.array([0.1, 1.0])) == "violated"
 
 
 def test_moment_estimate_validation():

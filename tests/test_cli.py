@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -654,3 +655,22 @@ def test_one_path_run_reports_undecided_nodes_not_a_margin(tmp_path, capsys):
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("bound ")]
     assert lines == ["bound pointwise-two-sided: indeterminate (4 of 4 nodes undecided)",
                      "bound comparison: indeterminate (4 of 5 nodes undecided)"]
+
+
+def test_decided_comparison_quotes_its_tightest_node_before_the_horizon(tmp_path, capsys):
+    # at node N the allowance holds no fit noise and xi <= xi' is validated
+    # before the check: its margin eps_N - gap_N must not set the quoted minimum
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg_file = tmp_path / "readme.ini"
+    cfg_file.write_text(block.replace("out = out", f"out = {tmp_path / 'out'}"))
+    assert main(["run", "--config", str(cfg_file), "--paths", "2000"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("bound comparison: ")]
+    with open(tmp_path / "out" / "bound_comparison.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    margins = [float(r["eps"]) - float(r["gap_max"]) for r in rows]
+    assert {r["verdict"] for r in rows} == {"satisfied"}
+    assert margins[-1] < min(margins[:-1])          # the horizon is the smallest here
+    assert lines == [f"bound comparison: satisfied (min margin {min(margins[:-1])!r}, "
+                     f"violation fraction 0.0)"]

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 import subquad_bsde as sq
-from subquad_bsde import solver
+from subquad_bsde import paths, solver
 from subquad_bsde.errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
 from subquad_bsde.generators import (TruncationIndex, truncate_generator, truncate_terminal,
                                      truncated_at)
@@ -358,6 +358,134 @@ def test_picard_driver_returning_a_view_of_its_inputs(grid24, poly_basis):
     ref = sq.picard_solve(linear, sq.make_terminal("bt"), grid24, bundle, poly_basis)
     sol = sq.picard_solve(g, sq.make_terminal("bt"), grid24, bundle, poly_basis)
     assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.fit_noise, ref.fit_noise)
+
+
+def _picard_measuring_every_step(g, xi, grid, bundle, basis, max_iter, tol):
+    """Reference: `picard_solve`'s loop measuring every step of every sweep,
+    in the same operations and order.  Returns (Y, Z, fit_noise, gaps), with
+    one gap per sweep run and fit_noise None without convergence."""
+    levels = bundle.levels
+    M, N, d = bundle.count, grid.steps, bundle.dims
+    projs = bundle.projectors(basis)
+    Y = paths.step_major_empty((M, N + 1))
+    Z = paths.step_major_empty((M, N, d))
+    Y[:, N] = solver._terminal_values(xi, bundle)
+    C, G = [None] * N, [None] * N
+    nxt, a = Y[:, N, None], np.ones(1)
+    for j in reversed(range(N)):
+        proj, dt = projs[j], float(grid.dt[j])
+        db = levels[:, j + 1, :] - levels[:, j, :]
+        C[j] = proj.cross([nxt])[0]
+        G[j] = np.empty((d,) + C[j].shape)
+        for k in range(d):
+            D, E = proj.cross([nxt, proj], db[:, k])
+            G[j][k] = (D - E @ C[j]) / dt
+        proj.expand((G[j] @ a).T, out=Z[:, j, :])
+        a = C[j] @ a
+        proj.expand(a, out=Y[:, j])
+        nxt = proj
+    y, z, diff = np.empty(M), np.empty((M, d)), np.empty(M)
+    step_gap, step_noise_sq, gaps = np.empty(N), np.zeros(N), []
+    for _ in range(max_iter):
+        a = np.ones(1)
+        for j in reversed(range(N)):
+            dt, proj = float(grid.dt[j]), projs[j]
+            frozen = g(float(grid.nodes[j]), levels[:, j, :], Y[:, j], Z[:, j, :])
+            proj.expand((G[j] @ a).T, out=z)
+            a = C[j] @ a + dt * proj.coords(frozen)
+            proj.expand(a, out=y)
+            np.multiply(frozen, dt, out=diff)
+            diff += Y[:, j + 1]
+            diff -= y
+            step_noise_sq[j] = proj.noise_sq(diff)
+            np.abs(np.subtract(y, Y[:, j], out=diff), out=diff)
+            step_gap[j] = np.max(diff)
+            for k in range(d):
+                np.abs(np.subtract(z[:, k], Z[:, j, k], out=diff), out=diff)
+                step_gap[j] = np.maximum(step_gap[j], np.max(diff))
+            Y[:, j] = y
+            Z[:, j, :] = z
+        gaps.append(float(np.max(step_gap)))
+        if gaps[-1] < tol:
+            return Y, Z, solver._fit_noise(step_noise_sq), gaps
+    return Y, Z, None, gaps
+
+
+def _mixed_terminal(b):
+    b = np.atleast_2d(b)
+    return np.clip(b[:, 0] + 0.5 * b[:, -1], -3.0, 3.0)
+
+
+_LINEAR = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
+# (driver, dims, basis): drivers handing back node j's own Y or Z column
+_PICARD_CASES = {
+    "poly-d1": (_LINEAR, 1, sq.RegressionBasis("polynomial", 3)),
+    "poly-d2": (_LINEAR, 2, sq.RegressionBasis("polynomial", 3)),
+    "bins-d1": (_LINEAR, 1, sq.RegressionBasis("piecewise-constant-bins", 20, lo=-4.5, hi=4.5)),
+    "y-view-d1": (dataclasses.replace(_LINEAR, fn=lambda t, b, y, z: y), 1,
+                  sq.RegressionBasis("polynomial", 3)),
+    "z-view-d2": (dataclasses.replace(_LINEAR, fn=lambda t, b, y, z: z[:, 1]), 2,
+                  sq.RegressionBasis("polynomial", 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PICARD_CASES))
+def test_picard_matches_the_loop_measuring_every_step_bit_for_bit(grid24, case):
+    g, dims, basis = _PICARD_CASES[case]
+    bundle = sq.sample_paths(grid24, dims, 2000, 37)
+    xi = sq.TerminalData(_mixed_terminal, "mix")
+    Y, Z, fit_noise, gaps = _picard_measuring_every_step(
+        g, xi, grid24, bundle, basis, solver._PICARD_MAX_ITER, solver._PICARD_TOL)
+    assert fit_noise is not None and len(gaps) > 2
+    sol = sq.picard_solve(g, xi, grid24, bundle, basis)
+    assert np.array_equal(sol.Y, Y)
+    assert np.array_equal(sol.Z, Z)
+    assert np.array_equal(sol.fit_noise, fit_noise)
+
+
+def test_picard_iteration_limit_reports_the_whole_last_sweeps_gap(grid24, poly_basis,
+                                                                  monkeypatch):
+    bundle = sq.sample_paths(grid24, 1, 2000, 37)
+    xi = sq.TerminalData(_mixed_terminal, "mix")
+    _, _, fit_noise, gaps = _picard_measuring_every_step(
+        _LINEAR, xi, grid24, bundle, poly_basis, 3, solver._PICARD_TOL)
+    assert fit_noise is None and len(gaps) == 3
+    monkeypatch.setattr(solver, "_PICARD_MAX_ITER", 3)
+    with pytest.raises(IterationLimitError) as err:
+        sq.picard_solve(_LINEAR, xi, grid24, bundle, poly_basis)
+    assert err.value.gap == gaps[2]
+
+
+def test_picard_measures_every_step_of_its_last_sweep_only(grid24, poly_basis, monkeypatch):
+    bundle = sq.sample_paths(grid24, 1, 2000, 37)
+    N = grid24.steps
+    step_of = {id(p): j for j, p in enumerate(bundle.projectors(poly_basis))}
+    measured, calls = [], [0]
+    noise_sq = paths._Projector.noise_sq
+
+    def counted_noise_sq(self, resid):
+        measured.append(step_of[id(self)])
+        return noise_sq(self, resid)
+
+    def counted_driver(t, b, y, z):
+        calls[0] += 1
+        return _LINEAR.fn(t, b, y, z)
+
+    monkeypatch.setattr(paths._Projector, "noise_sq", counted_noise_sq)
+    g = dataclasses.replace(_LINEAR, fn=counted_driver)
+    sq.picard_solve(g, sq.TerminalData(_mixed_terminal, "mix"), grid24, bundle, poly_basis)
+    sweeps, rest = divmod(calls[0], N)
+    assert rest == 0 and sweeps > 2
+    # each sweep measures from step N - 1 down: a new sweep starts where j stops falling
+    runs = [[measured[0]]]
+    for prev, j in zip(measured, measured[1:]):
+        if j < prev:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    assert len(runs) == sweeps and all(r[0] == N - 1 for r in runs)
+    assert runs[-1] == list(reversed(range(N)))
+    assert len(measured) < sweeps * N
 
 
 def test_per_step_slices_are_contiguous(poly_basis):
