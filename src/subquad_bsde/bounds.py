@@ -292,7 +292,7 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
 
     half_idx = int(np.argmin(np.abs(grid.nodes - 0.5 * grid.horizon)))
     times, lhs_t, rhs_t, se_t, mmin = [], [], [], [], []
-    for j in (0, half_idx):
+    for j in dict.fromkeys((0, half_idx)):      # one node on a one-step grid
         t = float(grid.nodes[j])
         sup_y = np.abs(sol.Y[:, j:]).max(axis=1)
         log_a, se_a = log_mean_exp(p * sup_y ** power)
@@ -331,19 +331,33 @@ _COMPARISON_C = 0.5               # discretization allowance c * sqrt(max dt)
 _COMPARISON_MAX_FRACTION = 0.005  # violation fraction a satisfied verdict may carry
 
 
+def _order_allowance(slack, noise_low, noise_high):
+    return slack + 3.0 * (noise_low + noise_high)
+
+
+def order_violations(gap: np.ndarray, noise_low, noise_high, slack) -> int:
+    """How many entries of ``gap`` = low - high, (..., M), break low <= high beyond
+    slack + 3 (noise_low + noise_high); the noises are shaped (..., 1), one per row."""
+    return int(np.count_nonzero(gap > _order_allowance(slack, noise_low, noise_high)))
+
+
+def order_verdict(violations: int, comparisons: int, finite: bool = True) -> str:
+    """``indeterminate`` when the allowance is not finite at some node or nothing was
+    compared, ``satisfied`` when at most 0.5% of the compared pairs violate, else ``violated``."""
+    return ("indeterminate" if not finite or not comparisons else
+            "satisfied" if violations / comparisons <= _COMPARISON_MAX_FRACTION else "violated")
+
+
 def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
                       xi_prime_values: Optional[np.ndarray] = None) -> BoundCheckResult:
     """Check the pathwise order Y <= Y' + eps on every grid node.
 
-    eps = 0.5 sqrt(max dt) + 3 (noise + noise'): a discretization allowance
-    plus three times the solvers' accumulated regression noise
-    (`SolutionField.fit_noise`; a field without it is a ValueError).  The
-    verdict is ``satisfied`` when at most 0.5% of the (path, node) pairs
-    exceed it, and ``indeterminate`` when eps is not finite at some node:
-    there a regression can interpolate its samples, so no gap exceeds its
-    allowance and none is evidence of order.  The caller asserts the
-    hypothesis pattern; when terminal samples are supplied they are validated
-    first and an order violation there raises with witness paths.
+    eps = 0.5 sqrt(max dt) + 3 (noise + noise'): `order_violations` with a
+    discretization slack, on the solvers' accumulated regression noise
+    (`SolutionField.fit_noise`; a field without it is a ValueError), and
+    `order_verdict` over all (path, node) pairs, node N included.  The caller
+    asserts the hypothesis pattern; when terminal samples are supplied they
+    are validated first and an order violation there raises with witnesses.
     """
     if sol.grid is not sol_prime.grid and not np.array_equal(sol.grid.nodes, sol_prime.grid.nodes):
         raise ValueError("solutions must share one grid")
@@ -358,19 +372,16 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
             raise PreconditionViolationError(
                 f"terminal ordering xi <= xi' fails on {bad.size} paths", witnesses)
 
-    eps = (_COMPARISON_C * math.sqrt(float(np.max(sol.grid.dt)))
-           + 3.0 * (sol.fit_noise + sol_prime.fit_noise))
+    slack = _COMPARISON_C * math.sqrt(float(np.max(sol.grid.dt)))
+    eps = _order_allowance(slack, sol.fit_noise, sol_prime.fit_noise)
     M, nodes = sol.Y.shape
     gap_max = np.empty(nodes)
     counts = np.empty(nodes, dtype=np.int64)
     for j in range(nodes):
         gap = sol.Y[:, j] - sol_prime.Y[:, j]          # should be <= eps everywhere
-        counts[j] = np.count_nonzero(gap > eps[j])
+        counts[j] = order_violations(gap, sol.fit_noise[j], sol_prime.fit_noise[j], slack)
         gap_max[j] = gap.max()
-    fraction = float(counts.sum() / (M * nodes))
-    verdict = ("indeterminate" if not np.all(np.isfinite(eps)) else
-               "satisfied" if fraction <= _COMPARISON_MAX_FRACTION else "violated")
-    return BoundCheckResult(bound_id="comparison", times=sol.grid.nodes.copy(),
-                            log_lhs=gap_max, log_rhs=eps,
-                            se=counts / M, margin_min=eps - gap_max,
-                            verdict=verdict, violation_fraction=fraction)
+    return BoundCheckResult(bound_id="comparison", times=sol.grid.nodes.copy(), log_lhs=gap_max,
+                            log_rhs=eps, se=counts / M, margin_min=eps - gap_max,
+                            verdict=order_verdict(counts.sum(), M * nodes, np.isfinite(eps).all()),
+                            violation_fraction=float(counts.sum() / (M * nodes)))

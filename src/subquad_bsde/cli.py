@@ -3,7 +3,7 @@
 Configuration is flat key=value INI text under an [experiment] section; all
 randomness flows from the single seed through named substreams.  Exit codes:
 0 all requested checks satisfied, 1 violations found, 2 configuration error,
-3 internal/solver error.
+3 internal/solver error (the truncation ladder's verdict is only reported).
 """
 
 from __future__ import annotations
@@ -244,6 +244,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
         "comparisons": ladder.comparisons,
         "violation_fraction": ladder.violation_fraction,
         "diagonal_gaps": list(ladder.diagonal_gaps),
+        "verdict": ladder.verdict,
     }
     report.summary = sol.summary()
     _write_csv(outdir / "solution.csv", report.summary)
@@ -410,8 +411,9 @@ def _cmd_solve(args) -> int:
                         meta=json.dumps(vars(cfg) | {"ladder": list(ladder.levels),
                                                      "n_max": n_max, "q_max": q_max}))
     _write_csv(out.with_suffix(".csv"), sol.summary())
-    print(f"ladder violations {ladder.violations}/{ladder.comparisons} "
-          f"({100 * ladder.violation_fraction:.4f}%), gaps {list(ladder.diagonal_gaps)}")
+    share = f" ({100 * ladder.violation_fraction:.4f}%)" if ladder.comparisons else ""
+    print(f"ladder {ladder.verdict}: violations {ladder.violations}/{ladder.comparisons}"
+          f"{share}, gaps {list(ladder.diagonal_gaps)}")
     print(f"solution written to {out} (+ {out.with_suffix('.csv').name})")
     return 0
 

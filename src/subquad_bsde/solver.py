@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import order_verdict, order_violations
 from .errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
 from .generators import (Generator, TerminalData, TruncationIndex, _norm,
                          theta_difference_generator, truncate_terminal, truncated_at)
@@ -429,6 +430,12 @@ class LadderResult:
         # no comparison made is no evidence of order: nan fails every "<=" rule
         return self.violations / self.comparisons if self.comparisons else math.nan
 
+    @property
+    def verdict(self) -> str:
+        """`bounds.order_verdict` on the counts, and ``violated`` when a diagonal gap rises."""
+        steady = all(b <= a for a, b in zip(self.diagonal_gaps, self.diagonal_gaps[1:]))
+        return order_verdict(self.violations, self.comparisons) if steady else "violated"
+
 
 def _doubling_levels(top: int) -> list[int]:
     # the powers of two below top, then top
@@ -443,10 +450,9 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     Order counting: along the first row Y must be nondecreasing in n, along the
     first column nonincreasing in q.  The continuum comparison forces the
     ordering exactly; the regression fields can only be distinguished above
-    their accumulated fit noise, so a comparison counts as violated when the
-    ordering fails by more than 3x the combined per-node noise scale (plus
-    ``_ORDER_TOL`` * (1 + |Y|) for exact ties).  Where that noise is inf, on
-    every rung alike, nothing is ordered: the ladder counts no comparisons.
+    their fit noise: each (path, node) pair counts by `bounds.order_violations`,
+    with ``_ORDER_TOL`` * (1 + |Y|) as its slack for exact ties.  Where that
+    allowance is not finite at some node, nothing is compared (``indeterminate``).
     The diagonal holds the shorter ladder at its top level.
 
     Each walk (the row with the shared first rung, then the rest of the
@@ -468,18 +474,19 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
                 for k in range(max(len(lv_n), len(lv_q)))]
     M, N = bundle.count, grid.steps
     violations = comparisons = 0
+    finite = True
     gaps = []
     first_y = step_major_empty((M, N + 1))
     first_noise = np.empty(N + 1)
 
     def count(low, high):
-        # expects high Y >= low Y up to the statistical allowance, at one node:
-        # rung pairs stacked on the leading axis, Y (P, M) and noise (P,)
-        nonlocal violations, comparisons
+        # high Y >= low Y at one node: rung pairs stacked, Y (P, M) and noise (P,)
+        nonlocal violations, comparisons, finite
         (low_y, low_noise), (high_y, high_noise) = low, high
-        tol = 3.0 * (low_noise + high_noise)[:, None] + _ORDER_TOL * (1.0 + np.abs(high_y))
-        violations += int(np.count_nonzero(low_y > high_y + tol))
+        violations += order_violations(low_y - high_y, low_noise[:, None], high_noise[:, None],
+                                       _ORDER_TOL * (1.0 + np.abs(high_y)))
         comparisons += low_y.size
+        finite = finite and bool(np.isfinite(low_noise + high_noise).all())
 
     def walk(keys, compare, last):
         # solve the walk's rungs in one pass; each is compared with the rung before it
@@ -522,7 +529,7 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     walks = [(keys, compare) for keys, compare in walks if keys is row or len(keys) > 1]
     for i, (keys, compare) in enumerate(walks):
         final = walk(keys, compare, i == len(walks) - 1)
-    if not np.isfinite(first_noise[0]):     # the noise accumulates from the horizon to node 0
+    if not finite:
         violations = comparisons = 0
     return LadderResult(final=final, violations=violations, comparisons=comparisons,
                         diagonal_gaps=tuple(gaps), levels=tuple(lv_n))

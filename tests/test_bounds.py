@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 import subquad_bsde as sq
-from subquad_bsde.bounds import (_classify, fhat_process, log_mean_exp, verify_comparison,
-                                 verify_fhat_moment, verify_pointwise_bound, verify_sup_bound)
+from subquad_bsde.bounds import (_classify, fhat_process, log_mean_exp, order_verdict,
+                                 order_violations, verify_comparison, verify_fhat_moment,
+                                 verify_pointwise_bound, verify_sup_bound)
 from subquad_bsde.errors import PreconditionViolationError
 from subquad_bsde.generators import TruncationIndex, truncate_generator, truncate_terminal
 
@@ -129,12 +130,18 @@ def test_pointwise_bound_constant_terminal(grid24, bundle24, poly_basis, zero_co
     assert r.margin_min.min() == pytest.approx(expected, abs=1e-6)
 
 
-def test_sup_bound_zero_problem(zero_solution, zero_constants):
+def test_sup_bound_zero_problem(zero_solution, zero_constants, poly_basis):
+    f = lambda t, b: np.zeros(np.atleast_2d(b).shape[0])
     r = verify_sup_bound(zero_solution, zero_constants,
-                         np.zeros(zero_solution.bundle.count),
-                         lambda t, b: np.zeros(np.atleast_2d(b).shape[0]), p=2.0)
+                         np.zeros(zero_solution.bundle.count), f, p=2.0)
     assert r.satisfied
     assert np.allclose(r.margin_min, zero_constants.K_p(2.0).log, atol=1e-6)
+    # on one step the node nearest T/2 is node 0 (a tie): it is checked once
+    grid = sq.build_grid(1.0, 1, "uniform")
+    sol = sq.solve_bounded(sq.make_generator("zero", 1.5), sq.make_terminal("zero"), grid,
+                           sq.sample_paths(grid, 1, 200, 0), poly_basis)
+    r = verify_sup_bound(sol, zero_constants, np.zeros(200), f, p=2.0)
+    assert r.times.tolist() == [0.0] and r.satisfied
 
 
 def test_sup_bound_on_one_path_is_indeterminate(grid24, poly_basis, zero_constants):
@@ -246,6 +253,23 @@ def test_comparison_on_no_more_paths_than_features_is_indeterminate(grid24, basi
                                basis) for v in (0.0, 1.0))
     r = verify_comparison(lo, hi)
     assert np.all(np.isfinite(r.log_rhs)) and r.verdict == "satisfied"
+
+
+def test_order_rule_counts_a_stacked_block_as_its_rows_alone():
+    rng = np.random.default_rng(3)
+    gap = rng.normal(size=(4, 500))
+    # row 3's allowance is inf, as where a fit interpolates its samples: nothing exceeds it
+    noise_low, noise_high = np.array([0.0, 0.1, 0.2, math.inf]), np.array([0.05, 0.0, 0.1, 0.2])
+    slack = 1e-3 * (1.0 + np.abs(rng.normal(size=(4, 500))))
+    block = order_violations(gap, noise_low[:, None], noise_high[:, None], slack)
+    rows = [order_violations(gap[p], noise_low[p], noise_high[p], slack[p]) for p in range(4)]
+    assert block == sum(rows)
+    expected = [int(np.sum(gap[p] > slack[p] + 3.0 * (noise_low[p] + noise_high[p])))
+                for p in range(4)]
+    assert rows == expected and rows[3] == 0 and 0 < min(rows[:3]) < max(rows[:3]) < 500
+    finite = bool(np.isfinite(noise_low + noise_high).all())
+    assert order_verdict(sum(rows), gap.size, finite) == "indeterminate"
+    assert order_verdict(sum(rows[:3]), 3 * 500) == "violated"
 
 
 def test_comparison_names_a_missing_fit_noise(zero_solution):

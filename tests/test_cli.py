@@ -196,6 +196,15 @@ def test_solve_saves_the_ladder_it_walked(tmp_path, capsys):
     assert (meta["n_max"], meta["q_max"]) == (2, 2)
 
 
+def test_solve_on_one_path_prints_the_ladder_verdict_without_a_share(tmp_path, capsys):
+    # one path orders nothing: no comparison is counted, so no percentage is printed,
+    # and the ladder's verdict does not enter the exit code
+    assert main(["solve", "--steps", "4", "--paths", "1", "--ladder", "4", "4",
+                 "--out", str(tmp_path / "sol.npz")]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("ladder indeterminate: violations 0/0, gaps ["), line
+
+
 @pytest.mark.parametrize("generator,condition",
                          [("zero", "A5"), ("zero", "A6i"), ("linear", "A6i")])
 def test_catalog_generators_declare_a5_and_a6i(generator, condition, capsys):
@@ -655,6 +664,13 @@ def test_one_path_run_reports_undecided_nodes_not_a_margin(tmp_path, capsys):
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("bound ")]
     assert lines == ["bound pointwise-two-sided: indeterminate (4 of 4 nodes undecided)",
                      "bound comparison: indeterminate (4 of 5 nodes undecided)"]
+    assert _report_ladder(tmp_path / "out")["verdict"] == "indeterminate"
+
+
+def _report_ladder(out: Path) -> dict:
+    """The [ladder] block of a run's report.txt."""
+    lines = (out / "report.txt").read_text().splitlines()
+    return json.loads(lines[lines.index("[ladder]") + 1])
 
 
 def test_decided_comparison_quotes_its_tightest_node_before_the_horizon(tmp_path, capsys):
@@ -674,3 +690,4 @@ def test_decided_comparison_quotes_its_tightest_node_before_the_horizon(tmp_path
     assert margins[-1] < min(margins[:-1])          # the horizon is the smallest here
     assert lines == [f"bound comparison: satisfied (min margin {min(margins[:-1])!r}, "
                      f"violation fraction 0.0)"]
+    assert _report_ladder(tmp_path / "out")["verdict"] == "satisfied"

@@ -530,6 +530,23 @@ def test_one_path_ladder_counts_no_comparisons(grid24, example1, basis_fixture, 
     assert np.all(np.isinf(lad.final.fit_noise[:-1])) and lad.final.fit_noise[-1] == 0.0
     assert (lad.violations, lad.comparisons) == (0, 0)
     assert math.isnan(lad.violation_fraction)
+    assert lad.verdict == "indeterminate"
+
+
+@pytest.mark.parametrize("violations, comparisons, gaps, verdict",
+                         [(5, 1000, (0.3, 0.2, 0.2), "satisfied"),
+                          (6, 1000, (0.3, 0.2, 0.1), "violated"),
+                          (0, 1000, (0.3, 0.1, 0.2), "violated"),
+                          (0, 0, (0.3, 0.2, 0.1), "indeterminate"),
+                          (0, 0, (0.1, 0.2), "violated"),
+                          (0, 1000, (), "satisfied")],
+                         ids=["at-limit", "fraction", "rising-gap", "no-comparisons",
+                              "no-comparisons-rising-gap", "one-level"])
+def test_ladder_verdict_is_the_order_rule_with_non_increasing_gaps(violations, comparisons,
+                                                                   gaps, verdict):
+    lad = solver.LadderResult(final=None, violations=violations, comparisons=comparisons,
+                              diagonal_gaps=gaps, levels=(1, 2, 4))
+    assert lad.verdict == verdict
 
 
 def test_ladder_zero_driver_clamped_gaussian_oracle(bins_basis):
@@ -619,6 +636,7 @@ def test_streamed_ladder_matches_cached_reference(example, basis):
     assert lad.levels == tuple(levels)
     if basis.kind == "polynomial":
         assert lad.violations > 0           # the comparison counts real violations
+    assert lad.verdict == "satisfied"       # below 0.5% of the pairs, gaps falling
 
 
 def _counted(gen, frozen):
