@@ -18,7 +18,7 @@ import numpy.ma  # noqa: F401 - np.unique loads it lazily: load it here, not in 
 
 from .constants import _OVERFLOW_LOG
 from .errors import InvalidCoefficientError, PreconditionViolationError
-from .generators import _norm
+from .generators import _norm, _sum_last
 from .paths import step_major_empty
 
 
@@ -82,14 +82,10 @@ class BoundCheckResult:
     def undecided(self) -> int:
         """How many checked nodes settle nothing on their own: on the
         comparison, those with a non-finite allowance eps; on a bound, those
-        whose margin is neither below -3 se (violated) nor at least 0 with se
-        within half of it (satisfied), the rule `_classify` applies at the
-        tightest node."""
+        that `_node_states` reads ``undecided``."""
         if self.bound_id == "comparison":
             return int(np.count_nonzero(~np.isfinite(self.log_rhs)))
-        m, se = self.margin_min, self.se
-        decided = (m < -3.0 * se) | ((m >= 0.0) & (se <= 0.5 * np.abs(m)))
-        return int(np.count_nonzero(~decided))
+        return int(np.count_nonzero(_node_states(self.margin_min, self.se) == "undecided"))
 
     def columns(self) -> dict:
         """CSV columns, one row per checked time, headed by what each value is."""
@@ -100,21 +96,27 @@ class BoundCheckResult:
                 "verdict": [self.verdict] * len(self.times)}
 
 
+def _node_states(margins: np.ndarray, ses: np.ndarray) -> np.ndarray:
+    """The bound checks' per-node rule: ``violated`` where the margin lies below
+    -3 se, ``satisfied`` where it is at least 0 with se within half of it, else
+    ``undecided``.  Every comparison with NaN is false, so a NaN margin or se
+    is ``undecided``."""
+    return np.select([margins < -3.0 * ses, (margins >= 0.0) & (ses <= 0.5 * np.abs(margins))],
+                     ["violated", "satisfied"], "undecided")
+
+
 def _classify(margins: np.ndarray, ses: np.ndarray) -> str:
-    """Verdict at the tightest margin: ``violated`` below -3 se, ``satisfied``
-    at least 0 with se within half of it, else ``indeterminate``.  A NaN
-    margin (say inf - inf) decides nothing: the tightest is taken over the
-    other nodes, and the check cannot read ``satisfied``."""
+    """Verdict at the tightest margin: ``violated`` or ``satisfied`` as
+    `_node_states` reads that node, else ``indeterminate``.  A NaN margin
+    (say inf - inf) decides nothing: the tightest is taken over the other
+    nodes, and the check cannot read ``satisfied``."""
     undefined = np.isnan(margins)
     if undefined.all():
         return "indeterminate"
-    k = int(np.nanargmin(margins))
-    worst, se_at = float(margins[k]), float(ses[k])
-    if worst < -3.0 * se_at:
-        return "violated"
-    if worst < 0.0 or not se_at <= 0.5 * abs(worst) or undefined.any():
-        return "indeterminate"
-    return "satisfied"
+    state = str(_node_states(margins, ses)[int(np.nanargmin(margins))])
+    if state == "violated" or (state == "satisfied" and not undefined.any()):
+        return state
+    return "indeterminate"
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,8 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     tail_q = step_major_empty((bundle.count, grid.steps + 1))
     tail_q[:, -1] = 0.0
     for j in reversed(range(grid.steps)):
-        q = (sol.Z[:, j, :] ** 2).sum(axis=1) * grid.dt[j]
+        q = _sum_last(sol.Z[:, j, :] ** 2)
+        q *= grid.dt[j]
         if one_sided:
             q *= sol.Y[:, j] > 0.0
         np.add(tail_q[:, j + 1], q, out=tail_q[:, j])
@@ -288,7 +291,8 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
     log_Kp = constants.K_p(p).log
     Kp_float = math.exp(min(log_Kp, _OVERFLOW_LOG))
     tail_f = _tail_forcing(f_process, grid, levels)
-    zsq = (sol.Z ** 2).sum(axis=2) * grid.dt[None, :]
+    zsq = _sum_last(sol.Z ** 2)         # our own squares: scaled in place
+    zsq *= grid.dt[None, :]
 
     half_idx = int(np.argmin(np.abs(grid.nodes - 0.5 * grid.horizon)))
     times, lhs_t, rhs_t, se_t, mmin = [], [], [], [], []

@@ -175,12 +175,27 @@ def example1_q(x) -> np.ndarray:
     -x below -2, -(3/2)x - 1 in between, -2x above 2; continuous at the knots.
     """
     x = np.asarray(x, dtype=float)
-    return np.where(x <= -2.0, -x, np.where(x >= 2.0, -2.0 * x, -1.5 * x - 1.0))
+    # one buffer: the middle branch everywhere, then each outer branch where it holds
+    out = np.multiply(x, -1.5, out=np.empty_like(x))
+    out -= 1.0
+    np.negative(x, out=out, where=x <= -2.0)
+    np.multiply(x, -2.0, out=out, where=x >= 2.0)
+    return out
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)``, except that a one-entry last axis (d = 1) is read,
+    not reduced: the result is then a view of ``x``.  A caller may write into
+    it only when ``x`` is a temporary of its own.  The two agree bit for bit
+    but on a -0.0 entry, which the view keeps and the sum turns into +0.0."""
+    return x[..., 0] if x.shape[-1] == 1 else np.sum(x, axis=-1)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis (|z| or |B_t| per row)."""
-    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+    """Euclidean norm over the last axis (|z| or |B_t| per row), built in the
+    buffer of the squares; a square is never -0.0, so `_sum_last` is exact."""
+    sq = _sum_last(np.square(np.asarray(x, dtype=float)))
+    return np.sqrt(sq, out=sq)
 
 
 def _clamp(raw, upper, lower):
@@ -249,7 +264,8 @@ def builtin_example_1(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
         return np.where(y <= 0.0, np.cbrt(np.abs(y)), np.sin(y))
 
     def z_part(t, z):
-        return gr(t) * (example1_q(z).sum(axis=-1) + _norm(z) ** alpha)
+        # q is never -0.0, so the one-column sum is exact
+        return gr(t) * (_sum_last(example1_q(z)) + _norm(z) ** alpha)
 
     fn = _split_driver(br, h, z_part)
 
@@ -327,7 +343,7 @@ def builtin_example_2(alpha: float, beta=0.5, gamma=0.25, d: int = 1,
         return np.where(y <= 0.0, np.sqrt(np.abs(y)), 0.0)
 
     def z_part(t, z):
-        return gr(t) * (lterm(z).sum(axis=-1) + 2.0 * _norm(z) ** alpha)
+        return gr(t) * (_sum_last(lterm(z)) + 2.0 * _norm(z) ** alpha)
 
     fn = _split_driver(br, y_part, z_part)
 
@@ -445,9 +461,11 @@ def theta_difference_generator(g: Generator, g_prime: Generator, theta: float,
 
     Perturbs g around the reference (Y', Z'): the value at (y, z) is
     [g(ymix, zmix) - theta g(Y', Z') + theta (g - g')(Y', Z')] / (1 - theta)
-    with ymix = (1 - theta) y + theta Y' and zmix likewise.  The result can
-    only be evaluated at grid nodes with rows aligned to the bundle that
-    produced Yp/Zp.
+    with ymix = (1 - theta) y + theta Y' and zmix likewise.  The anchor
+    g(Y', Z') is evaluated once per node when ``g_prime is g``; the formula
+    keeps its (g - g') term, so a non-finite anchor still gives NaN.  The
+    result can only be evaluated at grid nodes with rows aligned to the
+    bundle that produced Yp/Zp.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -469,8 +487,8 @@ def theta_difference_generator(g: Generator, g_prime: Generator, theta: float,
         z = np.atleast_2d(z)
         ymix = (1.0 - theta) * y + theta * yp
         zmix = (1.0 - theta) * z + theta * zp
-        gp_ref = g_prime(t, b, yp, zp)
         g_ref = g(t, b, yp, zp)
+        gp_ref = g_ref if g_prime is g else g_prime(t, b, yp, zp)
         return ((g(t, b, ymix, zmix) - theta * g_ref) / (1.0 - theta)
                 + theta * (g_ref - gp_ref) / (1.0 - theta))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import order_verdict, order_violations
 from .errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
-from .generators import (Generator, TerminalData, TruncationIndex, _norm,
+from .generators import (Generator, TerminalData, TruncationIndex, _norm, _sum_last,
                          theta_difference_generator, truncate_terminal, truncated_at)
 from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
@@ -402,7 +402,9 @@ def _fitted_residual(sol: SolutionField, g: Generator, U: np.ndarray,
         gval = g(t, levels[:, j, :], U[:, j], V[:, j, :])
         vdb = levels[:, j + 1, :] - levels[:, j, :]
         vdb *= V[:, j, :]
-        r = U[:, j] - U[:, j + 1] - gval * dt + vdb.sum(axis=1)
+        # a -0.0 read by `_sum_last` can only flip the sign of a zero r,
+        # which max |fit(r)| cannot see
+        r = U[:, j] - U[:, j + 1] - gval * dt + _sum_last(vdb)
         out[j] = float(np.max(np.abs(projs[j].fit(r))))
     return out
 

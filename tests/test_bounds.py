@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import subquad_bsde as sq
-from subquad_bsde.bounds import (_classify, fhat_process, log_mean_exp, order_verdict,
+from subquad_bsde.bounds import (BoundCheckResult, _classify, _node_states, fhat_process, log_mean_exp, order_verdict,
                                  order_violations, verify_comparison, verify_fhat_moment,
                                  verify_pointwise_bound, verify_sup_bound)
 from subquad_bsde.errors import PreconditionViolationError
@@ -318,6 +318,30 @@ def test_a_nan_margin_is_never_satisfied(margins, ses):
 def test_a_nan_margin_keeps_a_violated_node_violated():
     assert _classify(np.array([np.nan, -5.0, 2.0]), np.array([1.0, 0.1, 0.1])) == "violated"
     assert _classify(np.array([-5.0, np.nan]), np.array([0.1, 1.0])) == "violated"
+
+
+# (margin, se, state) on both sides of each factor of the per-node rule
+_NODE_CASES = [(-3.5, 1.0, "violated"), (-2.5, 1.0, "undecided"), (-1e-9, 0.0, "violated"),
+               (0.0, 0.0, "satisfied"), (2.0, 1.0, "satisfied"), (2.0, 1.1, "undecided"),
+               (-np.inf, 1.0, "violated"), (np.inf, np.inf, "satisfied"),
+               (-np.inf, np.inf, "undecided"), (1.0, np.nan, "undecided")]
+
+
+@pytest.mark.parametrize("margin, se, state", _NODE_CASES)
+def test_classify_reads_its_tightest_node_by_the_per_node_rule(margin, se, state):
+    assert _node_states(np.array([margin]), np.array([se]))[0] == state
+    verdict = {"undecided": "indeterminate"}.get(state, state)
+    # a satisfied node at an infinite margin, the loosest there is, does not move the verdict
+    assert _classify(np.array([margin, np.inf]), np.array([se, 0.0])) == verdict
+
+
+def test_undecided_counts_the_nodes_the_per_node_rule_leaves_undecided():
+    margins, ses, states = (np.array(v) for v in zip(*_NODE_CASES))
+    r = BoundCheckResult(bound_id="sup-p2", times=np.arange(len(margins), dtype=float),
+                         log_lhs=np.zeros(len(margins)), log_rhs=margins, se=ses,
+                         margin_min=margins, verdict=_classify(margins, ses))
+    assert r.undecided == np.count_nonzero(states == "undecided") == 4
+    assert r.verdict == "violated"
 
 
 def test_moment_estimate_validation():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import subquad_bsde as sq
-from subquad_bsde.generators import (GENERATOR_IDS, TruncationIndex, example1_q,
+from subquad_bsde.constants import conjugate_exponent
+from subquad_bsde.generators import (GENERATOR_IDS, TruncationIndex, _norm, _sum_last, example1_q,
                                      expression_generator, make_generator, reflect_generator,
                                      theta_difference_generator, truncate_generator,
                                      truncate_terminal, truncated_at)
@@ -292,6 +293,104 @@ def test_replacing_fn_drops_the_step_frozen_form(example1):
 def _same_bits(a, b):
     # array_equal calls 0.0 and -0.0 equal; the signs must agree too
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# reference copies of the kernels as first written: one fresh array per operation
+def _ref_q(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= -2.0, -x, np.where(x >= 2.0, -2.0 * x, -1.5 * x - 1.0))
+
+
+def _ref_norm(x):
+    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+
+
+def _ref_driver(gen_id, b, y, z):
+    # the builtin drivers at alpha 1.5, beta 0.5, gamma 0.25, in their order of operations
+    if gen_id == "example1":
+        value = 0.5 * np.where(y <= 0.0, np.cbrt(np.abs(y)), np.sin(y))
+        z_term = 0.25 * (_ref_q(z).sum(axis=-1) + _ref_norm(z) ** 1.5)
+    else:
+        value = 0.5 * np.where(y <= 0.0, np.sqrt(np.abs(y)), 0.0)
+        lterm = np.log(math.e + np.abs(z)) ** (conjugate_exponent(1.5) / 2.0)
+        z_term = 0.25 * (lterm.sum(axis=-1) + 2.0 * _ref_norm(z) ** 1.5)
+    return value + _ref_norm(b) + z_term
+
+
+def _bits(x):
+    # every bit, so signed zeros and NaN payloads must agree too
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-170, -1e-170,
+                     2.0, -2.0, np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0), 0.3])
+
+
+def _special_block(rng, d):
+    # one special value per row in the first coordinate, the others random;
+    # then a row whose squares all underflow and a row of -0.0
+    z = rng.standard_normal((len(_SPECIAL) + 22, d)) * 3
+    z[:len(_SPECIAL), 0] = _SPECIAL
+    z[-2], z[-1] = 1e-170, -0.0
+    return z
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernels_match_their_reference_formulas_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    z = _special_block(rng, d)
+    b, y = z[::-1].copy(), rng.standard_normal(len(z)) * 3
+    with np.errstate(invalid="ignore"):        # inf - inf and 0 * inf are part of the sample
+        assert np.array_equal(_bits(_norm(z)), _bits(_ref_norm(z)))
+        assert np.array_equal(_bits(example1_q(z)), _bits(_ref_q(z)))
+        for gid in ("example1", "example2"):
+            gen = make_generator(gid, 1.5, beta=0.5, gamma=0.25, d=d)
+            assert np.array_equal(_bits(gen(0.3, b, y, z)), _bits(_ref_driver(gid, b, y, z))), gid
+            # |B| and the y-part vanish at b = 0, y = 0: the z-part alone
+            zero = np.zeros(len(z))
+            assert np.array_equal(_bits(gen(0.3, 0.0 * b, zero, z)),
+                                  _bits(_ref_driver(gid, 0.0 * b, zero, z))), gid
+        squares = z * z
+        assert np.array_equal(_bits(_sum_last(squares)), _bits(np.sum(squares, axis=-1)))
+
+
+def test_kernels_match_their_reference_formulas_on_per_bin_blocks():
+    # (R, K, 1) per-bin z of stacked rungs, read through the step-frozen driver
+    rng = np.random.default_rng(47)
+    R, K, M = 3, len(_SPECIAL) + 2, 60
+    zc = np.stack([_special_block(rng, 1)[:K] for _ in range(R)])
+    zc[1] *= -1.0
+    c = rng.standard_normal((R, K)) * 3
+    idx = np.concatenate([np.arange(K), rng.integers(0, K, M - K)])
+    b = rng.standard_normal((M, 1)) * 2
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(_norm(zc)), _bits(_ref_norm(zc)))
+        assert np.array_equal(_bits(_sum_last(zc * zc)), _bits(np.sum(zc * zc, axis=-1)))
+        for gid in ("example1", "example2"):
+            gen = make_generator(gid, 1.5, beta=0.5, gamma=0.25, d=1)
+            out = gen.at(0.3, b, zc, idx)(c)
+            for r in range(R):
+                ref = _ref_driver(gid, b, c[r][idx], zc[r][idx])
+                assert np.array_equal(_bits(out[r]), _bits(ref)), (gid, r)
+
+
+def test_kink_function_takes_scalars_and_knots_bit_for_bit():
+    for x in (-2.0, 2.0, np.nextafter(2.0, 3.0), -0.0, 0.0, np.nan, np.inf, -np.inf):
+        with np.errstate(invalid="ignore"):
+            got, ref = example1_q(x), _ref_q(x)
+        assert np.shape(got) == () and np.array_equal(_bits(got), _bits(ref)), x
+
+
+def test_one_column_sum_is_a_view_that_keeps_a_negative_zero():
+    x = np.array([[1.5], [-0.0], [np.nan], [-np.inf]])
+    col = _sum_last(x)
+    assert np.shares_memory(col, x) and np.array_equal(_bits(col), _bits(x[:, 0]))
+    # np.sum starts from +0.0, so only a -0.0 entry reads differently
+    summed = np.sum(x, axis=-1)
+    assert np.array_equal(np.signbit(col), [False, True, False, True])
+    assert np.array_equal(np.signbit(summed), [False, False, False, True])
+    wide = np.array([[1.0, -0.0], [-0.0, -0.0]])
+    assert np.array_equal(_bits(_sum_last(wide)), _bits(np.sum(wide, axis=-1)))
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -854,6 +854,58 @@ def test_theta_residual_matches_whole_field_reference(grid24, bundle24, example2
         assert np.array_equal(tr.consistency, solver._fitted_residual(lo, dg, dU, dV)), basis.kind
 
 
+def _same_theta_bits(a, b):
+    # every bit of dU, dV and the consistency, NaN payloads included
+    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+               for x, y in ((a.dU, b.dU), (a.dV, b.dV), (a.consistency, b.consistency)))
+
+
+def test_theta_residual_evaluates_a_shared_anchor_once(grid24, bundle24, bins_basis, example1):
+    # g_prime is g: the anchor g(Y', Z') is evaluated once per node, and every
+    # output equals a distinct copy's, which takes the two-evaluation path
+    idx = TruncationIndex(16, 16)
+    calls = []
+
+    def counted(t, b, y, z, fn=truncate_generator(example1, idx).fn):
+        calls.append(len(y))
+        return fn(t, b, y, z)
+
+    gt = dataclasses.replace(truncate_generator(example1, idx), fn=counted)
+    copy = dataclasses.replace(gt, name="copy")
+    xi = truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0), idx)
+    xi_hi = truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0, shift=1.0), idx)
+    lo = sq.solve_bounded(gt, xi, grid24, bundle24, bins_basis)
+    hi = sq.solve_bounded(gt, xi_hi, grid24, bundle24, bins_basis)
+    calls.clear()
+    shared = theta_residual(lo, hi, 0.5, g=gt, g_prime=gt)
+    assert calls == [bundle24.count] * (2 * grid24.steps)
+    calls.clear()
+    apart = theta_residual(lo, hi, 0.5, g=gt, g_prime=copy)
+    assert calls == [bundle24.count] * (3 * grid24.steps)
+    assert _same_theta_bits(shared, apart)
+
+
+def test_theta_residual_with_a_shared_non_finite_anchor_stays_nan(grid24, bundle24, bins_basis):
+    # the driver is +inf at Y' = -1, which only the anchor reaches (on path 0):
+    # the (g - g') term turns inf - inf into NaN on both paths
+    zero = sq.make_generator("zero", 1.5)
+
+    def fn(t, b, y, z):
+        return np.where(y == -1.0, np.inf, 0.5 * y + 0.25 * z[:, 0])
+
+    g = dataclasses.replace(zero, fn=fn, name="spike")
+    sol = sq.solve_bounded(zero, sq.make_terminal("constant", value=1.0), grid24, bundle24,
+                           bins_basis)
+    Yp = sol.Y.copy()
+    Yp[0] = -1.0
+    ref = dataclasses.replace(sol, Y=Yp)
+    with np.errstate(invalid="ignore"):
+        shared = theta_residual(sol, ref, 0.5, g=g, g_prime=g)
+        apart = theta_residual(sol, ref, 0.5, g=g, g_prime=dataclasses.replace(g, name="copy"))
+    assert np.isnan(shared.consistency).all()
+    assert _same_theta_bits(shared, apart)
+
+
 def test_theta_residual_rejects_mismatch(grid24, bundle24, poly_basis):
     zero = sq.make_generator("zero", 1.5)
     sol = sq.solve_bounded(zero, sq.make_terminal("constant", value=1.0),
