@@ -3,7 +3,7 @@ sub-quadratic drivers on a finite time interval [0, T]; the paper's T = infinity
 case is out of scope for now.
 
 Layout:
-    paths       time grids, Brownian bundles, conditional-expectation projectors
+    paths       time grids, Brownian bundles, named random streams, conditional-expectation projectors
     constants   explicit constants of the a-priori bounds (log-space safe)
     generators  drivers, builtin examples, truncation / reflection / theta transforms
     conditions  sampled verdicts for the structural growth and convexity conditions

@@ -22,17 +22,23 @@ from .generators import _norm, _sum_last
 from .paths import step_major_empty
 
 
-def log_mean_exp(logs: np.ndarray) -> tuple[float, float]:
-    """(log of the sample mean of exp(logs), relative standard error).
+def _mean_rel_se(x: np.ndarray) -> tuple[float, float]:
+    """(sample mean of x, its relative standard error std / (mean sqrt(n))).
 
-    A mean of fewer than two samples has no standard error: it is inf.
+    The mean is floored at 1e-300 in the error's denominator only.  A mean of
+    fewer than two samples has no standard error: it is inf.
     """
+    mean = float(x.mean())
+    n = len(x)
+    se_rel = float(x.std(ddof=1) / (max(mean, 1e-300) * math.sqrt(n))) if n > 1 else math.inf
+    return mean, se_rel
+
+
+def log_mean_exp(logs: np.ndarray) -> tuple[float, float]:
+    """(log of the sample mean of exp(logs), relative standard error)."""
     logs = np.asarray(logs, dtype=float)
     top = float(logs.max())
-    w = np.exp(logs - top)
-    mean_w = float(w.mean())
-    n = len(logs)
-    se_rel = float(w.std(ddof=1) / (mean_w * math.sqrt(n))) if n > 1 else math.inf
+    mean_w, se_rel = _mean_rel_se(np.exp(logs - top))     # mean_w >= 1/n: the floor never binds
     return top + math.log(mean_w), se_rel
 
 
@@ -301,10 +307,7 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
         sup_y = np.abs(sol.Y[:, j:]).max(axis=1)
         log_a, se_a = log_mean_exp(p * sup_y ** power)
         q = zsq[:, j:].sum(axis=1)
-        qp = q ** (p / 2.0)
-        mean_qp = float(qp.mean())
-        se_b_rel = (float(qp.std(ddof=1) / (max(mean_qp, 1e-300) * math.sqrt(len(qp))))
-                    if len(qp) > 1 else math.inf)
+        mean_qp, se_b_rel = _mean_rel_se(q ** (p / 2.0))
         log_b = math.log(max(mean_qp, 1e-300))
         log_lhs = float(np.logaddexp(log_a, log_b))
         wa, wb = math.exp(log_a - log_lhs), math.exp(log_b - log_lhs)

@@ -1,7 +1,10 @@
 """Experiment runner: config parsing, pipeline orchestration, stable outputs.
 
 Configuration is flat key=value INI text under an [experiment] section; all
-randomness flows from the single seed through named substreams.  Exit codes:
+randomness flows from the single seed through the keys of `paths`: the paths
+are keyed (seed, path index), and the condition cloud of `run` is the named
+stream "cloud" of seed + 1 (`paths.stream`), a key that no path reaches.
+Exit codes:
 0 all requested checks satisfied, 1 violations found, 2 configuration error,
 3 internal/solver error (the truncation ladder's verdict is only reported).
 """

@@ -16,6 +16,7 @@ import numpy as np
 from .constants import gamma_integral
 from .errors import ConfigurationError, UnsupportedDimensionError
 from .generators import Generator, _norm
+from .paths import stream
 
 MARGIN_RTOL = 1e-9
 
@@ -68,7 +69,7 @@ def build_cloud(horizon: float, dims: int, size: int, strategy: str = "random",
     of extreme thetas, sign quadrants, and magnitude corners where the band
     constructions switch branches; ``grid`` is a coarse deterministic mesh.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5eed], dtype=np.uint64)))
+    rng = stream(seed, "cloud")
 
     def scaled(n):
         mags = 10.0 ** rng.uniform(-3.0, 1.0, size=n)

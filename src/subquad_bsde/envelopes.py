@@ -25,6 +25,7 @@ import numpy as np
 
 from .conditions import ConditionReport, _assemble
 from .errors import InvalidHypothesisError
+from .paths import stream
 
 _EXACT_TOL = 1e-12
 _SAMPLE_SCALE = 10.0       # largest magnitude lemma_samples draws
@@ -69,7 +70,7 @@ class EnvelopeConstruction:
 
 def lemma_samples(count: int, seed: int = 0):
     """Randomized (x1, x2, theta) triples mixing magnitudes from 1e-3 to ``_SAMPLE_SCALE``."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xA11], dtype=np.uint64)))
+    rng = stream(seed, "lemma-samples")
     n_corner = min(count // 4, 4096)
     n_rand = count - n_corner
 
@@ -118,10 +119,6 @@ def _band_sup(fn, a: float) -> float:
 # hypothesis self-checks
 # ---------------------------------------------------------------------------
 
-def _selfcheck_rng(stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([0, stream], dtype=np.uint64)))
-
-
 def _selfcheck_pairs(rng, lo, hi, n=4000):
     x = rng.uniform(lo, hi, (n, 2))
     return x[:, 0], x[:, 1]
@@ -166,7 +163,7 @@ def lemmaA1_check(f: ScalarFunction, k1: float, k2: float, samples) -> Condition
     1_{x1 > th x2} (f(x1) - th f(x2)) / (1-th)
         <= (k1+k2)|d_th x| + (k1+k2)|x2| + f(x2).
     """
-    rng = _selfcheck_rng(3)
+    rng = stream(0, "selfcheck-a1")
     x1, x2 = _selfcheck_pairs(rng, -10.0, 0.0)
     _require(f, f"violates the declared one-sided monotonicity k1={k1}",
              np.sign(x1 - x2) * (f(x1) - f(x2)), k1 * np.abs(x1 - x2), (x1, x2))
@@ -197,7 +194,7 @@ def construct_A2_envelope(f: ScalarFunction, a: float, k: float) -> EnvelopeCons
         raise ValueError("k must be positive")
     _require_envelope(f)
     if a > 0.0:
-        x1, x2 = _selfcheck_pairs(_selfcheck_rng(5), -a, a)
+        x1, x2 = _selfcheck_pairs(stream(0, "selfcheck-band"), -a, a)
         _require(f, f"violates the declared Lipschitz constant k={k} (band)",
                  np.abs(f(x1) - f(x2)), k * np.abs(x1 - x2), (x1, x2))
     for sign, lo, hi in ((1, a, a + 20.0), (-1, -a - 20.0, -a)):
@@ -326,7 +323,7 @@ def construct_A3_envelope(f: ScalarFunction, a: float, k: float) -> EnvelopeCons
     if k <= 0.0:
         raise ValueError("k must be positive")
     _require_envelope(f)
-    x1, x2 = _selfcheck_pairs(_selfcheck_rng(5), -12.0, 12.0)
+    x1, x2 = _selfcheck_pairs(stream(0, "selfcheck-band"), -12.0, 12.0)
     _require(f, f"violates the declared Lipschitz constant k={k} (global)",
              np.abs(f(x1) - f(x2)), k * np.abs(x1 - x2), (x1, x2))
     # consecutive grid points on each ray: f(x_i) <= f(x_{i+1}) right, >= left

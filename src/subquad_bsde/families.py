@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .envelopes import ScalarFunction
+from .paths import stream
 
 
 def _pwl(knots: np.ndarray, values: np.ndarray):
@@ -32,16 +33,12 @@ def _pwl(knots: np.ndarray, values: np.ndarray):
     return fn
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0xFA3], dtype=np.uint64)))
-
-
 # ---------------------------------------------------------------------------
 # A1: monotone on R-, Lipschitz on R+
 # ---------------------------------------------------------------------------
 
 def _a1_piecewise(seed: int) -> ScalarFunction:
-    rng = _rng(seed)
+    rng = stream(seed, "families")
     neg = -np.sort(rng.uniform(0.3, 8.0, 4))[::-1]
     pos = np.sort(rng.uniform(0.3, 8.0, 4))
     knots = np.concatenate([neg, [0.0], pos])
@@ -93,7 +90,7 @@ def _a2_square_sine() -> ScalarFunction:
 
 
 def _a2_spline(seed: int) -> ScalarFunction:
-    rng = _rng(seed)
+    rng = stream(seed, "families")
     a, k = 1.0, 2.0
     # convex rays: increasing slopes away from the band
     r_knots = np.concatenate([[a], a + np.cumsum(rng.uniform(0.5, 2.0, 4))])
@@ -164,7 +161,7 @@ def _a3_abs_sine() -> ScalarFunction:
 
 
 def _a3_wband(seed: int) -> ScalarFunction:
-    rng = _rng(seed)
+    rng = stream(seed, "families")
     a, k = 1.0, 1.5
     r_knots = np.concatenate([[a], a + np.cumsum(rng.uniform(0.5, 2.0, 4))])
     fa = rng.uniform(-1.0, 1.0)

@@ -508,8 +508,7 @@ def zero_generator(alpha: float = 1.5) -> Generator:
                                  u_bar=_const(0.0), v_bar=_const(0.0), c_bar=_const(0.0))
     return Generator(fn=lambda t, b, y, z: np.zeros(np.atleast_2d(z).shape[0]),
                      profile=profile, name="zero",
-                     flags=frozenset({"satisfies-EX1", "satisfies-EX2",
-                                      "satisfies-UNprime-i", "satisfies-UN-i"}))
+                     flags=frozenset({"satisfies-EX1", "satisfies-EX2", "satisfies-UNprime-i"}))
 
 
 def linear_generator(alpha: float = 1.5, b_y: float = -1.0, b_z: float = 0.0) -> Generator:
@@ -532,7 +531,11 @@ def linear_generator(alpha: float = 1.5, b_y: float = -1.0, b_z: float = 0.0) ->
 
 
 def convex_power_generator(alpha: float = 1.5, scale=1.0) -> Generator:
-    """g = gamma(t) |z|^alpha; the canonical convex sub-quadratic driver."""
+    """g = gamma(t) |z|^alpha; the canonical convex sub-quadratic driver.
+
+    Its forcing is f = gamma(t): near z = 0, |z|^alpha exceeds every multiple
+    of |z|^2, and EX2 holds through |z|^alpha <= 1 + |z|^2 <= 1 + c_quad |z|^2.
+    """
     gr = _as_time_fn(scale)
 
     def fn(t, b, y, z):
@@ -540,7 +543,7 @@ def convex_power_generator(alpha: float = 1.5, scale=1.0) -> Generator:
 
     profile = CoefficientProfile(
         alpha=alpha, beta=_const(0.0), gamma=gr,
-        f=lambda t, b: np.zeros(np.atleast_2d(b).shape[0]),
+        f=lambda t, b: gr(t) + np.zeros(np.atleast_2d(b).shape[0]),
         psi_growth=lambda u: np.asarray(u, dtype=float),
         c_quad=_sup_on_grid(gr, 50.0) + 1.0,
         u=_const(0.0), v=gr, k1=_const(0.0), k2=_const(0.0), a=0.0)

@@ -1,8 +1,11 @@
-"""Time grids, Brownian path bundles, and least-squares conditional expectations.
+"""Time grids, Brownian path bundles, random streams, and least-squares conditional expectations.
 
 Everything here is deterministic given its arguments: path generation is keyed
 by (seed, path index) through a counter-based bit generator, so any subset of
 paths can be regenerated bit-exactly without producing the rest of the bundle.
+Every other random draw of the toolkit comes from a named stream (`stream`),
+keyed in a domain that no path index reaches, so no sample that checks a
+solution shares its stream with a path of that solution.
 
 Every regression basis gives a projector with one contract (`_Projector`):
 coordinates are least-squares coefficients in a basis B of the fitted span.
@@ -124,6 +127,28 @@ class PathBundle:
     def terminal(self) -> np.ndarray:
         """Brownian values at the horizon, shape (count, dims)."""
         return self.levels[:, -1, :]
+
+
+# The one key layout of the toolkit: path i of seed s is Philox(key=[s, i]),
+# and named stream ``name`` of seed s is Philox(key=[s, 2**63 + tag]).  A bundle
+# would need 2**63 paths to reach a named stream.
+STREAM_TAGS = {
+    "cloud": 1,               # conditions.build_cloud
+    "lemma-samples": 2,       # envelopes.lemma_samples
+    "families": 3,            # the seeded members in families
+    "selfcheck-a1": 4,        # envelopes: A1's declared-constant checks (seed 0)
+    "selfcheck-band": 5,      # envelopes: A2's and A3's Lipschitz checks (seed 0)
+}
+
+
+def stream(seed: int, name: str) -> np.random.Generator:
+    """The random stream ``name`` of ``seed``, one of `STREAM_TAGS`: a fresh
+    Generator over Philox(key=[seed, 2**63 + tag]), disjoint from every path's
+    stream of every seed and from every other name's."""
+    if name not in STREAM_TAGS:
+        raise KeyError(f"unknown random stream {name!r}; streams: {', '.join(STREAM_TAGS)}")
+    key = np.array([seed, 2 ** 63 + STREAM_TAGS[name]], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 _SAMPLE_CHUNK = 2048        # paths drawn into one contiguous buffer before the step-major copy

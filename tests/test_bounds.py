@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 import subquad_bsde as sq
-from subquad_bsde.bounds import (BoundCheckResult, _classify, _node_states, fhat_process, log_mean_exp, order_verdict,
+from subquad_bsde.bounds import (BoundCheckResult, _classify, _mean_rel_se, _node_states, fhat_process, log_mean_exp,
+                                 order_verdict,
                                  order_violations, verify_comparison, verify_fhat_moment,
                                  verify_pointwise_bound, verify_sup_bound)
 from subquad_bsde.errors import PreconditionViolationError
@@ -56,6 +57,36 @@ def test_log_mean_exp_no_overflow():
     with np.errstate(over="raise"):
         val, _ = log_mean_exp(np.array([1e5, 1e5 + 1.0]))
     assert val == pytest.approx(1e5 + np.logaddexp(0, 1.0) - math.log(2.0))
+
+
+def _log_mean_exp_as_written(logs):
+    # log_mean_exp before it shared _mean_rel_se, kept to compare bits
+    logs = np.asarray(logs, dtype=float)
+    top = float(logs.max())
+    w = np.exp(logs - top)
+    mean_w = float(w.mean())
+    n = len(logs)
+    se_rel = float(w.std(ddof=1) / (mean_w * math.sqrt(n))) if n > 1 else math.inf
+    return top + math.log(mean_w), se_rel
+
+
+def _sup_moment_term_as_written(qp):
+    # verify_sup_bound's E[(int |Z|^2)^{p/2}] term before it shared _mean_rel_se
+    mean_qp = float(qp.mean())
+    se_b_rel = (float(qp.std(ddof=1) / (max(mean_qp, 1e-300) * math.sqrt(len(qp))))
+                if len(qp) > 1 else math.inf)
+    return mean_qp, se_b_rel
+
+
+@pytest.mark.parametrize("x", [np.array([1.5]), np.zeros(7), np.array([1.0, np.nan, 2.0]),
+                               10.0 ** np.linspace(-150.0, 150.0, 31)],
+                         ids=["one-sample", "zeros", "nan", "wide-range"])
+def test_mean_rel_se_keeps_both_formulas_it_replaced_bit_for_bit(x):
+    def bits(pair):
+        return np.array(pair, dtype=float).view(np.uint64)
+
+    assert np.array_equal(bits(_mean_rel_se(x)), bits(_sup_moment_term_as_written(x)))
+    assert np.array_equal(bits(log_mean_exp(x)), bits(_log_mean_exp_as_written(x)))
 
 
 def test_fhat_degenerate_coefficients(zero_solution):

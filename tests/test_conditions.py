@@ -22,6 +22,21 @@ def test_zero_generator_passes_growth(cloud_random):
     assert r.passed and r.worst_margin >= 0.0
 
 
+# every condition a catalog generator declares (custom-expression declares none)
+_DECLARED = [(gen_id, flag.removeprefix("satisfies-"))
+             for gen_id in sq.generators.GENERATOR_IDS if gen_id != "custom-expression"
+             for flag in sorted(make_generator(gen_id, 1.5).flags) if flag.startswith("satisfies-")]
+
+
+@pytest.mark.parametrize("gen_id, condition", _DECLARED)
+def test_catalog_generators_pass_every_condition_they_declare(gen_id, condition, cloud_random,
+                                                              cloud_corner):
+    gen = make_generator(gen_id, 1.5)
+    for cloud in (cloud_random, cloud_corner):
+        r = sq.check_condition(gen, condition, cloud)
+        assert r.passed, (cloud.size, r.worst_margin, r.witnesses[:1])
+
+
 def test_example1_passes_growth(example1, cloud_random, cloud_corner):
     for cloud in (cloud_random, cloud_corner):
         assert check_growth(example1, "EX1", cloud).passed

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +253,38 @@ def test_rekeyed_sampler_matches_per_path_philox(dims, count):
     steps = _per_path_philox_reference(grid, dims, count, 2024)
     expected = np.concatenate([np.zeros((count, 1, dims)), np.cumsum(steps, axis=1)], axis=1)
     assert np.array_equal(bundle.levels, expected)
+
+
+def _key(rng):
+    return [int(w) for w in rng.bit_generator.state["state"]["key"]]
+
+
+def test_named_streams_lie_in_a_key_domain_no_path_reaches():
+    keys = {name: _key(paths.stream(11, name)) for name in paths.STREAM_TAGS}
+    assert all(first == 11 and second >= 2 ** 63 for first, second in keys.values())
+    assert len({second for _, second in keys.values()}) == len(keys)
+    # a stream starts fresh on every call
+    assert np.array_equal(paths.stream(11, "cloud").random(4), paths.stream(11, "cloud").random(4))
+    with pytest.raises(KeyError, match="unknown random stream 'paths'"):
+        paths.stream(11, "paths")
+
+
+def test_cloud_no_longer_draws_the_stream_of_a_path_of_its_seed():
+    # the cloud's key was [seed, 0x5eed]: the key of path 24301 of the same seed
+    from subquad_bsde.conditions import build_cloud
+    seed, size = 5, 64
+    cloud = build_cloud(1.0, 1, size, "random", seed=seed)
+    path_24301 = np.random.Generator(np.random.Philox(key=np.array([seed, 24301], dtype=np.uint64)))
+    assert not np.array_equal(cloud.t, path_24301.uniform(0.0, 1.0, size))
+    assert np.array_equal(cloud.t, paths.stream(seed, "cloud").uniform(0.0, 1.0, size))
+
+
+def test_only_paths_builds_a_bit_generator():
+    # the key layout is decided in one module: every other one asks paths.stream
+    for source in Path(paths.__file__).parent.glob("*.py"):
+        if source.name != "paths.py":
+            text = source.read_text()
+            assert "Philox(" not in text and "random.Generator(" not in text, source.name
 
 
 def test_bundle_projectors_built_once_per_basis():

@@ -958,3 +958,18 @@ def test_solver_on_geometric_grid():
     # per-step implicit map with nonuniform steps: prod 1/(1+dt_j)
     discrete = np.concatenate([np.cumprod(1.0 / (1.0 + grid.dt[::-1]))[::-1], [1.0]])
     assert np.max(np.abs(sol.Y.mean(axis=0) - discrete)) < 1e-8
+
+
+@pytest.mark.xfail(raises=SolverDivergedError, strict=True,
+                   reason="known defect: the damped polynomial-basis fixed point stalls near "
+                          "example 1's cbrt(|y|) kink, a well-posed step; a fix removes this marker")
+def test_readme_config_solves_on_four_polynomial_steps(tmp_path):
+    # today: "fixed point diverged at step 3, rung (4, 4) (last gap 8.704e-06)"
+    from pathlib import Path
+
+    from subquad_bsde.cli import _validate, parse_config, run_experiment
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = dataclasses.replace(parse_config(block), basis="polynomial", basis_size=3, steps=4,
+                              paths=200, out=str(tmp_path / "out"))
+    assert run_experiment(_validate(cfg)).ladder["verdict"] == "satisfied"
