@@ -6,10 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 import subquad_bsde as sq
-from subquad_bsde.bounds import (BoundCheckResult, _classify, _mean_rel_se, _node_states, fhat_process, log_mean_exp,
-                                 order_verdict,
-                                 order_violations, verify_comparison, verify_fhat_moment,
-                                 verify_pointwise_bound, verify_sup_bound)
+from subquad_bsde.bounds import (BoundCheckResult, _classify, _mean_rel_se, _node_states, fhat_process,
+                                 log_mean_exp, order_verdict, order_violations, verify_comparison,
+                                 verify_fhat_moment, verify_pointwise_bound, verify_sup_bound)
 from subquad_bsde.errors import PreconditionViolationError
 from subquad_bsde.generators import TruncationIndex, truncate_generator, truncate_terminal
 
