@@ -20,15 +20,19 @@ class UnsupportedDimensionError(ValueError):
 
 
 class SolverDivergedError(RuntimeError):
-    """The implicit per-step fixed point failed to settle; ``rung`` names the
-    truncation (n, q) when the failing solve was one rung of a ladder."""
+    """The implicit per-step update failed to settle; ``rung`` names the
+    truncation (n, q) when the failing solve was one rung of a ladder, and
+    ``cause`` says why: the residual rose along a step (an ill-posed step,
+    dt dg/dy >= 1), or the step had not settled within the sweep cap."""
 
-    def __init__(self, step_index, gap, rung=None):
+    def __init__(self, step_index, gap, rung=None, cause=None):
         self.step_index = step_index
         self.gap = gap
         self.rung = rung
+        self.cause = cause
         where = f"step {step_index}" if rung is None else f"step {step_index}, rung {rung}"
-        super().__init__(f"fixed point diverged at {where} (last gap {gap:.3e})")
+        why = "" if cause is None else f": {cause}"
+        super().__init__(f"fixed point diverged at {where} (last gap {gap:.3e}){why}")
 
 
 class IterationLimitError(RuntimeError):

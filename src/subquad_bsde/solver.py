@@ -3,7 +3,8 @@
 Both solvers discretize the same backward equation on a path bundle.  Per step
 the noise coefficient is the martingale-increment estimator (regression of the
 centered next value times the Brownian increment over dt), and the value update
-is implicit in y.  The ladder solves the clamped problems along the diagonal
+is implicit in y: on either basis one secant in the projector's coordinates,
+diagonal (per bin) on the partition basis.  The ladder solves the clamped problems along the diagonal
 and the first row/column of the index lattice, one backward pass per walk with
 its rungs stacked, and counts order violations; the theta residual forms the
 difference field the comparison argument contracts.
@@ -23,7 +24,7 @@ from .generators import (Generator, TerminalData, TruncationIndex, _norm, _sum_l
                          theta_difference_generator, truncate_terminal, truncated_at)
 from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
-_FP_TOL = 1e-10            # implicit step: residual (bins) or sup-change (polynomial) target
+_FP_TOL = 1e-10            # implicit step: residual target, per bin or sup over a rung's paths
 _FP_MAX_ITER = 200         # implicit step: driver sweeps before SolverDivergedError
 _PICARD_TOL = 1e-8         # Picard: sup-change of (Y, Z) over all nodes between sweeps
 _PICARD_MAX_ITER = 60      # Picard: sweeps before IterationLimitError
@@ -91,119 +92,100 @@ def _fit_noise(step_noise_sq: np.ndarray) -> np.ndarray:
     return fit_noise
 
 
-def _check_finite(gval: np.ndarray, step: int, rungs, live=None) -> None:
-    # per-path values of all rungs; on failure, name the first rung (of the ``live`` ones) at fault
+def _check_finite(gval: np.ndarray, step: int, rungs) -> None:
+    # per-path values of all rungs; on failure, name the first rung at fault
     bad = ~np.isfinite(gval).all(axis=1)
-    if live is not None:
-        bad &= live
     if bad.any():
         where = "" if rungs is None else f", rung {rungs[int(np.argmax(bad))]}"
         raise PreconditionViolationError(f"driver produced non-finite values at step {step}{where}")
 
 
-def _diverged(step: int, rungs, r: np.ndarray, bins: np.ndarray, K: int) -> SolverDivergedError:
-    # the first rung among the stacked ``bins``, with its largest residual there
-    rung = int(bins[0] // K)
-    gap = float(np.max(np.abs(r[bins[bins // K == rung]])))
-    return SolverDivergedError(step, gap, None if rungs is None else rungs[rung])
+def _diverged(step: int, rungs, gap: np.ndarray, bad: np.ndarray, cause: str) -> SolverDivergedError:
+    # the first rung with a ``bad`` unit, with its largest residual among them
+    rung = int(np.argmax(bad.any(axis=1)))
+    return SolverDivergedError(step, float(np.max(gap[rung][bad[rung]])),
+                               None if rungs is None else rungs[rung], cause)
 
 
-def _bin_update(g_at, rows, m: np.ndarray, dt: float, step: int,
-                rungs) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit value update on the partition basis, all bins of all rungs at once.
+def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
+                     bins: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit value update y = fit(Y_next + dt g(y)) of all rungs at once, in
+    the projector coordinates c (R, p) of y.
 
-    After one update y is constant within each bin, so the step is the scalar
-    root problem r(c) = m + dt * mean_bin g(c) - c = 0 per bin, with m (R, K)
-    the bin means of Y_next.  The first sweep takes the fixed-point step
-    c + r(c); later sweeps take per-bin secant steps, bisecting the tightest
-    bracket seen (r > 0 at lo, r < 0 at hi) when a step would leave it.  Each
-    sweep is one driver call ``g_at(c)`` over all paths of all rungs, with
-    ``g_at`` the step's driver frozen per bin (`Generator.at`); bins with
-    |r| < ``_FP_TOL`` stay frozen, so every bin takes exactly the steps it
-    takes when its rung is solved alone.
-    A residual that does not decrease means dt * dg/dy >= 1: the step is
-    ill-posed.  Every sweep works on whole (R K) arrays and keeps the settled
-    bins by the ``done`` mask.  Finiteness is checked on the bin means, which
-    a non-finite driver value always makes non-finite; only then are the
+    It solves r(c) = m + dt coords(g(expand c)) - c = 0, with m the coordinates
+    of Y_next.  The first sweep takes the fixed-point step c + r; later sweeps
+    take secant steps c - J^-1 r with J = dt coords(diag(s) B) - I, s the
+    per-path secant slopes dg/dy of the last step (a path that did not move
+    keeps its slope).  On the partition basis (``bins``) J is diagonal and the
+    secant condition J dc = dr fixes it: per bin c - r dc / dr, bisecting the
+    tightest bracket seen (r > 0 at lo, r < 0 at hi) when a step would leave
+    it, with no per-path pass.  On the polynomial basis J is p x p per rung.
+    A unit (a bin, or a rung on the polynomial basis) settles when its
+    residual (|r| per bin, sup over paths of |expand r| per rung) falls below
+    ``_FP_TOL``, and then keeps c, so every unit takes exactly the steps it
+    takes when its rung is solved alone.  A unit whose residual does not fall
+    along its step (dc . dr >= 0) means dt dg/dy >= 1, an ill-posed step;
+    that, or no settling within ``_FP_MAX_ITER`` sweeps, raises
+    `SolverDivergedError`.  Each sweep is one driver call ``g_at(c)`` over all
+    paths of all rungs.  Finiteness is checked on the coordinates, which a
+    non-finite driver value always makes non-finite; only then are the
     per-path values searched for the rung at fault (`_check_finite`).
     Returns the per-path values and the driver evaluated there.
     """
-    R, K = m.shape
-    m = m.ravel()
     c = m.copy()
-    lo = np.full_like(m, -np.inf)
-    hi = np.full_like(m, np.inf)
-    done = np.zeros(m.shape, dtype=bool)
-    c_prev = r_prev = None
+    done = np.zeros(m.shape if bins else (len(m), 1), dtype=bool)
+    lo, hi = np.full_like(m, -np.inf), np.full_like(m, np.inf)
+    slopes = 0.0
+    c_prev = r_prev = g_prev = None
     for _ in range(_FP_MAX_ITER):
-        gval = g_at(c.reshape(R, K))
-        g_mean = rows.coords(gval).ravel()
-        if not np.isfinite(g_mean).all():
+        gval = g_at(c)
+        g_coords = rows.coords(gval)
+        if not np.isfinite(g_coords).all():
             _check_finite(gval, step, rungs)
-        r = m + dt * g_mean - c
-        done |= np.abs(r) < _FP_TOL
+        r = m + dt * g_coords - c
+        gap = np.abs(r) if bins else np.max(np.abs(rows.expand(r)), axis=1, keepdims=True)
+        done |= gap < _FP_TOL
         if done.all():
-            return rows.expand(c.reshape(R, K)), gval
-        gval = None                     # not held through the next driver call
-        lo = np.where(r > 0.0, np.maximum(lo, c), lo)
-        hi = np.where(r < 0.0, np.minimum(hi, c), hi)
+            return rows.expand(c), gval
+        if bins:
+            gval = None                 # not held through the next driver call
+            lo = np.where(r > 0.0, np.maximum(lo, c), lo)
+            hi = np.where(r < 0.0, np.minimum(hi, c), hi)
         if c_prev is None:
             nxt = c + r
         else:
             dc, dr = c - c_prev, r - r_prev
-            moved = dc != 0.0
-            rising = moved & (dc * dr >= 0.0) & ~done
+            moved, rose = dc != 0.0, dc * dr
+            if not bins:
+                moved, rose = moved.any(axis=1, keepdims=True), rose.sum(axis=1, keepdims=True)
+            rising = moved & (rose >= 0.0) & ~done
             if rising.any():
-                raise _diverged(step, rungs, r, np.flatnonzero(rising), K)
-            # an unmoved bin keeps c, which sits on its bracket, so it bisects
-            nxt = c - r * dc / np.where(moved & ~done, dr, 1.0)
-            inside = (lo < nxt) & (nxt < hi)
-            # a bracket stays one-sided only while r keeps its sign; there the
-            # fixed-point step c + r moves towards the root.  The midpoint is
-            # formed on two-sided brackets only: a settled bin's may be (-inf, inf)
-            two_sided = np.isfinite(lo) & np.isfinite(hi)
-            fallback = c + r
-            np.add(lo, hi, out=fallback, where=two_sided)
-            np.multiply(fallback, 0.5, out=fallback, where=two_sided)
-            nxt = np.where(inside, nxt, fallback)
+                raise _diverged(step, rungs, gap, rising,
+                                "the residual rose along the step (dt * dg/dy >= 1)")
+            if bins:
+                # an unmoved bin keeps c, which sits on its bracket, so it bisects
+                nxt = c - r * dc / np.where(moved & ~done, dr, 1.0)
+                inside = (lo < nxt) & (nxt < hi)
+                # a bracket stays one-sided only while r keeps its sign; there the
+                # fixed-point step c + r moves towards the root.  The midpoint is
+                # formed on two-sided brackets only: a settled bin's may be (-inf, inf)
+                two_sided = np.isfinite(lo) & np.isfinite(hi)
+                fallback = c + r
+                np.add(lo, hi, out=fallback, where=two_sided)
+                np.multiply(fallback, 0.5, out=fallback, where=two_sided)
+                nxt = np.where(inside, nxt, fallback)
+            else:
+                dy = rows.expand(dc)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    slopes = np.where(dy != 0.0, (gval - g_prev) / dy, slopes)
+                dy, nxt, eye = None, c.copy(), np.eye(c.shape[1])
+                for k in np.flatnonzero(~done[:, 0]):
+                    jac = dt * rows.proj.cross([rows.proj], slopes[k])[0] - eye
+                    nxt[k] -= np.linalg.solve(jac, r[k])
+        g_prev = gval
         c_prev, r_prev = c, r
         c = np.where(done, c, nxt)
-    raise _diverged(step, rungs, r, np.flatnonzero(~done), K)
-
-
-def _damped_update(g_at, proj, m_fit: np.ndarray, dt: float, step: int,
-                   rungs) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit value update on a general basis: per rung, y = m_fit + dt fit(g(y))
-    iterated with 0.5 damping whenever the iteration stops contracting.
-
-    Each sweep is one driver call over all rungs; a rung whose sup-change
-    falls below ``_FP_TOL`` keeps its y and the driver values of its last
-    sweep, as when it is solved alone.
-    """
-    y = m_fit.copy()
-    gval = np.empty_like(y)
-    prev_gap = [math.inf] * len(y)
-    live = np.ones(len(y), dtype=bool)
-    for _ in range(_FP_MAX_ITER):
-        g_now = g_at(y)
-        _check_finite(g_now, step, rungs, live)
-        for r in np.flatnonzero(live):
-            y_new = m_fit[r] + dt * proj.fit(g_now[r])
-            gap = float(np.max(np.abs(y_new - y[r])))
-            if gap > 0.9 * prev_gap[r]:
-                # damp whenever the iteration stops contracting; steep drivers
-                # near a kink otherwise ping-pong at constant amplitude
-                y_new = 0.5 * (y_new + y[r])
-                gap = float(np.max(np.abs(y_new - y[r])))
-            y[r] = y_new
-            prev_gap[r] = gap
-            if gap < _FP_TOL:
-                gval[r] = g_now[r]
-                live[r] = False
-        if not live.any():
-            return y, gval
-    r = int(np.argmax(live))
-    raise SolverDivergedError(step, prev_gap[r], None if rungs is None else rungs[r])
+    raise _diverged(step, rungs, gap, ~done, f"not settled after {_FP_MAX_ITER} sweeps")
 
 
 def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
@@ -214,13 +196,13 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
     z and y with a leading rung axis) and ``y_end`` (R, M) holds their
     terminal values; ``rungs`` names the problems in error messages.  Per
     step: Z from the centered martingale-increment regression, then the
-    implicit value update y = fit(Y_next + g(t, y, Z) dt), solved to
-    ``_FP_TOL`` within ``_FP_MAX_ITER`` driver sweeps (else
-    `SolverDivergedError` naming the step and rung): on the partition basis
-    as one safeguarded secant per bin (`_bin_update`), with the driver's
-    z-part evaluated once per bin, otherwise as a damped fixed point
-    (`_damped_update`).  Each rung's regressions and updates are those of its
-    own one-rung solve, bit for bit.
+    implicit value update y = fit(Y_next + g(t, y, Z) dt), solved in the
+    projector's coordinates by one secant (`_implicit_update`; else
+    `SolverDivergedError` naming the step, rung and cause).  On the partition
+    basis the driver is frozen per bin, so its z-part is evaluated once per
+    bin; on the polynomial basis it is frozen per path and composed with
+    ``expand``.  Each rung's regressions and updates are those of its own
+    one-rung solve, bit for bit.
 
     Yields ``(j, y, z, noise)`` for j = N, ..., 0: the values (R, M) at node
     j, the fit noise (R,) there (per step, `noise_sq` of each rung's value
@@ -241,17 +223,18 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
         m_fit = rows.expand(m)
         # centered martingale-increment estimator: E_t[(Y_{t+dt} - E_t Y_{t+dt}) dB] / dt
         zc = rows.coords((levels[:, j + 1, :] - b) * (y_next - m_fit)[:, :, None])
+        m_fit = None
         if bins:
-            m_fit = None
             zc /= dt            # a gather commutes with / dt: Z = fit(weighted) / dt
-            y, gval = _bin_update(at(t, b, zc, proj.idx), rows, m, dt, j, rungs)
+            g_at = at(t, b, zc, proj.idx)
             z = None if keep is None else proj.expand(zc[keep])
         else:
             z = rows.expand(zc)
             z /= dt
-            y, gval = _damped_update(at(t, b, z), proj, m_fit, dt, j, rungs)
-            m_fit = None
+            frozen = at(t, b, z)
+            g_at = lambda c: frozen(rows.expand(c))
             z = None if keep is None else z[keep]
+        y, gval = _implicit_update(g_at, rows, m, dt, j, rungs, bins)
         resid = y_next + dt * gval - y      # spread the value fit had to average out
         gval = None
         noise_sq = noise_sq + proj.noise_sq(resid)
@@ -265,9 +248,10 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
 
     The one-rung case of `_backward`: per step, Z from the centered
     martingale-increment regression, then the implicit value update
-    y = fit(Y_next + g(t, y, Z) dt) solved to ``_FP_TOL`` within
-    ``_FP_MAX_ITER`` driver sweeps (else `SolverDivergedError` naming the
-    step), per bin on the partition basis and damped otherwise.  Each step
+    y = fit(Y_next + g(t, y, Z) dt), one secant in the projector's
+    coordinates (`_implicit_update`) run to ``_FP_TOL`` within
+    ``_FP_MAX_ITER`` driver sweeps; else `SolverDivergedError` names the
+    step and its cause (an ill-posed step or the sweep cap).  Each step
     freezes the driver at (t, b, Z) once (`Generator.at`) and iterates on y
     alone.  Only sampled finiteness of the inputs is enforced; boundedness is
     the caller's contract.

@@ -114,23 +114,26 @@ def test_solver_divergence_reports_step(grid24, bundle24, poly_basis, monkeypatc
     assert err.value.step_index == grid24.steps - 1
 
 
-def test_bin_fallback_divergence_reports_step(grid24, bundle24, bins_basis, monkeypatch):
-    # y = E[Y_next] + 2 y has a root per bin, but its residual increases
-    # (dt * dg/dy = 2 >= 1), so the per-bin secant rejects the ill-posed
-    # step on the first step it solves instead of returning that root
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_bin_fallback_divergence_reports_step(grid24, bundle24, basis_fixture, request):
+    # y = E[Y_next] + 2 y has a root, but its residual increases along every
+    # step (dt * dg/dy = 2 >= 1), so the secant rejects the ill-posed step on
+    # its second sweep, per bin and per rung alike, instead of returning that
+    # root or running to the sweep cap
     dt = float(grid24.dt[0])
-    g = sq.make_generator("linear", 1.5, b_y=2.0 / dt, b_z=0.0)
-    monkeypatch.setattr(solver, "_FP_MAX_ITER", 2)
-    with pytest.raises(SolverDivergedError) as err:
+    g, calls = _counted(sq.make_generator("linear", 1.5, b_y=2.0 / dt, b_z=0.0), frozen=False)
+    with pytest.raises(SolverDivergedError, match=r"at step 23 \(last gap .*\): the residual "
+                                                  r"rose along the step \(dt \* dg/dy >= 1\)$") as err:
         sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
-                         grid24, bundle24, bins_basis)
+                         grid24, bundle24, request.getfixturevalue(basis_fixture))
     assert err.value.step_index == grid24.steps - 1
+    assert err.value.cause.startswith("the residual rose") and len(calls) == 2
 
 
 def test_bin_sweep_cap_reports_step(grid24, bundle24, bins_basis, monkeypatch):
     monkeypatch.setattr(solver, "_FP_MAX_ITER", 1)
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.0)
-    with pytest.raises(SolverDivergedError) as err:
+    with pytest.raises(SolverDivergedError, match=r"\): not settled after 1 sweeps$") as err:
         sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
                          grid24, bundle24, bins_basis)
     assert err.value.step_index == grid24.steps - 1
@@ -960,16 +963,107 @@ def test_solver_on_geometric_grid():
     assert np.max(np.abs(sol.Y.mean(axis=0) - discrete)) < 1e-8
 
 
-@pytest.mark.xfail(raises=SolverDivergedError, strict=True,
-                   reason="known defect: the damped polynomial-basis fixed point stalls near "
-                          "example 1's cbrt(|y|) kink, a well-posed step; a fix removes this marker")
-def test_readme_config_solves_on_four_polynomial_steps(tmp_path):
-    # today: "fixed point diverged at step 3, rung (4, 4) (last gap 8.704e-06)"
+def _readme_config(**changes):
     from pathlib import Path
 
-    from subquad_bsde.cli import _validate, parse_config, run_experiment
+    from subquad_bsde.cli import _validate, parse_config
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = dataclasses.replace(parse_config(block), basis="polynomial", basis_size=3, steps=4,
-                              paths=200, out=str(tmp_path / "out"))
-    assert run_experiment(_validate(cfg)).ladder["verdict"] == "satisfied"
+    return _validate(dataclasses.replace(parse_config(block), **changes))
+
+
+def test_readme_config_solves_on_four_polynomial_steps(tmp_path):
+    # ROADMAP item 2's reproducer: the damped fixed point that the secant in
+    # coordinates replaced stalled here near example 1's cbrt(|y|) kink, with
+    # "fixed point diverged at step 3, rung (4, 4) (last gap 8.704e-06)"
+    from subquad_bsde.cli import run_experiment
+    cfg = _readme_config(basis="polynomial", basis_size=3, steps=4, paths=200,
+                         out=str(tmp_path / "out"))
+    assert run_experiment(cfg).ladder["verdict"] == "satisfied"
+
+
+@pytest.mark.parametrize("changes", [dict(paths=40, seed=2), dict(paths=40, seed=3),
+                                     dict(scheme="geometric", steps=12, paths=1000)],
+                         ids=["40-paths-seed-2", "40-paths-seed-3", "geometric-12-steps"])
+def test_readme_config_ladder_solves_on_the_polynomial_basis(changes):
+    # each raised SolverDivergedError under the damped fixed point: at step 12,
+    # rung (1, 4); at step 20, rung (16, 16); and at step 0, rung (1, 1)
+    from subquad_bsde.cli import _build_basis, _build_generator, _build_terminal
+    cfg = _readme_config(basis="polynomial", basis_size=3, **changes)
+    grid = sq.build_grid(cfg.horizon, cfg.steps, cfg.scheme)
+    bundle = sq.sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
+    lad = sq.solve_ladder(_build_generator(cfg), _build_terminal(cfg), grid, bundle,
+                          _build_basis(cfg), levels=list(cfg.ladder))
+    assert lad.comparisons == 8 * cfg.paths * (cfg.steps + 1)
+    assert np.isfinite(lad.final.Y).all() and np.isfinite(lad.final.Z).all()
+    if cfg.scheme == "uniform":
+        assert lad.verdict == "satisfied"
+
+
+def test_linear_driver_settles_in_three_sweeps_per_step(grid24, bundle24):
+    # the secant is exact on a linear driver: a fixed-point sweep, a secant
+    # sweep onto the root, and the sweep that reads its residual
+    g, calls = _counted(sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5), frozen=False)
+    sq.solve_bounded(g, sq.make_terminal("clamp-bt", bound=3.0), grid24, bundle24,
+                     sq.RegressionBasis("polynomial", 4))
+    assert len(calls) <= 3 * grid24.steps
+
+
+def _reference_bin_update(g_at, rows, m, dt, step, rungs):
+    """The per-bin secant as it stood before the polynomial basis shared it,
+    copied for the bit-for-bit test below (failures only raise)."""
+    R, K = m.shape
+    m = m.ravel()
+    c = m.copy()
+    lo = np.full_like(m, -np.inf)
+    hi = np.full_like(m, np.inf)
+    done = np.zeros(m.shape, dtype=bool)
+    c_prev = r_prev = None
+    for _ in range(solver._FP_MAX_ITER):
+        gval = g_at(c.reshape(R, K))
+        g_mean = rows.coords(gval).ravel()
+        assert np.isfinite(g_mean).all()
+        r = m + dt * g_mean - c
+        done |= np.abs(r) < solver._FP_TOL
+        if done.all():
+            return rows.expand(c.reshape(R, K)), gval
+        gval = None
+        lo = np.where(r > 0.0, np.maximum(lo, c), lo)
+        hi = np.where(r < 0.0, np.minimum(hi, c), hi)
+        if c_prev is None:
+            nxt = c + r
+        else:
+            dc, dr = c - c_prev, r - r_prev
+            moved = dc != 0.0
+            assert not (moved & (dc * dr >= 0.0) & ~done).any()
+            nxt = c - r * dc / np.where(moved & ~done, dr, 1.0)
+            inside = (lo < nxt) & (nxt < hi)
+            two_sided = np.isfinite(lo) & np.isfinite(hi)
+            fallback = c + r
+            np.add(lo, hi, out=fallback, where=two_sided)
+            np.multiply(fallback, 0.5, out=fallback, where=two_sided)
+            nxt = np.where(inside, nxt, fallback)
+        c_prev, r_prev = c, r
+        c = np.where(done, c, nxt)
+    raise AssertionError("reference bin update did not settle")
+
+
+def test_bin_steps_match_the_reference_secant_bit_for_bit(grid24, example1, monkeypatch):
+    bundle = sq.sample_paths(grid24, 1, 2000, 5)
+    basis = sq.RegressionBasis("piecewise-constant-bins", 30, lo=-4.8, hi=4.8)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    g, calls = _counted(example1, frozen=True)
+    lad = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=[1, 2, 4])
+    shared = len(calls)
+
+    def reference(g_at, rows, m, dt, step, rungs, bins):
+        assert bins
+        return _reference_bin_update(g_at, rows, m, dt, step, rungs)
+
+    monkeypatch.setattr(solver, "_implicit_update", reference)
+    del calls[:]
+    ref = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=[1, 2, 4])
+    assert _same_field(lad.final, ref.final)
+    assert (lad.violations, lad.comparisons, lad.diagonal_gaps) == \
+        (ref.violations, ref.comparisons, ref.diagonal_gaps)
+    assert shared == len(calls) > 3 * grid24.steps
