@@ -92,7 +92,7 @@ def build_cloud(horizon: float, dims: int, size: int, strategy: str = "random",
     elif strategy == "adversarial-corner":
         thetas = np.array([0.01, 0.5, 0.99])
         ymags = np.array([0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0, 10.0])
-        zmags = np.array([0.0, 1.0, 10.0])
+        zmags = np.array([0.0, 1e-3, 0.05, 1.0, 10.0])
         ys = np.concatenate([ymags, -ymags])
         combos = np.array(np.meshgrid(ys, ys, zmags, zmags, thetas)).reshape(5, -1).T
         y1, y2 = combos[:, 0], combos[:, 1]

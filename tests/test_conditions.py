@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,19 @@ def test_catalog_generators_pass_every_condition_they_declare(gen_id, condition,
     for cloud in (cloud_random, cloud_corner):
         r = sq.check_condition(gen, condition, cloud)
         assert r.passed, (cloud.size, r.worst_margin, r.witnesses[:1])
+
+
+def test_corner_cloud_alone_sees_a_growth_failure_at_small_z(cloud_corner):
+    # convex-power with its former forcing f = 0: gamma |z|^alpha exceeds
+    # c_quad |z|^2 near z = 0, which the corner cloud reaches through its
+    # z magnitudes 1e-3 and 0.05 (with only 0, 1 and 10 it passed at margin 0)
+    g = make_generator("convex-power", 1.5)
+    unforced = dataclasses.replace(g, profile=dataclasses.replace(
+        g.profile, f=lambda t, b: np.zeros(np.atleast_2d(b).shape[0])))
+    r = check_growth(unforced, "EX2", cloud_corner)
+    assert not r.passed and r.worst_margin < 0.0
+    assert r.witnesses[0] == (0.0, 0.0, 1e-3)
+    assert check_growth(g, "EX2", cloud_corner).passed
 
 
 def test_example1_passes_growth(example1, cloud_random, cloud_corner):
