@@ -973,9 +973,8 @@ def _readme_config(**changes):
 
 
 def test_readme_config_solves_on_four_polynomial_steps(tmp_path):
-    # ROADMAP item 2's reproducer: the damped fixed point that the secant in
-    # coordinates replaced stalled here near example 1's cbrt(|y|) kink, with
-    # "fixed point diverged at step 3, rung (4, 4) (last gap 8.704e-06)"
+    # a well-posed step whose root lies 1.6e-7 below example 1's cbrt(|y|)
+    # kink at 0-, where the driver's slope is unbounded (ROADMAP item 2)
     from subquad_bsde.cli import run_experiment
     cfg = _readme_config(basis="polynomial", basis_size=3, steps=4, paths=200,
                          out=str(tmp_path / "out"))
@@ -986,8 +985,7 @@ def test_readme_config_solves_on_four_polynomial_steps(tmp_path):
                                      dict(scheme="geometric", steps=12, paths=1000)],
                          ids=["40-paths-seed-2", "40-paths-seed-3", "geometric-12-steps"])
 def test_readme_config_ladder_solves_on_the_polynomial_basis(changes):
-    # each raised SolverDivergedError under the damped fixed point: at step 12,
-    # rung (1, 4); at step 20, rung (16, 16); and at step 0, rung (1, 1)
+    # well-posed steps near example 1's cbrt(|y|) kink: every rung must solve
     from subquad_bsde.cli import _build_basis, _build_generator, _build_terminal
     cfg = _readme_config(basis="polynomial", basis_size=3, **changes)
     grid = sq.build_grid(cfg.horizon, cfg.steps, cfg.scheme)
@@ -1010,8 +1008,9 @@ def test_linear_driver_settles_in_three_sweeps_per_step(grid24, bundle24):
 
 
 def _reference_bin_update(g_at, rows, m, dt, step, rungs):
-    """The per-bin secant as it stood before the polynomial basis shared it,
-    copied for the bit-for-bit test below (failures only raise)."""
+    """The per-bin secant written out on its own, bins flattened: the
+    reference that the shared routine must match bit for bit on bins
+    (its failures only raise)."""
     R, K = m.shape
     m = m.ravel()
     c = m.copy()
