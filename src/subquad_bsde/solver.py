@@ -4,10 +4,11 @@ Both solvers discretize the same backward equation on a path bundle.  Per step
 the noise coefficient is the martingale-increment estimator (regression of the
 centered next value times the Brownian increment over dt), and the value update
 is implicit in y: on either basis one secant in the projector's coordinates,
-diagonal (per bin) on the partition basis.  The ladder solves the clamped problems along the diagonal
-and the first row/column of the index lattice, one backward pass per walk with
-its rungs stacked, and counts order violations; the theta residual forms the
-difference field the comparison argument contracts.
+diagonal (per bin) on the partition basis.  The ladder solves the clamped
+problems along the diagonal and the first row/column of the index lattice, one
+backward pass per walk with its rungs stacked, and counts order violations;
+the theta residual forms the difference field the comparison argument
+contracts.
 """
 
 from __future__ import annotations
