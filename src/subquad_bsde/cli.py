@@ -28,7 +28,7 @@ from . import conditions as cond_mod
 from .constants import conjugate_exponent, derive_constants, gamma_integral
 from .envelopes import (construct_A2_envelope, construct_A3_envelope, lemmaA1_check,
                         lemmaA2_check, lemmaA3_check, lemma_samples, remainder_check)
-from .errors import ConfigurationError, InvalidCoefficientError, PreconditionViolationError
+from .errors import ConfigurationError, InvalidCoefficientError
 from .expressions import ExpressionError, compile_time_function
 from .families import FAMILY_REGISTRY
 from .generators import (GENERATOR_IDS, TERMINAL_IDS, TruncationIndex, make_generator,
@@ -230,7 +230,6 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     gen = _build_generator(cfg)
-    xi = _build_terminal(cfg)
     grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     basis = _build_basis(cfg)
@@ -239,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
 
     report = ReportDocument(config=cfg, constants=constants.to_dict(p_values=(cfg.p,)))
 
-    ladder = solve_ladder(gen, xi, grid, bundle, basis, levels=list(cfg.ladder))
+    ladder = solve_ladder(gen, _build_terminal(cfg), grid, bundle, basis, levels=list(cfg.ladder))
     sol = ladder.final
     report.ladder = {
         "levels": list(ladder.levels),
@@ -255,13 +254,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     cloud = cond_mod.build_cloud(cfg.horizon, cfg.dims, cfg.cloud_samples,
                                  "random", seed=cfg.seed + 1)
     idx = TruncationIndex(max(cfg.ladder), max(cfg.ladder))
-    xi_vals = truncate_terminal(xi, idx)(bundle.terminal())
 
     for check in cfg.checks:
         if check in cond_mod.CONDITION_IDS:
             report.condition_reports.append(cond_mod.check_condition(gen, check, cloud))
         else:
-            _check_bound(report, check, gen, constants, sol, xi_vals, idx)
+            _check_bound(report, check, gen, constants, sol, idx)
 
     for r in report.bound_results:
         _write_csv(outdir / f"bound_{r.bound_id}.csv", r.columns())
@@ -271,14 +269,14 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     return report
 
 
-def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol, xi_vals,
+def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol,
                  idx: TruncationIndex) -> None:
     """Run bound check ``bound_id`` on the solved field ``sol`` and record it in ``report``.
 
-    ``xi_vals`` are the terminal values truncated at ``idx``, the rung ``sol`` was solved on;
-    the problem itself is ``report.config``.
+    ``sol`` was solved on the rung ``idx`` of the problem ``report.config``; its terminal
+    values are its node-N column, a view that no check writes to.
     """
-    cfg, prof = report.config, gen.profile
+    cfg, prof, xi_vals = report.config, gen.profile, sol.Y[:, -1]
     if bound_id in ("pointwise", "pointwise-one-sided"):
         side = "two-sided" if bound_id == "pointwise" else "one-sided"
         report.bound_results.append(
@@ -295,17 +293,11 @@ def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol, xi_
         shifted = replace(cfg, terminal_shift=cfg.terminal_shift + cfg.comparison_shift)
         xi_hi = truncate_terminal(_build_terminal(shifted), idx)
         sol_hi = solve_bounded(truncate_generator(gen, idx), xi_hi, sol.grid, sol.bundle, sol.basis)
-        try:
-            r = bounds_mod.verify_comparison(sol, sol_hi, xi_values=xi_vals,
-                                             xi_prime_values=xi_hi(sol.bundle.terminal()))
-        except PreconditionViolationError as exc:
-            nodes = sol.grid.steps + 1
-            r = bounds_mod.BoundCheckResult(
-                bound_id="comparison", times=sol.grid.nodes.copy(),
-                log_lhs=np.zeros(nodes), log_rhs=np.zeros(nodes), se=np.zeros(nodes),
-                margin_min=np.zeros(nodes), verdict="violated", violation_fraction=1.0)
-            report.notes.append(f"comparison hypothesis violated: {exc} "
-                                f"(witnesses {exc.witnesses[:3]})")
+        r = bounds_mod.verify_comparison(sol, sol_hi, xi_vals, sol_hi.Y[:, -1])
+        if r.witnesses:
+            report.notes.append(f"comparison hypothesis violated: terminal ordering xi <= xi' "
+                                f"fails on {r.terminal_failures} paths "
+                                f"(witnesses {list(r.witnesses[:3])})")
         report.bound_results.append(r)
     else:                                        # "fhat-moment"; ids come from _BOUND_IDS
         fh = bounds_mod.fhat_process(prof, sol)
@@ -335,13 +327,13 @@ def _bound_line(r) -> str:
     in place of a margin: the minimum over nodes would come from the nodes
     that were never in doubt, such as the comparison's horizon node.  A
     decided comparison quotes the minimum over nodes 0..N-1 for the same
-    reason: at node N its allowance holds no fit noise and the terminal order
-    was validated before the check.
+    reason (node N's allowance holds no fit noise), unless its terminal order
+    failed: node N is then the measured failure.
     """
     if r.verdict == "indeterminate":
         return (f"bound {r.bound_id}: indeterminate "
                 f"({r.undecided} of {len(r.times)} nodes undecided)")
-    margins = r.margin_min[:-1] if r.bound_id == "comparison" else r.margin_min
+    margins = r.margin_min[:-1] if r.bound_id == "comparison" and not r.witnesses else r.margin_min
     return (f"bound {r.bound_id}: {r.verdict} (min margin {float(np.min(margins))!r}, "
             f"violation fraction {r.violation_fraction!r})")
 
@@ -425,8 +417,9 @@ def _load_solution(path: str, **overrides):
     """The saved field, the config it was solved for, and the truncation of its final rung.
 
     A key the file lacks takes the config default; files written before the whole
-    config was saved hold beta and gamma as numbers, which load as their text.  Nodes,
-    Y and Z that disagree with the saved config are a configuration error.
+    config was saved hold beta and gamma as numbers, which load as their text.  Nodes, Y
+    and Z that disagree with the saved config are a configuration error, and so is a terminal
+    column Y[:, N] (every check's xi) other than the config's terminal at the final rung.
     """
     path = path if path.endswith(".npz") else path + ".npz"
     data = np.load(path, allow_pickle=False)
@@ -445,10 +438,15 @@ def _load_solution(path: str, **overrides):
             raise ConfigurationError(f"{path}: {name} has shape {saved.shape}, "
                                      f"its config (paths, steps, dims) needs {shape}")
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
+    idx = TruncationIndex(meta["n_max"], meta["q_max"])
+    xi = truncate_terminal(_build_terminal(cfg), idx)
+    if not np.array_equal(Y[:, -1], xi(bundle.terminal())):
+        raise ConfigurationError(f"{path}: its Y[:, {cfg.steps}] is not its config's terminal "
+                                 f"truncated at ({idx.n}, {idx.q}) on the paths of seed {cfg.seed}")
     # the solvers' layout, whatever order the file was written in
     sol = SolutionField(Y=as_step_major(Y), Z=as_step_major(Z), bundle=bundle,
                         basis=_build_basis(cfg), fit_noise=data.get("fit_noise"))
-    return sol, cfg, TruncationIndex(meta["n_max"], meta["q_max"])
+    return sol, cfg, idx
 
 
 def _cmd_verify_bounds(args) -> int:
@@ -456,9 +454,8 @@ def _cmd_verify_bounds(args) -> int:
     gen = _build_generator(cfg)
     prof = gen.profile
     constants = derive_constants(cfg.alpha, cfg.horizon, prof.beta, prof.gamma)
-    xi_vals = truncate_terminal(_build_terminal(cfg), idx)(sol.bundle.terminal())
     report = ReportDocument(config=cfg)
-    _check_bound(report, args.bound, gen, constants, sol, xi_vals, idx)
+    _check_bound(report, args.bound, gen, constants, sol, idx)
     for r in report.bound_results:
         if args.out:
             _write_csv(Path(args.out), r.columns())

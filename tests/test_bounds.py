@@ -9,7 +9,6 @@ import subquad_bsde as sq
 from subquad_bsde.bounds import (BoundCheckResult, _classify, _mean_rel_se, _node_states, fhat_process,
                                  log_mean_exp, order_verdict, order_violations, verify_comparison,
                                  verify_fhat_moment, verify_pointwise_bound, verify_sup_bound)
-from subquad_bsde.errors import PreconditionViolationError
 from subquad_bsde.generators import TruncationIndex, truncate_generator, truncate_terminal
 
 ZERO = lambda t: 0.0 * np.asarray(t, dtype=float)
@@ -134,6 +133,21 @@ def test_fhat_moment_jensen_closed_form(grid24):
                              gamma=lambda t: 1.0 + 0.0 * np.asarray(t), z_prime=z_prime)
     assert chk.ln_moment.log_value == pytest.approx(p, abs=1e-9)
     assert chk.jensen_majorant.log_value == pytest.approx(p * astar / 2.0, abs=1e-9)
+    assert chk.jensen_consistent
+
+
+def test_fhat_moment_majorant_uses_the_grid_weights_of_its_ln_integral():
+    # the majorant bounds the ln-term path by path only when delta_p is built from the
+    # same weights gamma(t_j) dt_j as the ln-integral: here the grid total is 0.08424
+    # and the quadrature total 0.07918, whose delta_p would put the majorant at 2.549,
+    # below the ln-moment 2.656
+    grid = sq.build_grid(1.0, 24, "uniform")
+    z_prime = np.full((50, grid.steps, 1), 1e3)
+    chk = verify_fhat_moment(np.zeros((50, grid.steps)), grid, 2.0, 3.0,
+                             gamma=lambda t: 0.25 * np.exp(-3.0 * np.asarray(t)), z_prime=z_prime)
+    assert chk.ln_moment.log_value == pytest.approx(2.65586, abs=1e-5)
+    assert chk.jensen_majorant.log_value == pytest.approx(2.65653, abs=1e-5)
+    assert chk.ln_moment.log_value <= chk.jensen_majorant.log_value
     assert chk.jensen_consistent
 
 
@@ -314,9 +328,15 @@ def test_comparison_precondition_witnesses(grid24, bundle24, poly_basis):
                             grid24, bundle24, poly_basis)
     xi = np.zeros(bundle24.count)
     xi_bad = -np.ones(bundle24.count)
-    with pytest.raises(PreconditionViolationError) as err:
-        verify_comparison(zero, zero, xi_values=xi, xi_prime_values=xi_bad)
-    assert 0 < len(err.value.witnesses) <= 10
+    r = verify_comparison(zero, zero, xi_values=xi, xi_prime_values=xi_bad)
+    # a broken terminal order is a measured violated result, not an exception
+    assert r.verdict == "violated" and r.terminal_failures == bundle24.count
+    assert 0 < len(r.witnesses) <= 10
+    assert r.witnesses[0] == (0, 0.0, -1.0)
+    # every per-node value is measured: a field compared with itself has gap 0 everywhere
+    assert np.array_equal(r.log_lhs, np.zeros(grid24.steps + 1))
+    assert np.all(r.log_rhs > 0.0) and r.violation_fraction == 0.0
+    assert verify_comparison(zero, zero).verdict == "satisfied"
 
 
 def test_pointwise_one_sided_variant(grid24, bundle24, poly_basis, example1):

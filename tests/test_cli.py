@@ -120,6 +120,32 @@ def test_comparison_hypothesis_violation_recorded(tmp_path):
     assert "note: comparison hypothesis violated" in (Path(cfg.out) / "report.txt").read_text()
 
 
+def test_broken_terminal_order_writes_the_measured_comparison(tmp_path):
+    # xi' = xi - 1 breaks the terminal order wherever the rung's clamp at -2 does not bind,
+    # and the CSV and the report line hold the measured per-node gap, allowance and
+    # violation fraction
+    cfg = parse_config(SMALL_RUN + "comparison_shift = -1.0\n")
+    cfg.out = str(tmp_path / "bad")
+    report = run_experiment(cfg)
+    r = next(r for r in report.bound_results if r.bound_id == "comparison")
+    assert r.verdict == "violated" and 0.9 * cfg.paths < r.terminal_failures < cfg.paths
+    with open(Path(cfg.out) / "bound_comparison.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    gaps = [float(row["gap_max"]) for row in rows]
+    assert gaps[-1] == pytest.approx(1.0) and min(gaps) > 0.5
+    assert float(rows[-1]["violation_fraction"]) > 0.9
+    assert all(float(row["eps"]) > 0.0 for row in rows)
+    assert {row["verdict"] for row in rows} == {"violated"}
+    margin = min(float(row["eps"]) - float(row["gap_max"]) for row in rows)
+    assert margin == float(rows[-1]["eps"]) - gaps[-1]     # node N is the measured failure
+    text = (Path(cfg.out) / "report.txt").read_text()
+    assert (f"bound comparison: violated (min margin {margin!r}, "
+            f"violation fraction {r.violation_fraction!r})") in text
+    assert 0.0 < r.violation_fraction < 1.0
+    assert (f"note: comparison hypothesis violated: terminal ordering xi <= xi' fails on "
+            f"{r.terminal_failures} paths (witnesses [(0, ") in text
+
+
 def test_main_exit_codes(tmp_path):
     cfg_file = tmp_path / "exp.ini"
     cfg_file.write_text(SMALL_RUN + f"out = {tmp_path / 'run'}\n")
@@ -617,6 +643,18 @@ def test_solution_file_that_disagrees_with_its_config_is_a_config_error(
         capsys.readouterr()
         assert main(["verify-bounds", "--run", bad_file, "--bound", bound]) == 2
         assert f"config error: {bad_file}: {message}" in capsys.readouterr().err
+
+
+def test_solution_file_solved_on_other_paths_is_a_config_error(tiny_solve, tmp_path, capsys):
+    # with an edited seed the file's terminal column is not its config's terminal on the
+    # re-sampled paths: no check may read it as the problem that was solved
+    bad_file = _rewrite_meta(tiny_solve, tmp_path / "reseeded.npz", seed=2)
+    for bound in ("pointwise", "sup", "comparison"):
+        capsys.readouterr()
+        assert main(["verify-bounds", "--run", bad_file, "--bound", bound]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: {bad_file}: its Y[:, 6] is not its config's terminal "
+                f"truncated at (2, 2) on the paths of seed 2") in err
 
 
 def test_verify_bounds_gates_the_requested_bound(tiny_solve, tmp_path, capsys):

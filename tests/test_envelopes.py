@@ -8,8 +8,8 @@ from subquad_bsde.envelopes import (ScalarFunction, construct_A2_envelope,
                                     lemmaA3_intermediate_checks, lemma_samples,
                                     remainder_check, second_difference_convexity)
 from subquad_bsde.errors import InvalidHypothesisError
-from subquad_bsde.families import (A1_FAMILIES, A2_FAMILIES, A2_FALSIFIERS, A3_FAMILIES,
-                                   A3_FALSIFIERS, FAMILY_REGISTRY)
+from subquad_bsde.families import (A1_FAMILIES, A2_FAMILIES, A3_FAMILIES, FALSIFIER_REGISTRY,
+                                   FAMILY_REGISTRY)
 
 
 @pytest.fixture(scope="module")
@@ -248,11 +248,18 @@ def test_remainder_theta_branches():
         assert r.passed and r.worst_margin >= 0.0
 
 
-def test_falsifiers_are_caught():
-    with pytest.raises(InvalidHypothesisError):
-        construct_A2_envelope(A2_FALSIFIERS["concave-rays"](), 1.0, 1.0)
-    with pytest.raises(InvalidHypothesisError):
-        construct_A3_envelope(A3_FALSIFIERS["decreasing-right"](), 1.0, 1.0)
+def test_falsifiers_are_caught(samples):
+    # each falsifier of the registry breaks a hypothesis it declares, and its lemma's
+    # self-check refuses it: A1's in lemmaA1_check, A2's and A3's in their construction
+    refuse = {"A1": lambda f: lemmaA1_check(f, f.k1, f.k2, samples),
+              "A2": lambda f: construct_A2_envelope(f, f.a, f.k),
+              "A3": lambda f: construct_A3_envelope(f, f.a, f.k)}
+    assert set(FALSIFIER_REGISTRY) == set(refuse)
+    for lemma, falsifiers in FALSIFIER_REGISTRY.items():
+        assert falsifiers, lemma
+        for name, build in falsifiers.items():
+            with pytest.raises(InvalidHypothesisError, match=name):
+                refuse[lemma](build())
 
 
 def test_randomized_falsifiers_high_detection_rate():

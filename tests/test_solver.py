@@ -30,6 +30,25 @@ def test_terminal_values_bit_exact(grid24, bundle24, poly_basis, example1):
     assert np.array_equal(sol.Y[:, -1], xi(bundle24.terminal()))
 
 
+@pytest.mark.parametrize("ladder, top", [(dict(levels=[1, 2, 4, 8, 16]), (16, 16)),
+                                         (dict(levels=[4]), (4, 4)),
+                                         (dict(n_max=16, q_max=4), (16, 4)),
+                                         (None, (8, 8))],
+                         ids=["levels-1-16", "levels-4", "n16-q4", "solve_bounded"])
+def test_terminal_column_is_the_truncated_terminal(ladder, top, grid24, bins_basis, example1):
+    # every bound check reads its terminal values from the field's node-N column
+    bundle = sq.sample_paths(grid24, 1, 2000, 5)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    xi_top = truncate_terminal(xi, TruncationIndex(*top))
+    if ladder is None:
+        sol = sq.solve_bounded(truncate_generator(example1, TruncationIndex(*top)), xi_top,
+                               grid24, bundle, bins_basis)
+    else:
+        sol = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, **ladder).final
+    expected = xi_top(bundle.terminal())
+    assert np.array_equal(sol.Y[:, -1].view(np.uint64), expected.view(np.uint64))
+
+
 def test_ode_oracle(grid24, bundle24, poly_basis):
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.0)
     sol = sq.solve_bounded(g, sq.make_terminal("constant", value=1.0),
