@@ -80,13 +80,14 @@ class ExperimentConfig:
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate; reports every validation error, not just the first."""
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse, set the ``overrides`` keys, and validate the result once; reports every
+    validation error, not just the first."""
     # values are literal (`%` is not special); ` ; ` starts a comment, as in the README
     parser = ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text if text.lstrip().startswith("[") else "[experiment]\n" + text)
-        raw = dict(parser.items("experiment"))
+        raw = {k: v for k, v in parser.items("experiment") if k not in overrides}
     except NoSectionError:
         raise ConfigurationError("missing [experiment] section") from None
     except Exception as exc:
@@ -105,7 +106,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(f"{f.name}: {exc}")
     for key in raw:
         errors.append(f"unknown key {key!r}")
-    return _validate(cfg, errors)
+    return _validate(replace(cfg, **overrides), errors)
 
 
 def _validate(cfg: ExperimentConfig, errors=()) -> ExperimentConfig:
@@ -238,16 +239,11 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
 
     report = ReportDocument(config=cfg, constants=constants.to_dict(p_values=(cfg.p,)))
 
-    ladder = solve_ladder(gen, _build_terminal(cfg), grid, bundle, basis, levels=list(cfg.ladder))
+    ladder = solve_ladder(gen, _build_terminal(cfg), grid, bundle, basis, cfg.ladder, cfg.ladder)
     sol = ladder.final
-    report.ladder = {
-        "levels": list(ladder.levels),
-        "violations": ladder.violations,
-        "comparisons": ladder.comparisons,
-        "violation_fraction": ladder.violation_fraction,
-        "diagonal_gaps": list(ladder.diagonal_gaps),
-        "verdict": ladder.verdict,
-    }
+    report.ladder = {k: getattr(ladder, k) for k in ("levels", "violations", "comparisons",
+                                                     "violation_fraction", "diagonal_gaps",
+                                                     "verdict")}
     report.summary = sol.summary()
     _write_csv(outdir / "solution.csv", report.summary)
 
@@ -369,7 +365,7 @@ def _write_report(path: Path, report: ReportDocument) -> None:
 
 def _cmd_run(args) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
-    cfg = _validate(replace(parse_config(Path(args.config).read_text()), **overrides))
+    cfg = parse_config(Path(args.config).read_text(), **overrides)
     report = run_experiment(cfg)
     print(Path(cfg.out, "report.txt").read_text())
     return 1 if report.any_violation else 0
@@ -391,6 +387,11 @@ def _cmd_check_conditions(args) -> int:
     return 1 if report.any_violation else 0
 
 
+def _doubling_levels(top: int) -> list[int]:
+    # the powers of two below top, then top
+    return [2 ** k for k in range(max(top - 1, 0).bit_length())] + [top]
+
+
 def _cmd_solve(args) -> int:
     n_max, q_max = args.final_rung
     cfg = _config_from_flags(args, ["ladder N_MAX and Q_MAX must be positive integers"]
@@ -398,7 +399,7 @@ def _cmd_solve(args) -> int:
     grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     ladder = solve_ladder(_build_generator(cfg), _build_terminal(cfg), grid, bundle,
-                          _build_basis(cfg), n_max=n_max, q_max=q_max)
+                          _build_basis(cfg), _doubling_levels(n_max), _doubling_levels(q_max))
     sol = ladder.final
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -450,6 +451,9 @@ def _load_solution(path: str, **overrides):
 
 
 def _cmd_verify_bounds(args) -> int:
+    if args.bound == "fhat-moment" and args.out:
+        raise ConfigurationError("--out: fhat-moment writes no CSV; it has no per-node rows, "
+                                 "and its values are on its note line")
     sol, cfg, idx = _load_solution(args.run, p=args.p, checks=(args.bound,))
     gen = _build_generator(cfg)
     prof = gen.profile
@@ -540,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--run", required=True, help="solution .npz written by solve")
     sp.add_argument("--bound", required=True, choices=_BOUND_IDS)
     keys(sp, "--p")
-    sp.add_argument("--out", default=None, help="optional CSV path")
+    sp.add_argument("--out", default=None, help="optional CSV path (none for fhat-moment)")
     sp.set_defaults(fn=_cmd_verify_bounds)
 
     sp = sub.add_parser("lemma-tests", help="randomized sweeps of the band inequalities")

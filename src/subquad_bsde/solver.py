@@ -243,6 +243,20 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
         yield j, y, z, np.sqrt(noise_sq)
 
 
+def _field(steps, bundle: PathBundle, basis: RegressionBasis) -> SolutionField:
+    """One rung's field from the ``(j, y, z, noise)`` that ``steps`` yields for it
+    in a `_backward` pass: y (M,) and noise at node j, Z on step j (None at j = N)."""
+    M, N = bundle.count, bundle.grid.steps
+    Y = step_major_empty((M, N + 1))
+    Z = step_major_empty((M, N, bundle.dims))
+    fit_noise = np.empty(N + 1)
+    for j, y, z, noise in steps:
+        Y[:, j], fit_noise[j] = y, noise
+        if z is not None:
+            Z[:, j, :] = z
+    return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis, fit_noise=fit_noise)
+
+
 def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
                   basis: RegressionBasis) -> SolutionField:
     """Backward sweep for problems with bounded (e.g. truncated) data.
@@ -258,16 +272,8 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     the caller's contract.
     """
     _check_inputs(grid, bundle)
-    M, N = bundle.count, grid.steps
-    Y = step_major_empty((M, N + 1))
-    Z = step_major_empty((M, N, bundle.dims))
-    fit_noise = np.empty(N + 1)
     steps = _backward(g.at, _terminal_values(xi, bundle)[None], grid, bundle, basis, keep=0)
-    for j, y, z, noise in steps:
-        Y[:, j], fit_noise[j] = y[0], noise[0]
-        if z is not None:
-            Z[:, j, :] = z
-    return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis, fit_noise=fit_noise)
+    return _field(((j, y[0], z, noise[0]) for j, y, z, noise in steps), bundle, basis)
 
 
 def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -424,14 +430,8 @@ class LadderResult:
         return order_verdict(self.violations, self.comparisons) if steady else "violated"
 
 
-def _doubling_levels(top: int) -> list[int]:
-    # the powers of two below top, then top
-    return [2 ** k for k in range(max(top - 1, 0).bit_length())] + [top]
-
-
 def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
-                 basis: RegressionBasis, n_max: int = 16, q_max: int = 16,
-                 levels: Optional[list[int]] = None) -> LadderResult:
+                 basis: RegressionBasis, n_levels, q_levels) -> LadderResult:
     """Solve the clamped problems along the lattice diagonal and first row/column.
 
     Order counting: along the first row Y must be nondecreasing in n, along the
@@ -440,7 +440,8 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     their fit noise: each (path, node) pair counts by `bounds.order_violations`,
     with ``_ORDER_TOL`` * (1 + |Y|) as its slack for exact ties.  Where that
     allowance is not finite at some node, nothing is compared (``indeterminate``).
-    The diagonal holds the shorter ladder at its top level.
+    The levels are ``n_levels`` and ``q_levels``, each sorted with its repeats
+    dropped; the diagonal holds the shorter list at its top level.
 
     Each walk (the row with the shared first rung, then the rest of the
     column and of the diagonal) is one backward pass of `_backward` over all
@@ -451,10 +452,7 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     and rung (n, q).
     """
     _check_inputs(grid, bundle)
-    if levels is None:
-        lv_n, lv_q = _doubling_levels(n_max), _doubling_levels(q_max)
-    else:
-        lv_n = lv_q = sorted(set(int(v) for v in levels))
+    lv_n, lv_q = (sorted(set(int(v) for v in levels)) for levels in (n_levels, q_levels))
     row = [(n, lv_q[0]) for n in lv_n]
     column = [(lv_n[0], q) for q in lv_q]
     diagonal = [(lv_n[min(k, len(lv_n) - 1)], lv_q[min(k, len(lv_q) - 1)])
@@ -476,7 +474,7 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         finite = finite and bool(np.isfinite(low_noise + high_noise).all())
 
     def walk(keys, compare, last):
-        # solve the walk's rungs in one pass; each is compared with the rung before it
+        # one pass over the walk's rungs, each compared with the one before; yields the last rung
         rungs = keys if keys is row else keys[1:]   # the row pass solves the first rung too
         n, q = (np.array([[k[i]] for k in rungs], dtype=float) for i in (0, 1))
         xis = [truncate_terminal(xi, TruncationIndex(*k)) for k in rungs]
@@ -484,9 +482,6 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         steps = _backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs,
                           keep=-1 if last else None)
         del y_end                           # the pass holds it until its first step
-        if last:
-            Y, Z = step_major_empty((M, N + 1)), step_major_empty((M, N, bundle.dims))
-            fit_noise = np.empty(N + 1)
         on_diagonal = keys == diagonal
         node_gaps = np.empty((len(keys) - 1, N + 1))
         for j, y, z, noise in steps:
@@ -501,21 +496,19 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
             if on_diagonal:
                 # field distance per node (mean over paths); sup over nodes below
                 node_gaps[:, j] = np.mean(np.abs(y[1:] - y[:-1]), axis=1)
-            if last:
-                Y[:, j], fit_noise[j] = y[-1], noise[-1]
-                if z is not None:
-                    Z[:, j, :] = z
+            yield j, y[-1], z, noise[-1]
         if on_diagonal:
             gaps.extend(float(v) for v in np.max(node_gaps, axis=1))
-        if last:
-            return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis, fit_noise=fit_noise)
 
     walks = [(row, count), (column, lambda prev, cur: count(cur, prev))]    # up in n, down in q
-    if diagonal not in (row, column):    # else a one-level ladder made it the row or column
+    if diagonal not in (row, column):    # else a one-level list made it the row or column
         walks.append((diagonal, None))
-    walks = [(keys, compare) for keys, compare in walks if keys is row or len(keys) > 1]
-    for i, (keys, compare) in enumerate(walks):
-        final = walk(keys, compare, i == len(walks) - 1)
+    *walks, final_walk = [(keys, compare) for keys, compare in walks
+                          if keys is row or len(keys) > 1]
+    for keys, compare in walks:
+        for _ in walk(keys, compare, False):
+            pass
+    final = _field(walk(*final_walk, True), bundle, basis)
     if not finite:
         violations = comparisons = 0
     return LadderResult(final=final, violations=violations, comparisons=comparisons,

@@ -178,7 +178,8 @@ def test_criterion_5_truncation_ladder(grid24a, bundle24a, bins30):
     started = time.time()
     g1 = sq.builtin_example_1(ALPHA, beta=0.5, gamma=0.25, d=1)
     xi = sq.make_terminal("clamp-bt", bound=3.0)
-    lad = sq.solve_ladder(g1, xi, grid24a, bundle24a, bins30, levels=[1, 2, 4, 8, 16])
+    levels = [1, 2, 4, 8, 16]
+    lad = sq.solve_ladder(g1, xi, grid24a, bundle24a, bins30, levels, levels)
     gaps = lad.diagonal_gaps
     assert lad.verdict == "satisfied", (lad.violations, lad.comparisons, gaps)
     assert time.time() - started < 600.0

@@ -197,6 +197,16 @@ def test_run_overrides_are_validated(tmp_path, capsys):
     assert "config error: paths must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("paths", ["0", "many"])
+def test_run_overrides_replace_invalid_file_keys(paths, tmp_path):
+    # the flags override the file's keys, so only the config they make is validated
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(SMALL_RUN.replace("paths = 1500", f"paths = {paths}")
+                        + f"out = {tmp_path / 'run'}\n")
+    assert main(["run", "--config", str(cfg_file), "--paths", "200"]) == 0
+    assert "paths = 200" in (tmp_path / "run" / "report.txt").read_text().splitlines()
+
+
 def test_solve_rejects_nonpositive_ladder(tmp_path, capsys):
     assert main(["solve", "--steps", "4", "--paths", "200", "--ladder", "0", "16",
                  "--out", str(tmp_path / "sol.npz")]) == 2
@@ -275,6 +285,12 @@ def test_lemma_tests_command(capsys):
     assert "A3/abs: pass" in capsys.readouterr().out
     rc = main(["lemma-tests", "--lemma", "A1", "--samples", "2000"])
     assert rc == 0
+    # A2 builds its envelope, checks the band on it, then its remainder
+    rc = main(["lemma-tests", "--lemma", "A2", "--family", "convex-ray-spline",
+               "--samples", "2000"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "A2/convex-ray-spline: pass" in out and out.rstrip().endswith("; remainder pass"), out
 
 
 def test_parser_rejects_unknown_subcommand():
@@ -326,6 +342,17 @@ def test_verify_bounds_writes_csv(tmp_path, capsys):
     assert rc == 0
     header = csv_file.read_text().splitlines()[0]
     assert header == "time,log_lhs,log_rhs,se,verdict"
+
+
+def test_verify_bounds_refuses_a_csv_for_fhat_moment(tmp_path, capsys):
+    # fhat-moment has no per-node rows: --out is refused before the file is loaded
+    csv_file = tmp_path / "fh.csv"
+    assert main(["verify-bounds", "--run", str(tmp_path / "missing.npz"), "--bound", "fhat-moment",
+                 "--out", str(csv_file)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --out: fhat-moment writes no CSV" in err
+    assert "note line" in err
+    assert not csv_file.exists()
 
 
 def test_verify_bounds_uses_saved_zero_coefficients(tmp_path, monkeypatch):

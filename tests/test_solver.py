@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 import subquad_bsde as sq
-from subquad_bsde import paths, solver
+from subquad_bsde import cli, paths, solver
 from subquad_bsde.errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
 from subquad_bsde.generators import (TruncationIndex, truncate_generator, truncate_terminal,
                                      truncated_at)
@@ -30,9 +30,9 @@ def test_terminal_values_bit_exact(grid24, bundle24, poly_basis, example1):
     assert np.array_equal(sol.Y[:, -1], xi(bundle24.terminal()))
 
 
-@pytest.mark.parametrize("ladder, top", [(dict(levels=[1, 2, 4, 8, 16]), (16, 16)),
-                                         (dict(levels=[4]), (4, 4)),
-                                         (dict(n_max=16, q_max=4), (16, 4)),
+@pytest.mark.parametrize("ladder, top", [(([1, 2, 4, 8, 16], [1, 2, 4, 8, 16]), (16, 16)),
+                                         (([4], [4]), (4, 4)),
+                                         (([1, 2, 4, 8, 16], [1, 2, 4]), (16, 4)),
                                          (None, (8, 8))],
                          ids=["levels-1-16", "levels-4", "n16-q4", "solve_bounded"])
 def test_terminal_column_is_the_truncated_terminal(ladder, top, grid24, bins_basis, example1):
@@ -44,7 +44,7 @@ def test_terminal_column_is_the_truncated_terminal(ladder, top, grid24, bins_bas
         sol = sq.solve_bounded(truncate_generator(example1, TruncationIndex(*top)), xi_top,
                                grid24, bundle, bins_basis)
     else:
-        sol = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, **ladder).final
+        sol = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, *ladder).final
     expected = xi_top(bundle.terminal())
     assert np.array_equal(sol.Y[:, -1].view(np.uint64), expected.view(np.uint64))
 
@@ -537,7 +537,7 @@ def test_non_finite_terminal_rejected(grid24, bundle24, poly_basis):
 def test_ladder_constant_when_truncation_inactive(grid24, bundle24, poly_basis):
     g = sq.make_generator("zero", 1.5)
     xi = sq.make_terminal("constant", value=0.5)
-    lad = sq.solve_ladder(g, xi, grid24, bundle24, poly_basis, levels=[1, 2, 4])
+    lad = sq.solve_ladder(g, xi, grid24, bundle24, poly_basis, [1, 2, 4], [1, 2, 4])
     assert lad.violations == 0
     assert all(gap == 0.0 for gap in lad.diagonal_gaps)
 
@@ -548,7 +548,7 @@ def test_one_path_ladder_counts_no_comparisons(grid24, example1, basis_fixture, 
     # no order is evidenced, though the clamped terminal values are ordered
     bundle = sq.sample_paths(grid24, 1, 1, 7)
     lad = sq.solve_ladder(example1, sq.make_terminal("clamp-bt", bound=3.0), grid24, bundle,
-                          request.getfixturevalue(basis_fixture), levels=[1, 2, 4])
+                          request.getfixturevalue(basis_fixture), [1, 2, 4], [1, 2, 4])
     assert np.all(np.isinf(lad.final.fit_noise[:-1])) and lad.final.fit_noise[-1] == 0.0
     assert (lad.violations, lad.comparisons) == (0, 0)
     assert math.isnan(lad.violation_fraction)
@@ -578,7 +578,7 @@ def test_ladder_zero_driver_clamped_gaussian_oracle(bins_basis):
     bundle = sq.sample_paths(grid, 1, 200_000, 77)
     g = sq.make_generator("zero", 1.5)
     xi = sq.make_terminal("bt")
-    lad = sq.solve_ladder(g, xi, grid, bundle, bins_basis, levels=[1, 2, 4])
+    lad = sq.solve_ladder(g, xi, grid, bundle, bins_basis, [1, 2, 4], [1, 2, 4])
     assert lad.violation_fraction <= 0.005
 
     def clamped_mean(x, lo, hi, s2):
@@ -650,7 +650,7 @@ def test_streamed_ladder_matches_cached_reference(example, basis):
     g = sq.make_generator(example, 1.5)
     xi = sq.make_terminal("clamp-bt", bound=3.0)
     levels = [1, 2, 4, 8, 16]
-    lad = sq.solve_ladder(g, xi, grid, bundle, basis, levels=levels)
+    lad = sq.solve_ladder(g, xi, grid, bundle, basis, levels, levels)
     final, violations, comparisons, gaps = _reference_ladder(g, xi, grid, bundle, basis, levels)
     assert (lad.violations, lad.comparisons, lad.diagonal_gaps) == (violations, comparisons, gaps)
     assert np.array_equal(lad.final.Y, final.Y) and np.array_equal(lad.final.Z, final.Z)
@@ -711,12 +711,12 @@ def test_step_frozen_ladder_matches_default_path(grid24, monkeypatch):
     base = sq.make_generator("example1", 1.5)
     levels = [1, 2, 4, 8, 16]
     g, frozen_calls = _counted(base, frozen=True)
-    lad = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=levels)
+    lad = sq.solve_ladder(g, xi, grid24, bundle, basis, levels, levels)
     # the default path for the truncation as well as for example 1: each rung
     # of a walk clamped by its own truncated generator through a plain fn
     monkeypatch.setattr(solver, "truncated_at", _per_rung_default_path)
     g, plain_calls = _counted(base, frozen=False)
-    ref = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=levels)
+    ref = sq.solve_ladder(g, xi, grid24, bundle, basis, levels, levels)
     assert _same_field(lad.final, ref.final)
     assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.levels) == \
         (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.levels)
@@ -739,16 +739,29 @@ def test_step_frozen_polynomial_solve_matches_default_path(example, grid24, bund
 def test_ladder_of_unequal_lengths_ends_at_top_rung(n_max, q_max, grid24, bins_basis, example1):
     bundle = sq.sample_paths(grid24, 1, 2000, 5)
     xi = sq.make_terminal("clamp-bt", bound=3.0)
-    lad = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, n_max=n_max, q_max=q_max)
+    lv_n, lv_q = cli._doubling_levels(n_max), cli._doubling_levels(q_max)
+    lad = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, lv_n, lv_q)
     top = TruncationIndex(n_max, q_max)
     direct = sq.solve_bounded(truncate_generator(example1, top), truncate_terminal(xi, top),
                               grid24, bundle, bins_basis)
     assert np.array_equal(lad.final.Y, direct.Y) and np.array_equal(lad.final.Z, direct.Z)
     # the diagonal holds the shorter ladder at its top level: one gap per step of the longer
-    longer = max(len(solver._doubling_levels(n_max)), len(solver._doubling_levels(q_max)))
+    longer = max(len(lv_n), len(lv_q))
     assert len(lad.diagonal_gaps) == longer - 1
-    rungs = len(solver._doubling_levels(n_max)) + len(solver._doubling_levels(q_max)) - 2
+    rungs = len(lv_n) + len(lv_q) - 2
     assert lad.comparisons == rungs * bundle.count * (grid24.steps + 1)
+
+
+def test_ladder_sorts_both_level_lists_and_drops_repeats(grid24, bins_basis, example1):
+    bundle = sq.sample_paths(grid24, 1, 2000, 5)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    lad = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, [4, 1, 2, 2], [2, 1])
+    ref = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, [1, 2, 4], [1, 2])
+    for a, b in ((lad.final.Y, ref.final.Y), (lad.final.fit_noise, ref.final.fit_noise)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.levels) == \
+        (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.levels)
+    assert lad.levels == (1, 2, 4) and lad.comparisons > 0
 
 
 def _walk(g, xi, grid, bundle, basis, rungs):
@@ -805,12 +818,12 @@ def test_ladder_failure_names_step_and_rung(grid24, bundle24, basis_fixture, req
     last = grid24.steps - 1
     with pytest.raises(PreconditionViolationError,
                        match=rf"non-finite values at step {last}, rung \(4, 1\)$"):
-        sq.solve_ladder(_switch_driver(np.nan), xi, grid24, bundle24, basis, levels=[1, 2, 4])
+        sq.solve_ladder(_switch_driver(np.nan), xi, grid24, bundle24, basis, [1, 2, 4], [1, 2, 4])
     # one sweep settles the rungs where g = 0, not the first one where it is 1
     monkeypatch.setattr(solver, "_FP_MAX_ITER", 1)
     with pytest.raises(SolverDivergedError,
                        match=rf"diverged at step {last}, rung \(4, 1\) \(last gap") as err:
-        sq.solve_ladder(_switch_driver(1.0), xi, grid24, bundle24, basis, levels=[1, 2, 4])
+        sq.solve_ladder(_switch_driver(1.0), xi, grid24, bundle24, basis, [1, 2, 4], [1, 2, 4])
     assert (err.value.step_index, err.value.rung) == (last, (4, 1))
     # a solve of its own names no rung
     with pytest.raises(SolverDivergedError, match=rf"at step {last} \(last gap"):
@@ -823,9 +836,10 @@ def test_ladder_memory_holds_three_rungs(bins_basis, example1):
     bundle = sq.sample_paths(grid, 1, 20_000, 3)
     bundle.projectors(bins_basis)           # the bundle's own caches outlive any ladder
     xi = sq.make_terminal("clamp-bt", bound=3.0)
+    levels = [1, 2, 4, 8, 16]
     tracemalloc.start()
     try:
-        lad = sq.solve_ladder(example1, xi, grid, bundle, bins_basis, n_max=16, q_max=16)
+        lad = sq.solve_ladder(example1, xi, grid, bundle, bins_basis, levels, levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1010,7 +1024,7 @@ def test_readme_config_ladder_solves_on_the_polynomial_basis(changes):
     grid = sq.build_grid(cfg.horizon, cfg.steps, cfg.scheme)
     bundle = sq.sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     lad = sq.solve_ladder(_build_generator(cfg), _build_terminal(cfg), grid, bundle,
-                          _build_basis(cfg), levels=list(cfg.ladder))
+                          _build_basis(cfg), cfg.ladder, cfg.ladder)
     assert lad.comparisons == 8 * cfg.paths * (cfg.steps + 1)
     assert np.isfinite(lad.final.Y).all() and np.isfinite(lad.final.Z).all()
     if cfg.scheme == "uniform":
@@ -1071,7 +1085,7 @@ def test_bin_steps_match_the_reference_secant_bit_for_bit(grid24, example1, monk
     basis = sq.RegressionBasis("piecewise-constant-bins", 30, lo=-4.8, hi=4.8)
     xi = sq.make_terminal("clamp-bt", bound=3.0)
     g, calls = _counted(example1, frozen=True)
-    lad = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=[1, 2, 4])
+    lad = sq.solve_ladder(g, xi, grid24, bundle, basis, [1, 2, 4], [1, 2, 4])
     shared = len(calls)
 
     def reference(g_at, rows, m, dt, step, rungs, bins):
@@ -1080,7 +1094,7 @@ def test_bin_steps_match_the_reference_secant_bit_for_bit(grid24, example1, monk
 
     monkeypatch.setattr(solver, "_implicit_update", reference)
     del calls[:]
-    ref = sq.solve_ladder(g, xi, grid24, bundle, basis, levels=[1, 2, 4])
+    ref = sq.solve_ladder(g, xi, grid24, bundle, basis, [1, 2, 4], [1, 2, 4])
     assert _same_field(lad.final, ref.final)
     assert (lad.violations, lad.comparisons, lad.diagonal_gaps) == \
         (ref.violations, ref.comparisons, ref.diagonal_gaps)
