@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 import numpy.ma  # noqa: F401 - np.unique loads it lazily: load it here, not in a check
 
-from .constants import _OVERFLOW_LOG
+from .constants import _OVERFLOW_LOG, _delta_p, _k_alpha
 from .errors import InvalidCoefficientError
 from .generators import _norm, _sum_last
 from .paths import step_major_empty
@@ -193,10 +193,8 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
     log_ln, se_ln = log_mean_exp(p * ln_int ** (2.0 / alpha_star))
     ln_moment = MomentEstimate(log_ln, se_ln)
 
-    k_alpha = math.exp(alpha_star / 2.0)
-    delta_p = p * total ** (2.0 / alpha_star)
     w = (zn @ weights) / total
-    log_mj, se_mj = log_mean_exp(delta_p * np.log(k_alpha + w))
+    log_mj, se_mj = log_mean_exp(_delta_p(p, total, alpha_star) * np.log(_k_alpha(alpha_star) + w))
     majorant = MomentEstimate(log_mj, se_mj)
     slack = 3.0 * math.hypot(se_ln, se_mj)
     return FhatMomentCheck(moment=moment, ln_moment=ln_moment, jensen_majorant=majorant,
@@ -213,15 +211,34 @@ def _decile_indices(grid) -> np.ndarray:
     return idx[idx < grid.steps]
 
 
-def _tail_forcing(f_process, grid, levels) -> np.ndarray:
-    """Per-path cumulative forcing integrals int_{t_j}^T f ds, shape (M, N+1),
-    stored step-major: summed from the horizon back, one step at a time."""
-    tail = step_major_empty((levels.shape[0], grid.steps + 1))
+def _tail_sum(increment, grid, count: int) -> np.ndarray:
+    """Per-path sums of ``increment(j)`` over the steps from node j to the horizon,
+    shape (M, N+1), stored step-major: summed from the horizon back, one step at a time."""
+    tail = step_major_empty((count, grid.steps + 1))
     tail[:, -1] = 0.0
     for j in reversed(range(grid.steps)):
-        f_dt = np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]), dtype=float) * grid.dt[j]
-        np.add(tail[:, j + 1], f_dt, out=tail[:, j])
+        np.add(tail[:, j + 1], increment(j), out=tail[:, j])
     return tail
+
+
+def _tail_forcing(f_process, grid, levels) -> np.ndarray:
+    """Per-path cumulative forcing integrals int_{t_j}^T f ds, shape (M, N+1)."""
+    return _tail_sum(lambda j: np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]),
+                                          dtype=float) * grid.dt[j], grid, levels.shape[0])
+
+
+def _capped_exponent(log_K: float, power: float, x: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The right side's exponent K (x + int_t^T f)^{2/a*} per path, with K capped at
+    e^700 and the exponent at 700: exp of it never overflows, and the cap only lowers it."""
+    return np.minimum(math.exp(min(log_K, _OVERFLOW_LOG)) * (x + tail) ** power, _OVERFLOW_LOG)
+
+
+def _bound_result(bound_id: str, rows) -> BoundCheckResult:
+    """A bound check's result from its per-node rows (time, log_lhs, log_rhs, se,
+    margin_min), with the verdict that `_classify` reads from them."""
+    times, log_lhs, log_rhs, se, margin_min = (np.asarray(c) for c in zip(*rows))
+    return BoundCheckResult(bound_id=bound_id, times=times, log_lhs=log_lhs, log_rhs=log_rhs,
+                            se=se, margin_min=margin_min, verdict=_classify(margin_min, se))
 
 
 def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
@@ -237,29 +254,18 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     if variant not in ("two-sided", "one-sided"):
         raise ValueError(f"unknown variant {variant!r}")
     grid, bundle = sol.grid, sol.bundle
-    levels = bundle.levels
     projs = bundle.projectors(sol.basis)
     one_sided = variant == "one-sided"
     power = 2.0 / constants.alpha_star
     log_K = constants.log_K.log
-    K_float = math.exp(min(log_K, _OVERFLOW_LOG))
 
     xi_eff = np.maximum(xi_values, 0.0) if one_sided else np.abs(xi_values)
-    tail_f = _tail_forcing(f_process, grid, levels)
-    # quadratic variation to the horizon, summed back one step at a time
-    tail_q = step_major_empty((bundle.count, grid.steps + 1))
-    tail_q[:, -1] = 0.0
-    for j in reversed(range(grid.steps)):
-        q = _sum_last(sol.Z[:, j, :] ** 2)
-        q *= grid.dt[j]
-        if one_sided:
-            q *= sol.Y[:, j] > 0.0
-        np.add(tail_q[:, j + 1], q, out=tail_q[:, j])
+    tail_f = _tail_forcing(f_process, grid, bundle.levels)
+    tail_q = _tail_sum(lambda j: _sum_last(sol.Z[:, j, :] ** 2) * grid.dt[j]
+                       * (sol.Y[:, j] > 0.0 if one_sided else 1.0), grid, bundle.count)
 
-    idx = _decile_indices(grid)
-    times, lhs_t, rhs_t, se_t, mmin = [], [], [], [], []
-    for j in idx:
-        t = float(grid.nodes[j])
+    rows = []
+    for j in _decile_indices(grid):
         proj = projs[j]
         q_fit = np.maximum(proj.fit(tail_q[:, j]), 0.0)
         se_q = math.sqrt(proj.noise_sq(tail_q[:, j] - q_fit))
@@ -267,7 +273,7 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
         ypart = np.maximum(y, 0.0) ** power if one_sided else np.abs(y) ** power
         log_lhs = np.logaddexp(ypart, np.log(np.maximum(q_fit, 1e-300)))
 
-        big = np.minimum(K_float * (xi_eff + tail_f[:, j]) ** power, _OVERFLOW_LOG)
+        big = _capped_exponent(log_K, power, xi_eff, tail_f[:, j])
         big_fit = proj.fit(big)
         se_big = math.sqrt(proj.noise_sq(big - big_fit))
         log_rhs = log_K + big_fit
@@ -276,17 +282,9 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
         se_lhs = se_q / np.maximum(np.exp(log_lhs), 1e-300)   # d(log)/dQ * se
         se_comb = np.sqrt(se_lhs ** 2 + se_big ** 2)
         worst = int(np.argmin(margins))
-        times.append(t)
-        lhs_t.append(float(log_lhs[worst]))
-        rhs_t.append(float(log_rhs[worst]))
-        se_t.append(float(se_comb[worst]))
-        mmin.append(float(margins.min()))
-
-    verdict = _classify(np.asarray(mmin), np.asarray(se_t))
-    return BoundCheckResult(bound_id=f"pointwise-{variant}", times=np.asarray(times),
-                            log_lhs=np.asarray(lhs_t), log_rhs=np.asarray(rhs_t),
-                            se=np.asarray(se_t), margin_min=np.asarray(mmin),
-                            verdict=verdict)
+        rows.append((float(grid.nodes[j]), float(log_lhs[worst]), float(log_rhs[worst]),
+                     float(se_comb[worst]), float(margins.min())))
+    return _bound_result(f"pointwise-{variant}", rows)
 
 
 def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
@@ -295,18 +293,15 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     grid, bundle = sol.grid, sol.bundle
-    levels = bundle.levels
     power = 2.0 / constants.alpha_star
     log_Kp = constants.K_p(p).log
-    Kp_float = math.exp(min(log_Kp, _OVERFLOW_LOG))
-    tail_f = _tail_forcing(f_process, grid, levels)
+    tail_f = _tail_forcing(f_process, grid, bundle.levels)
     zsq = _sum_last(sol.Z ** 2)         # our own squares: scaled in place
     zsq *= grid.dt[None, :]
 
     half_idx = int(np.argmin(np.abs(grid.nodes - 0.5 * grid.horizon)))
-    times, lhs_t, rhs_t, se_t, mmin = [], [], [], [], []
+    rows = []
     for j in dict.fromkeys((0, half_idx)):      # one node on a one-step grid
-        t = float(grid.nodes[j])
         sup_y = np.abs(sol.Y[:, j:]).max(axis=1)
         log_a, se_a = log_mean_exp(p * sup_y ** power)
         q = zsq[:, j:].sum(axis=1)
@@ -316,21 +311,12 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
         wa, wb = math.exp(log_a - log_lhs), math.exp(log_b - log_lhs)
         se_lhs = math.hypot(wa * se_a, wb * se_b_rel)
 
-        big = np.minimum(Kp_float * (np.abs(xi_values) + tail_f[:, j]) ** power, _OVERFLOW_LOG)
-        log_rhs_mean, se_rhs = log_mean_exp(big)
+        log_rhs_mean, se_rhs = log_mean_exp(
+            _capped_exponent(log_Kp, power, np.abs(xi_values), tail_f[:, j]))
         log_rhs = log_Kp + log_rhs_mean
-
-        times.append(t)
-        lhs_t.append(log_lhs)
-        rhs_t.append(log_rhs)
-        se_t.append(math.hypot(se_lhs, se_rhs))
-        mmin.append(log_rhs - log_lhs)
-
-    verdict = _classify(np.asarray(mmin), np.asarray(se_t))
-    return BoundCheckResult(bound_id=f"sup-p{p:g}", times=np.asarray(times),
-                            log_lhs=np.asarray(lhs_t), log_rhs=np.asarray(rhs_t),
-                            se=np.asarray(se_t), margin_min=np.asarray(mmin),
-                            verdict=verdict)
+        rows.append((float(grid.nodes[j]), log_lhs, log_rhs, math.hypot(se_lhs, se_rhs),
+                     log_rhs - log_lhs))
+    return _bound_result(f"sup-p{p:g}", rows)
 
 
 # ---------------------------------------------------------------------------

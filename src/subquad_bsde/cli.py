@@ -241,9 +241,9 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
 
     ladder = solve_ladder(gen, _build_terminal(cfg), grid, bundle, basis, cfg.ladder, cfg.ladder)
     sol = ladder.final
-    report.ladder = {k: getattr(ladder, k) for k in ("levels", "violations", "comparisons",
-                                                     "violation_fraction", "diagonal_gaps",
-                                                     "verdict")}
+    report.ladder = {k: getattr(ladder, k) for k in ("n_levels", "q_levels", "violations",
+                                                     "comparisons", "violation_fraction",
+                                                     "diagonal_gaps", "verdict")}
     report.summary = sol.summary()
     _write_csv(outdir / "solution.csv", report.summary)
 
@@ -403,9 +403,12 @@ def _cmd_solve(args) -> int:
     sol = ladder.final
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # the config without the file's own path, so that one solve saved anywhere holds one meta
+    meta = {k: v for k, v in vars(cfg).items() if k != "out"} | {
+        "n_levels": list(ladder.n_levels), "q_levels": list(ladder.q_levels),
+        "n_max": n_max, "q_max": q_max}
     np.savez_compressed(out, Y=sol.Y, Z=sol.Z, nodes=grid.nodes, fit_noise=sol.fit_noise,
-                        meta=json.dumps(vars(cfg) | {"ladder": list(ladder.levels),
-                                                     "n_max": n_max, "q_max": q_max}))
+                        meta=json.dumps(meta))
     _write_csv(out.with_suffix(".csv"), sol.summary())
     share = f" ({100 * ladder.violation_fraction:.4f}%)" if ladder.comparisons else ""
     print(f"ladder {ladder.verdict}: violations {ladder.violations}/{ladder.comparisons}"

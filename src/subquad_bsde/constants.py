@@ -271,10 +271,19 @@ def gamma_integral(gamma: Callable[[float], float], T: float, name: str = "gamma
     return total
 
 
-def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, float]:
-    """(delta_p, k_alpha) for the theta-difference moment step.
+def _k_alpha(alpha_star: float) -> float:
+    """k_alpha = exp(alpha*/2), the shift of the theta-difference step's Jensen transform."""
+    return math.exp(alpha_star / 2.0)
 
-    delta_p = p * (int_0^T gamma)^{2/alpha*} and k_alpha = exp(alpha*/2).
+
+def _delta_p(p: float, total: float, alpha_star: float) -> float:
+    """delta_p = p * total^{2/alpha*}, for ``total`` the integral of gamma the step weighs by."""
+    return p * total ** (2.0 / alpha_star)
+
+
+def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, float]:
+    """(delta_p, k_alpha) for the theta-difference moment step, with total = int_0^T gamma.
+
     Also re-checks numerically that x -> (ln(k_alpha + x))^{alpha*/2} is
     concave on [0, 100], which is what makes k_alpha usable in the Jensen step.
     """
@@ -283,15 +292,14 @@ def theta_constants(p: float, gamma, alpha: float, T: float) -> tuple[float, flo
     _check_alpha(alpha)
     total = gamma_integral(gamma, T)
     astar = conjugate_exponent(alpha)
-    k_alpha = math.exp(astar / 2.0)
-    delta_p = p * total ** (2.0 / astar)
+    k_alpha = _k_alpha(astar)
 
     xs = np.linspace(0.0, 100.0, _CONCAVITY_GRID)
     f = np.log(k_alpha + xs) ** (astar / 2.0)
     second = f[2:] - 2.0 * f[1:-1] + f[:-2]
     if second.max() > 1e-9:
         raise AssertionError("concavity check failed for the Jensen transform")
-    return delta_p, k_alpha
+    return _delta_p(p, total, astar), k_alpha
 
 
 @dataclass(frozen=True)
@@ -363,4 +371,4 @@ def derive_constants(alpha: float, T: float, beta, gamma) -> ConstantSet:
 
     return ConstantSet(alpha=alpha, alpha_star=astar, k=k, khat=khat(alpha), mu0=1.0,
                        A=A, mu=mu, T=T, log_K=log_K, K_p=K_p, delta_p=delta_p,
-                       k_alpha=math.exp(astar / 2.0))
+                       k_alpha=_k_alpha(astar))

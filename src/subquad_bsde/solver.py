@@ -416,7 +416,8 @@ class LadderResult:
     violations: int
     comparisons: int
     diagonal_gaps: tuple               # sup |Y^{(k)} - Y^{(k-1)}| along the diagonal
-    levels: tuple
+    n_levels: tuple                    # the levels walked, each list sorted without repeats
+    q_levels: tuple
 
     @property
     def violation_fraction(self) -> float:
@@ -441,7 +442,8 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     with ``_ORDER_TOL`` * (1 + |Y|) as its slack for exact ties.  Where that
     allowance is not finite at some node, nothing is compared (``indeterminate``).
     The levels are ``n_levels`` and ``q_levels``, each sorted with its repeats
-    dropped; the diagonal holds the shorter list at its top level.
+    dropped; an empty list is a ValueError.  The diagonal holds the shorter
+    list at its top level.
 
     Each walk (the row with the shared first rung, then the rest of the
     column and of the diagonal) is one backward pass of `_backward` over all
@@ -453,6 +455,9 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     """
     _check_inputs(grid, bundle)
     lv_n, lv_q = (sorted(set(int(v) for v in levels)) for levels in (n_levels, q_levels))
+    for name, levels in (("n_levels", lv_n), ("q_levels", lv_q)):
+        if not levels:
+            raise ValueError(f"{name} is empty: the ladder needs at least one level")
     row = [(n, lv_q[0]) for n in lv_n]
     column = [(lv_n[0], q) for q in lv_q]
     diagonal = [(lv_n[min(k, len(lv_n) - 1)], lv_q[min(k, len(lv_q) - 1)])
@@ -512,7 +517,7 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     if not finite:
         violations = comparisons = 0
     return LadderResult(final=final, violations=violations, comparisons=comparisons,
-                        diagonal_gaps=tuple(gaps), levels=tuple(lv_n))
+                        diagonal_gaps=tuple(gaps), n_levels=tuple(lv_n), q_levels=tuple(lv_q))
 
 
 # ---------------------------------------------------------------------------

@@ -228,8 +228,28 @@ def test_solve_saves_the_ladder_it_walked(tmp_path, capsys):
     assert main(["solve", "--steps", "4", "--paths", "300", "--ladder", "2", "2",
                  "--seed", "2", "--out", sol_file]) == 0
     meta = json.loads(str(np.load(sol_file)["meta"]))
-    assert meta["ladder"] == [1, 2]
+    assert (meta["n_levels"], meta["q_levels"]) == ([1, 2], [1, 2])
     assert (meta["n_max"], meta["q_max"]) == (2, 2)
+
+
+def test_solve_file_holds_both_level_lists(tmp_path, capsys):
+    sol_file = str(tmp_path / "sol.npz")
+    assert main(["solve", "--steps", "4", "--paths", "200", "--ladder", "16", "4",
+                 "--seed", "2", "--out", sol_file]) == 0
+    meta = json.loads(str(np.load(sol_file)["meta"]))
+    assert (meta["n_levels"], meta["q_levels"]) == ([1, 2, 4, 8, 16], [1, 2, 4])
+    # the config's own ladder key is kept, not replaced by a walked list
+    assert tuple(meta["ladder"]) == ExperimentConfig().ladder
+
+
+def test_two_solves_to_different_paths_save_one_meta(tmp_path, capsys):
+    metas = []
+    for sub in ("a", "b"):
+        sol_file = str(tmp_path / sub / "sol.npz")
+        assert main(["solve", "--steps", "4", "--paths", "200", "--ladder", "2", "2",
+                     "--seed", "2", "--out", sol_file]) == 0
+        metas.append(str(np.load(sol_file)["meta"]))
+    assert metas[0] == metas[1] and "out" not in json.loads(metas[0])
 
 
 def test_solve_on_one_path_prints_the_ladder_verdict_without_a_share(tmp_path, capsys):

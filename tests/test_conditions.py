@@ -10,8 +10,8 @@ from subquad_bsde.conditions import (SampleCloud, build_cloud, check_growth,
                                      check_z_regularity)
 from subquad_bsde.errors import (ConfigurationError, InvalidCoefficientError,
                                  UnsupportedDimensionError)
-from subquad_bsde.generators import (CoefficientProfile, Generator, expression_generator,
-                                     make_generator)
+from subquad_bsde.generators import (CoefficientProfile, Generator, TruncationIndex,
+                                     expression_generator, make_generator, truncate_generator)
 
 
 def _const(v):
@@ -56,6 +56,19 @@ def test_example1_passes_growth(example1, cloud_random, cloud_corner):
         assert check_growth(example1, "EX1", cloud).passed
         assert check_growth(example1, "EX2", cloud).passed
         assert check_growth(example1, "A1", cloud).passed
+
+
+@pytest.mark.parametrize("strategy", ["random", "adversarial-corner"])
+def test_truncated_example1_passes_growth_with_its_capped_forcing(strategy, example1):
+    # at (1, 1) the driver clamps on about half the points and the forcing
+    # min(f, cap e^{-t}) on every point: EX1 must still hold against that forcing
+    g = truncate_generator(example1, TruncationIndex(1, 1))
+    cloud = build_cloud(1.0, 1, 20000, strategy, seed=3)
+    t, b = np.concatenate([cloud.t] * 2), np.vstack([cloud.b] * 2)
+    y, z = np.concatenate([cloud.y1, cloud.y2]), np.vstack([cloud.z1, cloud.z2])
+    assert np.mean(g(t, b, y, z) != example1(t, b, y, z)) > 0.4
+    assert np.all(g.profile.f(t, b) == np.minimum(example1.profile.f(t, b), np.exp(-t)))
+    assert check_growth(g, "EX1", cloud).passed
 
 
 def test_quadratic_violator_fails_with_witness():

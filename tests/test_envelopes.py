@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,17 @@ def test_a2_main_and_intermediates(samples):
         assert all(r.passed for r in inter.values()), (
             name, {k: v.worst_margin for k, v in inter.items() if not v.passed})
         assert remainder_check(con, samples).passed, name
+
+
+@pytest.mark.parametrize("name", ["abs", "distance"])
+def test_a2_undeclared_slopes_take_the_extrapolated_quotient(name, samples):
+    # every family declares dminus/dplus; without them k0 comes from the
+    # Richardson-extrapolated one-sided difference quotients at the band's edges
+    declared = A2_FAMILIES[name]()
+    f = dataclasses.replace(declared, dminus=None, dplus=None)
+    con = construct_A2_envelope(f, f.a, f.k)
+    assert con.k0 == pytest.approx(construct_A2_envelope(declared, f.a, f.k).k0, abs=4e-10)
+    assert lemmaA2_check(f, f.a, f.k, samples, construction=con).passed
 
 
 def test_a2_apex_escape_detected():

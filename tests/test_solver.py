@@ -567,7 +567,7 @@ def test_one_path_ladder_counts_no_comparisons(grid24, example1, basis_fixture, 
 def test_ladder_verdict_is_the_order_rule_with_non_increasing_gaps(violations, comparisons,
                                                                    gaps, verdict):
     lad = solver.LadderResult(final=None, violations=violations, comparisons=comparisons,
-                              diagonal_gaps=gaps, levels=(1, 2, 4))
+                              diagonal_gaps=gaps, n_levels=(1, 2, 4), q_levels=(1, 2, 4))
     assert lad.verdict == verdict
 
 
@@ -655,7 +655,7 @@ def test_streamed_ladder_matches_cached_reference(example, basis):
     assert (lad.violations, lad.comparisons, lad.diagonal_gaps) == (violations, comparisons, gaps)
     assert np.array_equal(lad.final.Y, final.Y) and np.array_equal(lad.final.Z, final.Z)
     assert np.array_equal(lad.final.fit_noise, final.fit_noise)
-    assert lad.levels == tuple(levels)
+    assert lad.n_levels == lad.q_levels == tuple(levels)
     if basis.kind == "polynomial":
         assert lad.violations > 0           # the comparison counts real violations
     assert lad.verdict == "satisfied"       # below 0.5% of the pairs, gaps falling
@@ -718,8 +718,8 @@ def test_step_frozen_ladder_matches_default_path(grid24, monkeypatch):
     g, plain_calls = _counted(base, frozen=False)
     ref = sq.solve_ladder(g, xi, grid24, bundle, basis, levels, levels)
     assert _same_field(lad.final, ref.final)
-    assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.levels) == \
-        (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.levels)
+    assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.n_levels, lad.q_levels) == \
+        (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.n_levels, ref.q_levels)
     # one stacked call per walk and sweep against one call per rung and sweep
     assert sum(frozen_calls) == sum(plain_calls) and len(frozen_calls) > 3 * grid24.steps
 
@@ -759,9 +759,19 @@ def test_ladder_sorts_both_level_lists_and_drops_repeats(grid24, bins_basis, exa
     ref = sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, [1, 2, 4], [1, 2])
     for a, b in ((lad.final.Y, ref.final.Y), (lad.final.fit_noise, ref.final.fit_noise)):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-    assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.levels) == \
-        (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.levels)
-    assert lad.levels == (1, 2, 4) and lad.comparisons > 0
+    assert (lad.violations, lad.comparisons, lad.diagonal_gaps, lad.n_levels, lad.q_levels) == \
+        (ref.violations, ref.comparisons, ref.diagonal_gaps, ref.n_levels, ref.q_levels)
+    assert (lad.n_levels, lad.q_levels) == ((1, 2, 4), (1, 2)) and lad.comparisons > 0
+
+
+@pytest.mark.parametrize("n_levels, q_levels, name", [([], [1], "n_levels"), ([1], [], "q_levels")])
+def test_ladder_names_an_empty_level_list_before_solving(n_levels, q_levels, name, grid24,
+                                                         bins_basis, example1, monkeypatch):
+    bundle = sq.sample_paths(grid24, 1, 10, 5)
+    xi = sq.make_terminal("clamp-bt", bound=3.0)
+    monkeypatch.setattr(solver, "_backward", None)      # a solve would call it
+    with pytest.raises(ValueError, match=f"^{name} is empty"):
+        sq.solve_ladder(example1, xi, grid24, bundle, bins_basis, n_levels, q_levels)
 
 
 def _walk(g, xi, grid, bundle, basis, rungs):
