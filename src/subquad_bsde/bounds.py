@@ -19,7 +19,6 @@ import numpy.ma  # noqa: F401 - np.unique loads it lazily: load it here, not in 
 from .constants import _OVERFLOW_LOG, _delta_p, _k_alpha
 from .errors import InvalidCoefficientError
 from .generators import _norm, _sum_last
-from .paths import step_major_empty
 
 
 def _mean_rel_se(x: np.ndarray) -> tuple[float, float]:
@@ -144,9 +143,9 @@ def fhat_process(profile, sol_prime) -> np.ndarray:
     out = np.empty((bundle.count, grid.steps))
     for j in range(grid.steps):
         t = float(grid.nodes[j])
-        zn = _norm(sol_prime.Z[:, j, :])
+        zn = _norm(sol_prime.z(j))
         out[:, j] = (f_fn(t, levels[:, j, :])
-                     + beta_fn(t) * np.abs(sol_prime.Y[:, j])
+                     + beta_fn(t) * np.abs(sol_prime.y(j))
                      + gamma_fn(t) * np.log(math.e + zn) ** half)
     if np.any(out < 0.0):
         raise ValueError("forcing process must be nonnegative")
@@ -211,20 +210,15 @@ def _decile_indices(grid) -> np.ndarray:
     return idx[idx < grid.steps]
 
 
-def _tail_sum(increment, grid, count: int) -> np.ndarray:
-    """Per-path sums of ``increment(j)`` over the steps from node j to the horizon,
-    shape (M, N+1), stored step-major: summed from the horizon back, one step at a time."""
-    tail = step_major_empty((count, grid.steps + 1))
-    tail[:, -1] = 0.0
+def _tail_forcing(f_process, grid, levels):
+    """Per-path forcing integrals int_{t_j}^T f ds, yielded as (j, tail) for
+    j = N-1, ..., 0: a running sum from the horizon back, one step at a time,
+    each tail a new (M,) array."""
+    tail = np.zeros(levels.shape[0])
     for j in reversed(range(grid.steps)):
-        np.add(tail[:, j + 1], increment(j), out=tail[:, j])
-    return tail
-
-
-def _tail_forcing(f_process, grid, levels) -> np.ndarray:
-    """Per-path cumulative forcing integrals int_{t_j}^T f ds, shape (M, N+1)."""
-    return _tail_sum(lambda j: np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]),
-                                          dtype=float) * grid.dt[j], grid, levels.shape[0])
+        tail = tail + np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]),
+                                 dtype=float) * grid.dt[j]
+        yield j, tail
 
 
 def _capped_exponent(log_K: float, power: float, x: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -249,7 +243,9 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     by {Y > 0}, and uses xi+ on the right.  Conditional expectations are the
     solver's regression proxies at decile times; the right side is lowered to
     its conditional Jensen minorant, so a satisfied verdict is conservative.
-    A regression's standard error is its projector's `noise_sq`.
+    A regression's standard error is its projector's `noise_sq`.  One pass
+    from the horizon back carries the tails as running sums and reads each
+    node of the field once.
     """
     if variant not in ("two-sided", "one-sided"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -260,20 +256,23 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
     log_K = constants.log_K.log
 
     xi_eff = np.maximum(xi_values, 0.0) if one_sided else np.abs(xi_values)
-    tail_f = _tail_forcing(f_process, grid, bundle.levels)
-    tail_q = _tail_sum(lambda j: _sum_last(sol.Z[:, j, :] ** 2) * grid.dt[j]
-                       * (sol.Y[:, j] > 0.0 if one_sided else 1.0), grid, bundle.count)
+    deciles = set(_decile_indices(grid).tolist())
 
     rows = []
-    for j in _decile_indices(grid):
+    tail_q = np.zeros(bundle.count)
+    for j, tail_f in _tail_forcing(f_process, grid, bundle.levels):
+        y = sol.y(j) if one_sided or j in deciles else None
+        tail_q = tail_q + (_sum_last(sol.z(j) ** 2) * grid.dt[j]
+                           * (y > 0.0 if one_sided else 1.0))
+        if j not in deciles:
+            continue
         proj = projs[j]
-        q_fit = np.maximum(proj.fit(tail_q[:, j]), 0.0)
-        se_q = math.sqrt(proj.noise_sq(tail_q[:, j] - q_fit))
-        y = sol.Y[:, j]
+        q_fit = np.maximum(proj.fit(tail_q), 0.0)
+        se_q = math.sqrt(proj.noise_sq(tail_q - q_fit))
         ypart = np.maximum(y, 0.0) ** power if one_sided else np.abs(y) ** power
         log_lhs = np.logaddexp(ypart, np.log(np.maximum(q_fit, 1e-300)))
 
-        big = _capped_exponent(log_K, power, xi_eff, tail_f[:, j])
+        big = _capped_exponent(log_K, power, xi_eff, tail_f)
         big_fit = proj.fit(big)
         se_big = math.sqrt(proj.noise_sq(big - big_fit))
         log_rhs = log_K + big_fit
@@ -284,27 +283,44 @@ def verify_pointwise_bound(sol, constants, xi_values: np.ndarray, f_process,
         worst = int(np.argmin(margins))
         rows.append((float(grid.nodes[j]), float(log_lhs[worst]), float(log_rhs[worst]),
                      float(se_comb[worst]), float(margins.min())))
-    return _bound_result(f"pointwise-{variant}", rows)
+    return _bound_result(f"pointwise-{variant}", rows[::-1])
 
 
 def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
                      p: float = 2.0) -> BoundCheckResult:
-    """Unconditional bound E[exp(p sup|Y|^{2/a*})] + E[(int|Z|^2)^{p/2}] <= K_p E[exp(K_p (|xi|+int f)^{2/a*})]."""
+    """Unconditional bound E[exp(p sup|Y|^{2/a*})] + E[(int|Z|^2)^{p/2}] <= K_p E[exp(K_p (|xi|+int f)^{2/a*})].
+
+    Checked from node 0 and from the node nearest T/2.  One forward pass reads
+    each node of the field once and carries, per start, the running max of |Y|
+    and the running sum of |Z|^2 dt, added in step order.
+    """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     grid, bundle = sol.grid, sol.bundle
+    N = grid.steps
     power = 2.0 / constants.alpha_star
     log_Kp = constants.K_p(p).log
-    tail_f = _tail_forcing(f_process, grid, bundle.levels)
-    zsq = _sum_last(sol.Z ** 2)         # our own squares: scaled in place
-    zsq *= grid.dt[None, :]
-
     half_idx = int(np.argmin(np.abs(grid.nodes - 0.5 * grid.horizon)))
+    starts = tuple(dict.fromkeys((0, half_idx)))      # one node on a one-step grid
+    # both start from 0.0, which neither max |Y| nor a sum of squares can move
+    sup_y, zsq_sum = dict.fromkeys(starts, 0.0), dict.fromkeys(starts, 0.0)
+    for j in range(N + 1):
+        running = [s for s in starts if s <= j]
+        abs_y = np.abs(sol.y(j))
+        for s in running:
+            sup_y[s] = np.maximum(sup_y[s], abs_y)
+        if j < N:
+            zsq = _sum_last(sol.z(j) ** 2)      # our own squares: scaled in place
+            zsq *= grid.dt[j]
+            for s in running:
+                zsq_sum[s] = zsq_sum[s] + zsq
+    tail_f = {j: tail for j, tail in _tail_forcing(f_process, grid, bundle.levels)
+              if j in starts}
+
     rows = []
-    for j in dict.fromkeys((0, half_idx)):      # one node on a one-step grid
-        sup_y = np.abs(sol.Y[:, j:]).max(axis=1)
-        log_a, se_a = log_mean_exp(p * sup_y ** power)
-        q = zsq[:, j:].sum(axis=1)
+    for j in starts:
+        log_a, se_a = log_mean_exp(p * sup_y[j] ** power)
+        q = zsq_sum[j]
         mean_qp, se_b_rel = _mean_rel_se(q ** (p / 2.0))
         log_b = math.log(max(mean_qp, 1e-300))
         log_lhs = float(np.logaddexp(log_a, log_b))
@@ -312,7 +328,7 @@ def verify_sup_bound(sol, constants, xi_values: np.ndarray, f_process,
         se_lhs = math.hypot(wa * se_a, wb * se_b_rel)
 
         log_rhs_mean, se_rhs = log_mean_exp(
-            _capped_exponent(log_Kp, power, np.abs(xi_values), tail_f[:, j]))
+            _capped_exponent(log_Kp, power, np.abs(xi_values), tail_f[j]))
         log_rhs = log_Kp + log_rhs_mean
         rows.append((float(grid.nodes[j]), log_lhs, log_rhs, math.hypot(se_lhs, se_rhs),
                      log_rhs - log_lhs))
@@ -344,6 +360,18 @@ def order_verdict(violations: int, comparisons: int, finite: bool = True) -> str
             "satisfied" if violations / comparisons <= _COMPARISON_MAX_FRACTION else "violated")
 
 
+def _check_same_bundle(sol, sol_prime) -> None:
+    """Raise ValueError unless the two fields live on one grid and one path bundle:
+    the same bundle object, or bundles with equal levels, so that row i of each is
+    path i of the other."""
+    if sol.grid is not sol_prime.grid and not np.array_equal(sol.grid.nodes, sol_prime.grid.nodes):
+        raise ValueError("solutions must share one grid")
+    if sol.bundle is not sol_prime.bundle and not np.array_equal(sol.bundle.levels,
+                                                                 sol_prime.bundle.levels):
+        raise ValueError("solutions must share one path bundle: the same bundle, "
+                         "or one with equal levels")
+
+
 def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
                       xi_prime_values: Optional[np.ndarray] = None) -> BoundCheckResult:
     """Check the pathwise order Y <= Y' + eps on every grid node.
@@ -354,11 +382,9 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
     `order_verdict` over all (path, node) pairs, node N included.  The caller
     asserts the hypothesis pattern; a supplied terminal pair with xi > xi' +
     1e-12 on any path makes the measured result ``violated``, with witnesses.
+    The two fields must share one grid and one path bundle (`_check_same_bundle`).
     """
-    if sol.grid is not sol_prime.grid and not np.array_equal(sol.grid.nodes, sol_prime.grid.nodes):
-        raise ValueError("solutions must share one grid")
-    if sol.Y.shape != sol_prime.Y.shape:
-        raise ValueError("solutions must share one path bundle")
+    _check_same_bundle(sol, sol_prime)
     if sol.fit_noise is None or sol_prime.fit_noise is None:
         raise ValueError("the comparison allowance needs both solutions' fit_noise")
     bad = (np.flatnonzero(xi_values > xi_prime_values + 1e-12)
@@ -367,11 +393,11 @@ def verify_comparison(sol, sol_prime, xi_values: Optional[np.ndarray] = None,
 
     slack = _COMPARISON_C * math.sqrt(float(np.max(sol.grid.dt)))
     eps = _order_allowance(slack, sol.fit_noise, sol_prime.fit_noise)
-    M, nodes = sol.Y.shape
+    M, nodes = sol.bundle.count, sol.grid.steps + 1
     gap_max = np.empty(nodes)
     counts = np.empty(nodes, dtype=np.int64)
     for j in range(nodes):
-        gap = sol.Y[:, j] - sol_prime.Y[:, j]          # should be <= eps everywhere
+        gap = sol.y(j) - sol_prime.y(j)          # should be <= eps everywhere
         counts[j] = order_violations(gap, sol.fit_noise[j], sol_prime.fit_noise[j], slack)
         gap_max[j] = gap.max()
     return BoundCheckResult(bound_id="comparison", times=sol.grid.nodes.copy(), log_lhs=gap_max,

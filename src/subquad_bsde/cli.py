@@ -270,9 +270,9 @@ def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol,
     """Run bound check ``bound_id`` on the solved field ``sol`` and record it in ``report``.
 
     ``sol`` was solved on the rung ``idx`` of the problem ``report.config``; its terminal
-    values are its node-N column, a view that no check writes to.
+    values are its node-N column, which no check writes to.
     """
-    cfg, prof, xi_vals = report.config, gen.profile, sol.Y[:, -1]
+    cfg, prof, xi_vals = report.config, gen.profile, sol.y(sol.grid.steps)
     if bound_id in ("pointwise", "pointwise-one-sided"):
         side = "two-sided" if bound_id == "pointwise" else "one-sided"
         report.bound_results.append(
@@ -289,7 +289,7 @@ def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol,
         shifted = replace(cfg, terminal_shift=cfg.terminal_shift + cfg.comparison_shift)
         xi_hi = truncate_terminal(_build_terminal(shifted), idx)
         sol_hi = solve_bounded(truncate_generator(gen, idx), xi_hi, sol.grid, sol.bundle, sol.basis)
-        r = bounds_mod.verify_comparison(sol, sol_hi, xi_vals, sol_hi.Y[:, -1])
+        r = bounds_mod.verify_comparison(sol, sol_hi, xi_vals, sol_hi.y(sol.grid.steps))
         if r.witnesses:
             report.notes.append(f"comparison hypothesis violated: terminal ordering xi <= xi' "
                                 f"fails on {r.terminal_failures} paths "
@@ -447,9 +447,9 @@ def _load_solution(path: str, **overrides):
     if not np.array_equal(Y[:, -1], xi(bundle.terminal())):
         raise ConfigurationError(f"{path}: its Y[:, {cfg.steps}] is not its config's terminal "
                                  f"truncated at ({idx.n}, {idx.q}) on the paths of seed {cfg.seed}")
-    # the solvers' layout, whatever order the file was written in
-    sol = SolutionField(Y=as_step_major(Y), Z=as_step_major(Z), bundle=bundle,
-                        basis=_build_basis(cfg), fit_noise=data.get("fit_noise"))
+    # per-node columns in the solvers' layout, whatever order the file was written in
+    sol = SolutionField.from_columns(as_step_major(Y), as_step_major(Z), bundle,
+                                     _build_basis(cfg), fit_noise=data.get("fit_noise"))
     return sol, cfg, idx
 
 

@@ -467,11 +467,19 @@ def theta_difference_generator(g: Generator, g_prime: Generator, theta: float,
     result can only be evaluated at grid nodes with rows aligned to the
     bundle that produced Yp/Zp.
     """
+    Yp = np.asarray(Yp, dtype=float)
+    Zp = np.asarray(Zp, dtype=float)
+    return _theta_difference(g, g_prime, theta, grid,
+                             lambda j: (Yp[:, j], Zp[:, min(j, Zp.shape[1] - 1), :]))
+
+
+def _theta_difference(g: Generator, g_prime: Generator, theta: float, grid,
+                      anchor: Callable) -> Generator:
+    """`theta_difference_generator` with the reference read node by node:
+    ``anchor(j)`` is (Y'_j, Z'_j), Z' on the last step at the horizon node."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     nodes = np.asarray(grid.nodes)
-    Yp = np.asarray(Yp, dtype=float)
-    Zp = np.asarray(Zp, dtype=float)
 
     def node_index(t: float) -> int:
         j = int(np.argmin(np.abs(nodes - t)))
@@ -480,9 +488,7 @@ def theta_difference_generator(g: Generator, g_prime: Generator, theta: float,
         return j
 
     def fn(t, b, y, z):
-        j = node_index(float(np.asarray(t).reshape(-1)[0]))
-        yp = Yp[:, j]
-        zp = Zp[:, min(j, Zp.shape[1] - 1), :]
+        yp, zp = anchor(node_index(float(np.asarray(t).reshape(-1)[0])))
         y = np.asarray(y, dtype=float)
         z = np.atleast_2d(z)
         ymix = (1.0 - theta) * y + theta * yp

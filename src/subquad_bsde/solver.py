@@ -13,16 +13,17 @@ contracts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bounds import order_verdict, order_violations
+from .bounds import _check_same_bundle, order_verdict, order_violations
 from .errors import IterationLimitError, PreconditionViolationError, SolverDivergedError
 from .generators import (Generator, TerminalData, TruncationIndex, _norm, _sum_last,
-                         theta_difference_generator, truncate_terminal, truncated_at)
+                         _theta_difference, truncate_terminal, truncated_at)
 from .paths import PathBundle, RegressionBasis, TimeGrid, step_major_empty
 
 _FP_TOL = 1e-10            # implicit step: residual target, per bin or sup over a rung's paths
@@ -32,14 +33,39 @@ _PICARD_MAX_ITER = 60      # Picard: sweeps before IterationLimitError
 _ORDER_TOL = 1e-10         # ladder ordering slack for exact ties, relative to 1 + |Y|
 
 
+def _stacked(node, shape: tuple) -> np.ndarray:
+    """The columns ``node(j)`` of a per-path field of path-major ``shape`` (paths,
+    nodes, ...), stored step-major."""
+    out = step_major_empty(shape)
+    for j in range(shape[1]):
+        out[:, j] = node(j)
+    return out
+
+
+class _Columns:
+    """The identity map: a field read from per-path columns holds each node's column
+    as its coordinates."""
+
+    @staticmethod
+    def expand(coords: np.ndarray) -> np.ndarray:
+        return coords
+
+
 @dataclass(frozen=True)
 class SolutionField:
-    """Discretized (Y, Z) on a path bundle; Y has N+1 nodes, Z has N steps.
+    """Discretized (Y, Z) on a path bundle, held as the solver computes it: Y has N+1
+    nodes, Z has N steps.
 
-    ``Y`` has shape (paths, N+1) and ``Z`` (paths, N, dims).  The solvers
-    store both step-major (time is the outer axis in memory), like
-    ``PathBundle.levels``, so each per-step slice ``Y[:, j]`` or
-    ``Z[:, j, :]`` is contiguous.  The grid is the bundle's.
+    Node j < N holds Y's coordinates ``y_coords[j]`` in the basis of ``maps[j]``,
+    step j's projector; step j holds Z's coordinates ``z_coords[j]`` and the
+    divisor ``z_divisor[j]`` that applies after expansion: dt_j after the implicit
+    sweep, whose Z regression is divided by dt per path, and 1 after Picard, whose
+    operators already carry 1/dt.  Node N is the per-path ``terminal`` column.  So
+    ``y(j)`` and ``z(j)`` expand one node, (paths,) and (paths, dims), bit for bit
+    the column the solver formed there.  A field read from per-path columns
+    (`from_columns`) holds them under the identity map, and reads them back as
+    they are.  ``Y`` (paths, N+1) and ``Z`` (paths, N, dims) expand the whole
+    field, step-major like ``PathBundle.levels``.  The grid is the bundle's.
 
     ``fit_noise`` is the accumulated standard error (`noise_sq`) of the
     per-step value regressions from each node to the horizon: the honest
@@ -47,28 +73,61 @@ class SolutionField:
     distinguished; inf back from a step whose fit interpolates its samples.
     """
 
-    Y: np.ndarray
-    Z: np.ndarray
+    terminal: np.ndarray
+    y_coords: tuple
+    z_coords: tuple
+    z_divisor: np.ndarray
+    maps: tuple
     bundle: PathBundle
     basis: RegressionBasis
     fit_noise: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_columns(cls, Y: np.ndarray, Z: np.ndarray, bundle: PathBundle,
+                     basis: RegressionBasis, fit_noise: Optional[np.ndarray] = None):
+        """The field whose per-path columns are ``Y`` (paths, N+1) and ``Z`` (paths, N,
+        dims), held as views under the identity map."""
+        N = Y.shape[1] - 1
+        return cls(terminal=Y[:, N], y_coords=tuple(Y[:, j] for j in range(N)),
+                   z_coords=tuple(Z[:, j, :] for j in range(N)), z_divisor=np.ones(N),
+                   maps=(_Columns,) * N, bundle=bundle, basis=basis, fit_noise=fit_noise)
 
     @property
     def grid(self) -> TimeGrid:
         return self.bundle.grid
 
+    def y(self, j: int) -> np.ndarray:
+        """Y at node j, (paths,); the terminal column itself at node N."""
+        j = range(self.grid.steps + 1)[j]
+        return self.terminal if j == self.grid.steps else self.maps[j].expand(self.y_coords[j])
+
+    def z(self, j: int) -> np.ndarray:
+        """Z on step j, (paths, dims)."""
+        j = range(self.grid.steps)[j]
+        return self.maps[j].expand(self.z_coords[j]) / self.z_divisor[j]
+
+    @property
+    def Y(self) -> np.ndarray:
+        return _stacked(self.y, (self.bundle.count, self.grid.steps + 1))
+
+    @property
+    def Z(self) -> np.ndarray:
+        return _stacked(self.z, (self.bundle.count, self.grid.steps, self.bundle.dims))
+
     def summary(self) -> dict:
-        """Per-node summary columns for the CSV report."""
-        zn = _norm(self.Z)
-        zn = np.concatenate([zn, zn[:, -1:]], axis=1)   # carry last step to the horizon row
-        q05, q95 = np.quantile(self.Y, [0.05, 0.95], axis=0)
-        return {
-            "time": self.grid.nodes.copy(),
-            "y_mean": self.Y.mean(axis=0),
-            "y_q05": q05,
-            "y_q95": q95,
-            "z_norm_mean": zn.mean(axis=0),
-        }
+        """Per-node summary columns for the CSV report; the horizon row carries the
+        last step's |Z| mean."""
+        N = self.grid.steps
+        y_mean, y_q05, y_q95, z_norm_mean = (np.empty(N + 1) for _ in range(4))
+        for j in range(N + 1):
+            y = self.y(j)
+            y_mean[j] = y.mean()
+            y_q05[j], y_q95[j] = np.quantile(y, [0.05, 0.95])
+            if j < N:
+                z_norm_mean[j] = _norm(self.z(j)).mean()
+        z_norm_mean[N] = z_norm_mean[N - 1]
+        return {"time": self.grid.nodes.copy(), "y_mean": y_mean, "y_q05": y_q05,
+                "y_q95": y_q95, "z_norm_mean": z_norm_mean}
 
 
 def _check_inputs(grid: TimeGrid, bundle: PathBundle) -> None:
@@ -109,7 +168,7 @@ def _diverged(step: int, rungs, gap: np.ndarray, bad: np.ndarray, cause: str) ->
 
 
 def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
-                     bins: bool) -> tuple[np.ndarray, np.ndarray]:
+                     bins: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Implicit value update y = fit(Y_next + dt g(y)) of all rungs at once, in
     the projector coordinates c (R, p) of y.
 
@@ -131,7 +190,7 @@ def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
     paths of all rungs.  Finiteness is checked on the coordinates, which a
     non-finite driver value always makes non-finite; only then are the
     per-path values searched for the rung at fault (`_check_finite`).
-    Returns the per-path values and the driver evaluated there.
+    Returns the coordinates, the per-path values and the driver evaluated there.
     """
     c = m.copy()
     done = np.zeros(m.shape if bins else (len(m), 1), dtype=bool)
@@ -147,7 +206,7 @@ def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
         gap = np.abs(r) if bins else np.max(np.abs(rows.expand(r)), axis=1, keepdims=True)
         done |= gap < _FP_TOL
         if done.all():
-            return rows.expand(c), gval
+            return c, rows.expand(c), gval
         if bins:
             gval = None                 # not held through the next driver call
             lo = np.where(r > 0.0, np.maximum(lo, c), lo)
@@ -205,17 +264,19 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
     ``expand``.  Each rung's regressions and updates are those of its own
     one-rung solve, bit for bit.
 
-    Yields ``(j, y, z, noise)`` for j = N, ..., 0: the values (R, M) at node
-    j, the fit noise (R,) there (per step, `noise_sq` of each rung's value
-    residual, all rungs in one call), and Z (M, d) of rung ``keep`` on step
-    j (None at j = N or without ``keep``).
+    Yields ``(j, y, c, zc, noise)`` for j = N, ..., 0: the values (R, M) at
+    node j and their coordinates (R, p) in step j's projector, the
+    coordinates (p, d) of rung ``keep``'s Z on step j before its division by
+    dt, and the fit noise (R,) at node j (per step, `noise_sq` of each rung's
+    value residual, all rungs in one call).  At j = N, c and zc are None, and
+    so is zc without ``keep``.
     """
     levels, projs = bundle.levels, bundle.projectors(basis)
     R = len(y_end)
     bins = basis.kind == "piecewise-constant-bins"
     noise_sq = np.zeros(R)          # step variances summed from the horizon, as in _fit_noise
     y_next, y_end = y_end, None     # held once, as y_next
-    yield grid.steps, y_next, None, np.sqrt(noise_sq)
+    yield grid.steps, y_next, None, None, np.sqrt(noise_sq)
     for j in reversed(range(grid.steps)):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
         b, proj = levels[:, j, :], projs[j]
@@ -226,35 +287,38 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
         zc = rows.coords((levels[:, j + 1, :] - b) * (y_next - m_fit)[:, :, None])
         m_fit = None
         if bins:
-            zc /= dt            # a gather commutes with / dt: Z = fit(weighted) / dt
-            g_at = at(t, b, zc, proj.idx)
-            z = None if keep is None else proj.expand(zc[keep])
+            # a gather commutes with / dt: Z = fit(weighted) / dt
+            g_at = at(t, b, zc / dt, proj.idx)
         else:
             z = rows.expand(zc)
             z /= dt
             frozen = at(t, b, z)
             g_at = lambda c: frozen(rows.expand(c))
-            z = None if keep is None else z[keep]
-        y, gval = _implicit_update(g_at, rows, m, dt, j, rungs, bins)
+        c, y, gval = _implicit_update(g_at, rows, m, dt, j, rungs, bins)
         resid = y_next + dt * gval - y      # spread the value fit had to average out
         gval = None
         noise_sq = noise_sq + proj.noise_sq(resid)
         y_next, resid = y, None
-        yield j, y, z, np.sqrt(noise_sq)
+        yield j, y, c, None if keep is None else zc[keep], np.sqrt(noise_sq)
 
 
-def _field(steps, bundle: PathBundle, basis: RegressionBasis) -> SolutionField:
-    """One rung's field from the ``(j, y, z, noise)`` that ``steps`` yields for it
-    in a `_backward` pass: y (M,) and noise at node j, Z on step j (None at j = N)."""
-    M, N = bundle.count, bundle.grid.steps
-    Y = step_major_empty((M, N + 1))
-    Z = step_major_empty((M, N, bundle.dims))
+def _field(steps, bundle: PathBundle, basis: RegressionBasis, rung: int) -> SolutionField:
+    """The field of rung ``rung`` from the ``(j, y, c, zc, noise)`` that ``steps``
+    yields in a `_backward` pass that keeps that rung's Z: its coordinates, a
+    copy of its terminal column and its fit noise."""
+    grid = bundle.grid
+    N = grid.steps
+    y_coords, z_coords = [None] * N, [None] * N
     fit_noise = np.empty(N + 1)
-    for j, y, z, noise in steps:
-        Y[:, j], fit_noise[j] = y, noise
-        if z is not None:
-            Z[:, j, :] = z
-    return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis, fit_noise=fit_noise)
+    for j, y, c, zc, noise in steps:
+        fit_noise[j] = noise[rung]
+        if j == N:
+            terminal = y[rung].copy()       # not a view that holds every rung's terminal
+        else:
+            y_coords[j], z_coords[j] = c[rung], zc
+    return SolutionField(terminal=terminal, y_coords=tuple(y_coords), z_coords=tuple(z_coords),
+                         z_divisor=grid.dt, maps=tuple(bundle.projectors(basis)), bundle=bundle,
+                         basis=basis, fit_noise=fit_noise)
 
 
 def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -273,7 +337,7 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     """
     _check_inputs(grid, bundle)
     steps = _backward(g.at, _terminal_values(xi, bundle)[None], grid, bundle, basis, keep=0)
-    return _field(((j, y[0], z, noise[0]) for j, y, z, noise in steps), bundle, basis)
+    return _field(steps, bundle, basis, 0)
 
 
 def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBundle,
@@ -292,9 +356,11 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     and G_j = coords_j(diag(dB_j) (B_{j+1} - B_j C_j)) / dt (the centred
     martingale-increment regression) built once per call; the terminal column
     stands in for B_N, with a_N = 1.  Per step and sweep only the driver, its
-    projection and the two expansions touch every path.  One (Y, Z) field is
-    updated in place: step j reads the previous iterate at node j and the new
-    one at node j + 1.
+    projection and the two expansions touch every path.  One per-path (Y, Z)
+    working field is updated in place: step j reads the previous iterate at
+    node j and the new one at node j + 1.  The result holds the last sweep's
+    coordinates a_j and G_j a_{j+1} (its Z divisor is 1), and the working
+    field is dropped.
 
     Only the last sweep's gap and fit noise are read, so a sweep stops
     measuring (residual, noise, step gap) once a step has moved by
@@ -310,7 +376,8 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     projs = bundle.projectors(basis)
     Y = step_major_empty((M, N + 1))
     Z = step_major_empty((M, N, d))
-    Y[:, N] = _terminal_values(xi, bundle)
+    terminal = _terminal_values(xi, bundle)
+    Y[:, N] = terminal
 
     # driver-free warm start Y_j = fit(Y_{j+1}), building the operators on the way
     nodes, dts = grid.nodes, grid.dt
@@ -335,6 +402,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     gap = math.inf
     step_gap = np.empty(N)
     step_noise_sq = np.zeros(N)
+    sweep_a, sweep_zc = [None] * N, [None] * N      # this sweep's coordinates per step
     for sweep in range(_PICARD_MAX_ITER):
         a = np.ones(1)
         measure = True
@@ -348,6 +416,7 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
             if not np.all(np.isfinite(f_coords)):
                 raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
             a = C[j] @ a + dt * f_coords
+            sweep_a[j], sweep_zc[j] = a, z_coords
             if not measure:
                 # the driver value (maybe a view of node j) is in f_coords:
                 # node j takes the new iterate directly
@@ -376,34 +445,39 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         # a sweep that stopped measuring holds a step gap >= _PICARD_TOL
         gap = float(np.max(step_gap))
         if gap < _PICARD_TOL:
-            return SolutionField(Y=Y, Z=Z, bundle=bundle, basis=basis,
+            return SolutionField(terminal=terminal, y_coords=tuple(sweep_a),
+                                 z_coords=tuple(sweep_zc), z_divisor=np.ones(N),
+                                 maps=tuple(projs), bundle=bundle, basis=basis,
                                  fit_noise=_fit_noise(step_noise_sq))
     raise IterationLimitError(_PICARD_MAX_ITER, gap)
 
 
-def _fitted_residual(sol: SolutionField, g: Generator, U: np.ndarray,
-                     V: np.ndarray) -> np.ndarray:
+def _fitted_residual(sol: SolutionField, g: Generator, u, v) -> np.ndarray:
     """Max over paths of the projected one-step residual of (U, V) under ``g``,
-    per step, on the grid, bundle and basis of ``sol``."""
+    per step, on the grid, bundle and basis of ``sol``.  ``u(j)`` reads U at
+    node j and ``v(j)`` V on step j; each is read once, from the horizon back."""
     grid, levels = sol.grid, sol.bundle.levels
     projs = sol.bundle.projectors(sol.basis)
     out = np.empty(grid.steps)
-    for j in range(grid.steps):
+    u_next = u(grid.steps)
+    for j in reversed(range(grid.steps)):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
-        gval = g(t, levels[:, j, :], U[:, j], V[:, j, :])
+        u_j, v_j = u(j), v(j)
+        gval = g(t, levels[:, j, :], u_j, v_j)
         vdb = levels[:, j + 1, :] - levels[:, j, :]
-        vdb *= V[:, j, :]
+        vdb *= v_j
         # a -0.0 read by `_sum_last` can only flip the sign of a zero r,
         # which max |fit(r)| cannot see
-        r = U[:, j] - U[:, j + 1] - gval * dt + _sum_last(vdb)
+        r = u_j - u_next - gval * dt + _sum_last(vdb)
         out[j] = float(np.max(np.abs(projs[j].fit(r))))
+        u_next = u_j
     return out
 
 
 def consistency_residual(sol: SolutionField, g: Generator) -> np.ndarray:
     """Max fitted one-step residual per step: how far (Y, Z) are from the
     discrete equation after projecting onto the basis."""
-    return _fitted_residual(sol, g, sol.Y, sol.Z)
+    return _fitted_residual(sol, g, sol.y, sol.z)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +523,10 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     column and of the diagonal) is one backward pass of `_backward` over all
     its rungs at once, and every rung comes out bit for bit as its own
     `solve_bounded` would.  The pass counts violations and diagonal gaps node
-    by node as it visits them, so only the first rung's Y and the returned
-    field, the last rung solved, are held whole.  A failure names its step
-    and rung (n, q).
+    by node as it visits them.  Across passes it holds the first rung's
+    coordinates and terminal column, whose nodes each later pass expands as it
+    reaches them, and the returned field is the last rung solved.  A failure
+    names its step and rung (n, q).
     """
     _check_inputs(grid, bundle)
     lv_n, lv_q = (sorted(set(int(v) for v in levels)) for levels in (n_levels, q_levels))
@@ -462,11 +537,12 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     column = [(lv_n[0], q) for q in lv_q]
     diagonal = [(lv_n[min(k, len(lv_n) - 1)], lv_q[min(k, len(lv_q) - 1)])
                 for k in range(max(len(lv_n), len(lv_q)))]
-    M, N = bundle.count, grid.steps
+    N = grid.steps
+    projs = bundle.projectors(basis)
     violations = comparisons = 0
     finite = True
     gaps = []
-    first_y = step_major_empty((M, N + 1))
+    first = [None] * (N + 1)        # the first rung's coordinates per node, its terminal at N
     first_noise = np.empty(N + 1)
 
     def count(low, high):
@@ -489,19 +565,21 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         del y_end                           # the pass holds it until its first step
         on_diagonal = keys == diagonal
         node_gaps = np.empty((len(keys) - 1, N + 1))
-        for j, y, z, noise in steps:
+        for j, y, c, z, noise in steps:
+            chain_y, chain_noise = y, noise
             if keys is row:
-                first_y[:, j], first_noise[j] = y[0], noise[0]
+                first[j], first_noise[j] = y[0].copy() if j == N else c[0], noise[0]
             else:       # the walk's chain starts at the shared first rung
-                y = np.concatenate([first_y[None, :, j], y])
-                noise = np.concatenate([first_noise[j:j + 1], noise])
+                first_y = first[j] if j == N else projs[j].expand(first[j])
+                chain_y = np.concatenate([first_y[None], y])
+                chain_noise = np.concatenate([first_noise[j:j + 1], noise])
             # every rung pair of the chain at once: each rung against the one before it
             if compare is not None:
-                compare((y[:-1], noise[:-1]), (y[1:], noise[1:]))
+                compare((chain_y[:-1], chain_noise[:-1]), (chain_y[1:], chain_noise[1:]))
             if on_diagonal:
                 # field distance per node (mean over paths); sup over nodes below
-                node_gaps[:, j] = np.mean(np.abs(y[1:] - y[:-1]), axis=1)
-            yield j, y[-1], z, noise[-1]
+                node_gaps[:, j] = np.mean(np.abs(chain_y[1:] - chain_y[:-1]), axis=1)
+            yield j, y, c, z, noise
         if on_diagonal:
             gaps.extend(float(v) for v in np.max(node_gaps, axis=1))
 
@@ -513,7 +591,7 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     for keys, compare in walks:
         for _ in walk(keys, compare, False):
             pass
-    final = _field(walk(*final_walk, True), bundle, basis)
+    final = _field(walk(*final_walk, True), bundle, basis, -1)
     if not finite:
         violations = comparisons = 0
     return LadderResult(final=final, violations=violations, comparisons=comparisons,
@@ -524,30 +602,53 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
 # theta residual
 # ---------------------------------------------------------------------------
 
+def _theta_mix(x: np.ndarray, x_prime: np.ndarray, theta: float) -> np.ndarray:
+    # (x - theta x') / (1 - theta), in a buffer of its own
+    out = np.multiply(x_prime, theta)
+    np.subtract(x, out, out=out)
+    out /= 1.0 - theta
+    return out
+
+
 @dataclass(frozen=True)
 class ThetaResidual:
+    """The difference field dU = (Y - theta Y')/(1-theta), dV likewise for Z, of
+    the pair (``sol``, ``sol_prime``), with its fitted one-step residual per step.
+    ``dU`` (paths, N+1) and ``dV`` (paths, N, dims) form the whole field from the
+    pair's."""
+
     theta: float
-    dU: np.ndarray
-    dV: np.ndarray
+    sol: SolutionField
+    sol_prime: SolutionField
     consistency: np.ndarray            # fitted one-step residual per step
+
+    @property
+    def dU(self) -> np.ndarray:
+        return _stacked(lambda j: _theta_mix(self.sol.y(j), self.sol_prime.y(j), self.theta),
+                        (self.sol.bundle.count, self.sol.grid.steps + 1))
+
+    @property
+    def dV(self) -> np.ndarray:
+        return _stacked(lambda j: _theta_mix(self.sol.z(j), self.sol_prime.z(j), self.theta),
+                        (self.sol.bundle.count, self.sol.grid.steps, self.sol.bundle.dims))
 
 
 def theta_residual(sol: SolutionField, sol_prime: SolutionField, theta: float,
                    g: Generator, g_prime: Generator) -> ThetaResidual:
     """Difference field dU = (Y - theta Y')/(1-theta), dV likewise for Z, checked
     for one-step consistency against the theta-difference driver of ``g`` and
-    ``g_prime`` anchored at (Y', Z').
+    ``g_prime`` anchored at (Y', Z').  The two fields must share one grid and one
+    bundle (`bounds._check_same_bundle`).  Each node of either field is expanded
+    once: the anchor reads the node that the difference just read.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if not np.array_equal(sol.grid.nodes, sol_prime.grid.nodes) or sol.Y.shape != sol_prime.Y.shape:
-        raise ValueError("solutions must live on the same grid and bundle")
-    dU = np.multiply(sol_prime.Y, theta)
-    np.subtract(sol.Y, dU, out=dU)
-    dU /= 1.0 - theta
-    dV = np.multiply(sol_prime.Z, theta)
-    np.subtract(sol.Z, dV, out=dV)
-    dV /= 1.0 - theta
-    dg = theta_difference_generator(g, g_prime, theta, sol.grid, sol_prime.Y, sol_prime.Z)
-    return ThetaResidual(theta=theta, dU=dU, dV=dV,
-                         consistency=_fitted_residual(sol, dg, dU, dV))
+    _check_same_bundle(sol, sol_prime)
+    y_prime = functools.lru_cache(maxsize=1)(sol_prime.y)
+    z_prime = functools.lru_cache(maxsize=1)(sol_prime.z)
+    steps = sol.grid.steps
+    dg = _theta_difference(g, g_prime, theta, sol.grid,
+                           lambda j: (y_prime(j), z_prime(min(j, steps - 1))))
+    consistency = _fitted_residual(sol, dg, lambda j: _theta_mix(sol.y(j), y_prime(j), theta),
+                                   lambda j: _theta_mix(sol.z(j), z_prime(j), theta))
+    return ThetaResidual(theta=theta, sol=sol, sol_prime=sol_prime, consistency=consistency)

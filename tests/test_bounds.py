@@ -316,6 +316,38 @@ def test_order_rule_counts_a_stacked_block_as_its_rows_alone():
     assert order_verdict(sum(rows[:3]), 3 * 500) == "violated"
 
 
+def _pair_on_two_bundles(example1, seeds):
+    """Example 1 at rung (4, 4), xi and xi + 1, each solved on 500 paths of 6 steps
+    and 10 bins, the bundles sampled from ``seeds``; with the driver and terminals."""
+    grid = sq.build_grid(1.0, 6, "uniform")
+    basis = sq.RegressionBasis("piecewise-constant-bins", 10)
+    idx = TruncationIndex(4, 4)
+    gt = truncate_generator(example1, idx)
+    terminals = [truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0, shift=s), idx)
+                 for s in (0.0, 1.0)]
+    return gt, terminals, [sq.solve_bounded(gt, xi, grid, sq.sample_paths(grid, 1, 500, seed),
+                                            basis) for xi, seed in zip(terminals, seeds)]
+
+
+def test_comparison_refuses_fields_solved_on_different_bundles(example1):
+    # same shapes, different paths: row i of one field is not path i of the other
+    _, _, (lo, hi) = _pair_on_two_bundles(example1, (1, 2))
+    assert lo.Y.shape == hi.Y.shape
+    for pair in ((lo, hi), (hi, lo)):
+        with pytest.raises(ValueError, match="path bundle"):
+            verify_comparison(*pair)
+
+
+def test_comparison_accepts_a_bundle_with_equal_levels(example1):
+    # a bundle re-sampled from the same seed is another object with the same paths
+    gt, (_, xi_hi), (lo, hi) = _pair_on_two_bundles(example1, (1, 1))
+    assert lo.bundle is not hi.bundle
+    shared = sq.solve_bounded(gt, xi_hi, lo.grid, lo.bundle, lo.basis)
+    apart, same = verify_comparison(lo, hi), verify_comparison(lo, shared)
+    assert apart.verdict == same.verdict == "satisfied"
+    assert np.array_equal(apart.log_lhs, same.log_lhs) and np.array_equal(apart.se, same.se)
+
+
 def test_comparison_names_a_missing_fit_noise(zero_solution):
     bare = dataclasses.replace(zero_solution, fit_noise=None)
     for pair in ((bare, zero_solution), (zero_solution, bare)):
@@ -489,7 +521,10 @@ def test_pointwise_bound_matches_whole_field_reference(example1, example1_pair, 
     cs = sq.derive_constants(1.5, 1.0, prof.beta, prof.gamma)
     xi_vals = xi(sol.bundle.terminal())
     tail_f, expected = _pointwise_reference(sol, cs, xi_vals, prof.f, variant)
-    assert np.array_equal(_tail_forcing(prof.f, sol.grid, sol.bundle.levels), tail_f)
+    # the running tails, node by node from the horizon back
+    nodes = [j for j, tail in _tail_forcing(prof.f, sol.grid, sol.bundle.levels)
+             if np.array_equal(tail, tail_f[:, j])]
+    assert nodes == list(reversed(range(sol.grid.steps)))
     r = verify_pointwise_bound(sol, cs, xi_vals, prof.f, variant)
     got = (r.times, r.log_lhs, r.log_rhs, r.se, r.margin_min)
     for name, a, b in zip(("times", "lhs", "rhs", "se", "min"), got, expected):
@@ -512,6 +547,66 @@ def test_pointwise_bound_matches_whole_field_reference_in_two_dims():
         assert all(np.array_equal(a, b) for a, b in zip(got, expected)), variant
 
 
+def _sup_reference(sol, constants, xi_values, f_process, p):
+    """The sup check with whole fields: sup |Y| over the nodes from each start, and
+    |Z|^2 dt added over the steps from each start in step order."""
+    grid, levels = sol.grid, sol.bundle.levels
+    power = 2.0 / constants.alpha_star
+    log_Kp = constants.K_p(p).log
+    f_vals = np.stack([np.asarray(f_process(float(grid.nodes[j]), levels[:, j, :]), dtype=float)
+                       for j in range(grid.steps)], axis=1)
+    tail_f = _whole_field_tail(f_vals * grid.dt[None, :])
+    Y, zsq = sol.Y, (sol.Z ** 2).sum(axis=2) * grid.dt[None, :]
+    half = int(np.argmin(np.abs(grid.nodes - 0.5 * grid.horizon)))
+    rows = []
+    for j in dict.fromkeys((0, half)):
+        log_a, se_a = log_mean_exp(p * np.abs(Y[:, j:]).max(axis=1) ** power)
+        q = zsq[:, j].copy()
+        for k in range(j + 1, grid.steps):
+            q += zsq[:, k]
+        mean_qp, se_b = _mean_rel_se(q ** (p / 2.0))
+        log_b = math.log(max(mean_qp, 1e-300))
+        log_lhs = float(np.logaddexp(log_a, log_b))
+        se_lhs = math.hypot(math.exp(log_a - log_lhs) * se_a, math.exp(log_b - log_lhs) * se_b)
+        big = np.minimum(math.exp(min(log_Kp, 700.0)) * (np.abs(xi_values) + tail_f[:, j]) ** power,
+                         700.0)
+        log_rhs_mean, se_rhs = log_mean_exp(big)
+        log_rhs = log_Kp + log_rhs_mean
+        rows.append((grid.nodes[j], log_lhs, log_rhs, math.hypot(se_lhs, se_rhs), log_rhs - log_lhs))
+    return [np.asarray(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("kind", ["polynomial", "piecewise-constant-bins"])
+def test_sup_bound_matches_whole_field_reference(example1, example1_pair, kind, p):
+    # the check reads each node once; its sums keep the step order of a whole-field sum
+    sol, _, xi = example1_pair[kind]
+    prof = example1.profile
+    cs = sq.derive_constants(1.5, 1.0, prof.beta, prof.gamma)
+    xi_vals = xi(sol.bundle.terminal())
+    r = verify_sup_bound(sol, cs, xi_vals, prof.f, p=p)
+    got = (r.times, r.log_lhs, r.log_rhs, r.se, r.margin_min)
+    expected = _sup_reference(sol, cs, xi_vals, prof.f, p)
+    for name, a, b in zip(("times", "lhs", "rhs", "se", "min"), got, expected):
+        assert np.array_equal(a, b), name
+
+
+def test_sup_bound_adds_the_z_term_in_step_order(grid24, poly_basis, zero_constants):
+    # Y = 0, so the left side is the |Z|^2 term alone; on 5 paths its mean keeps the
+    # last bits of each path's sum, which show the order of the additions
+    rng = np.random.default_rng(11)
+    bundle = sq.sample_paths(grid24, 1, 5, 3)
+    M, N = bundle.count, grid24.steps
+    sol = sq.SolutionField.from_columns(np.zeros((M, N + 1)), rng.normal(size=(M, N, 1)),
+                                        bundle, poly_basis)
+    f = lambda t, b: np.zeros(np.atleast_2d(b).shape[0])
+    for p in (2.0, 3.0):
+        r = verify_sup_bound(sol, zero_constants, np.zeros(M), f, p=p)
+        expected = _sup_reference(sol, zero_constants, np.zeros(M), f, p)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((r.times, r.log_lhs, r.log_rhs, r.se, r.margin_min), expected)), p
+
+
 def _comparison_reference(sol, sol_prime):
     eps = np.full(sol.grid.steps + 1, 0.5 * math.sqrt(float(np.max(sol.grid.dt))))
     eps = eps + 3.0 * (sol.fit_noise + sol_prime.fit_noise)
@@ -526,7 +621,8 @@ def test_comparison_matches_whole_field_reference(example1_pair, kind):
     lo, hi, _ = example1_pair[kind]
     # the third pair pits lo against its own paths in reverse order: the order
     # fails on about half of them, so per-node counts are mixed
-    for a, b in ((lo, hi), (hi, lo), (lo, dataclasses.replace(lo, Y=lo.Y[::-1]))):
+    reversed_lo = sq.SolutionField.from_columns(lo.Y[::-1], lo.Z, lo.bundle, lo.basis, lo.fit_noise)
+    for a, b in ((lo, hi), (hi, lo), (lo, reversed_lo)):
         arrays, fraction = _comparison_reference(a, b)
         r = verify_comparison(a, b)
         got = (r.log_lhs, r.log_rhs, r.se, r.margin_min)

@@ -459,6 +459,35 @@ def test_bound_csv_headers(tmp_path):
         assert csv_file.read_text().splitlines()[0] == header, bound
 
 
+@pytest.mark.parametrize("basis", [["--basis", "polynomial", "--basis-size", "3"],
+                                   ["--basis", "piecewise-constant-bins", "--basis-size", "20"]],
+                         ids=["polynomial", "bins"])
+def test_a_reloaded_field_reads_the_bytes_of_the_solved_field(basis, tmp_path, capsys):
+    # the loaded field holds the file's columns as they are; the solved field expands
+    # its coordinates: every node, and both whole fields, agree bit for bit
+    import subquad_bsde as sq
+    import subquad_bsde.cli as cli
+    sol_file = str(tmp_path / "s.npz")
+    assert main(["solve", "--generator", "example1", "--steps", "6", "--paths", "1000",
+                 "--ladder", "4", "4", "--seed", "6", *basis, "--out", sol_file]) == 0
+    loaded, cfg, _ = cli._load_solution(sol_file)
+    grid = sq.build_grid(cfg.horizon, cfg.steps, cfg.scheme)
+    solved = sq.solve_ladder(cli._build_generator(cfg), cli._build_terminal(cfg), grid,
+                             sq.sample_paths(grid, cfg.dims, cfg.paths, cfg.seed),
+                             cli._build_basis(cfg), [1, 2, 4], [1, 2, 4]).final
+    data = np.load(sol_file)
+
+    def same(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    for j in range(cfg.steps + 1):
+        assert same(loaded.y(j), solved.y(j)) and same(loaded.y(j), data["Y"][:, j]), j
+    for j in range(cfg.steps):
+        assert same(loaded.z(j), solved.z(j)) and same(loaded.z(j), data["Z"][:, j, :]), j
+    assert same(loaded.Y, solved.Y) and same(loaded.Z, solved.Z)
+    assert same(loaded.Y, data["Y"]) and same(loaded.Z, data["Z"])
+
+
 def test_loaded_fields_are_step_major_and_path_major_files_still_load(tmp_path, capsys):
     import subquad_bsde.cli as cli
     sol_file = str(tmp_path / "s.npz")

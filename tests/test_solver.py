@@ -782,10 +782,10 @@ def _walk(g, xi, grid, bundle, basis, rungs):
     R, M, N = len(rungs), bundle.count, grid.steps
     Y, noise, Z = np.empty((R, M, N + 1)), np.empty((R, N + 1)), np.empty((M, N, bundle.dims))
     steps = solver._backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs, keep=-1)
-    for j, y, z, nz in steps:
+    for j, y, _, zc, nz in steps:
         Y[:, :, j], noise[:, j] = y, nz
-        if z is not None:
-            Z[:, j] = z
+        if zc is not None:      # Z's coordinates, divided by dt after expansion
+            Z[:, j] = bundle.projectors(basis)[j].expand(zc) / grid.dt[j]
     return Y, noise, Z
 
 
@@ -897,7 +897,8 @@ def test_theta_residual_matches_whole_field_reference(grid24, bundle24, example2
         tr = theta_residual(lo, hi, theta, g=gt, g_prime=gt)
         assert np.array_equal(tr.dU, dU) and np.array_equal(tr.dV, dV), basis.kind
         dg = sq.theta_difference_generator(gt, gt, theta, grid24, hi.Y, hi.Z)
-        assert np.array_equal(tr.consistency, solver._fitted_residual(lo, dg, dU, dV)), basis.kind
+        assert np.array_equal(tr.consistency, solver._fitted_residual(
+            lo, dg, lambda j: dU[:, j], lambda j: dV[:, j, :])), basis.kind
 
 
 def _same_theta_bits(a, b):
@@ -944,12 +945,31 @@ def test_theta_residual_with_a_shared_non_finite_anchor_stays_nan(grid24, bundle
                            bins_basis)
     Yp = sol.Y.copy()
     Yp[0] = -1.0
-    ref = dataclasses.replace(sol, Y=Yp)
+    ref = sq.SolutionField.from_columns(Yp, sol.Z, sol.bundle, sol.basis, sol.fit_noise)
     with np.errstate(invalid="ignore"):
         shared = theta_residual(sol, ref, 0.5, g=g, g_prime=g)
         apart = theta_residual(sol, ref, 0.5, g=g, g_prime=dataclasses.replace(g, name="copy"))
     assert np.isnan(shared.consistency).all()
     assert _same_theta_bits(shared, apart)
+
+
+def test_theta_residual_refuses_fields_solved_on_different_bundles(example1):
+    # two 500-path fields of one shape on bundles of seeds 1 and 2; a bundle
+    # re-sampled from seed 1 has equal levels and is accepted
+    grid = sq.build_grid(1.0, 6, "uniform")
+    basis = sq.RegressionBasis("piecewise-constant-bins", 10)
+    idx = TruncationIndex(4, 4)
+    gt = truncate_generator(example1, idx)
+    xi, xi_hi = (truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0, shift=s), idx)
+                 for s in (0.0, 1.0))
+    lo = sq.solve_bounded(gt, xi, grid, sq.sample_paths(grid, 1, 500, 1), basis)
+    hi = sq.solve_bounded(gt, xi_hi, grid, sq.sample_paths(grid, 1, 500, 2), basis)
+    with pytest.raises(ValueError, match="path bundle"):
+        theta_residual(lo, hi, 0.5, g=gt, g_prime=gt)
+    again = sq.solve_bounded(gt, xi_hi, grid, sq.sample_paths(grid, 1, 500, 1), basis)
+    shared = sq.solve_bounded(gt, xi_hi, grid, lo.bundle, basis)
+    apart, same = (theta_residual(lo, other, 0.5, g=gt, g_prime=gt) for other in (again, shared))
+    assert np.array_equal(apart.consistency, same.consistency)
 
 
 def test_theta_residual_rejects_mismatch(grid24, bundle24, poly_basis):
@@ -1068,7 +1088,7 @@ def _reference_bin_update(g_at, rows, m, dt, step, rungs):
         r = m + dt * g_mean - c
         done |= np.abs(r) < solver._FP_TOL
         if done.all():
-            return rows.expand(c.reshape(R, K)), gval
+            return c.reshape(R, K), rows.expand(c.reshape(R, K)), gval
         gval = None
         lo = np.where(r > 0.0, np.maximum(lo, c), lo)
         hi = np.where(r < 0.0, np.minimum(hi, c), hi)
@@ -1109,3 +1129,85 @@ def test_bin_steps_match_the_reference_secant_bit_for_bit(grid24, example1, monk
     assert (lad.violations, lad.comparisons, lad.diagonal_gaps) == \
         (ref.violations, ref.comparisons, ref.diagonal_gaps)
     assert shared == len(calls) > 3 * grid24.steps
+
+
+# ---------------------------------------------------------------------------
+# fields in projector coordinates: a node is expanded when it is read
+# ---------------------------------------------------------------------------
+
+def _dense_fill(nodes, grid, bundle, basis):
+    """(Y, Z) filled column by column, as fields were stored before they held
+    coordinates: Y_j = ``nodes[j]``, and Z_j the centred martingale-increment
+    regression of Y_{j+1}, divided by dt after the fit."""
+    M, N = bundle.count, grid.steps
+    Y, Z = np.empty((M, N + 1)), np.empty((M, N, bundle.dims))
+    for j in range(N + 1):
+        Y[:, j] = nodes[j]
+    for j, proj in enumerate(bundle.projectors(basis)):
+        y_next = Y[:, j + 1]
+        db = bundle.levels[:, j + 1, :] - bundle.levels[:, j, :]
+        Z[:, j] = proj.fit(db * (y_next - proj.fit(y_next))[:, None]) / grid.dt[j]
+    return Y, Z
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _expands_to(sol, Y, Z):
+    # every node read on its own, and the whole-field expansions
+    N = sol.grid.steps
+    return (all(_same_bits(sol.y(j), Y[:, j]) for j in range(N + 1))
+            and all(_same_bits(sol.z(j), Z[:, j, :]) for j in range(N))
+            and _same_bits(sol.Y, Y) and _same_bits(sol.Z, Z))
+
+
+_FIELD_CASES = {
+    "bins-d1": (1, sq.RegressionBasis("piecewise-constant-bins", 20, lo=-4.5, hi=4.5)),
+    "poly-d1": (1, sq.RegressionBasis("polynomial", 3)),
+    "poly-d2": (2, sq.RegressionBasis("polynomial", 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIELD_CASES))
+def test_solved_fields_expand_every_node_to_the_dense_fill(case):
+    dims, basis = _FIELD_CASES[case]
+    # dt = 0.1 is not a power of two: dividing before or after the expansion differs
+    grid = sq.build_grid(1.0, 10, "uniform")
+    bundle = sq.sample_paths(grid, dims, 1500, 41)
+    g = sq.builtin_example_1(1.5, beta=0.5, gamma=0.25, d=dims)
+    xi = sq.TerminalData(_mixed_terminal, "mix")
+    idx = TruncationIndex(4, 4)
+    gt, xi_top = truncate_generator(g, idx), truncate_terminal(xi, idx)
+    # the per-node values of the top rung's own backward pass
+    nodes = {j: y[0].copy() for j, y, *_ in solver._backward(
+        gt.at, solver._terminal_values(xi_top, bundle)[None], grid, bundle, basis)}
+    Y, Z = _dense_fill(nodes, grid, bundle, basis)
+    assert _expands_to(sq.solve_bounded(gt, xi_top, grid, bundle, basis), Y, Z)
+    assert _expands_to(sq.solve_ladder(g, xi, grid, bundle, basis, [1, 2, 4], [1, 2, 4]).final,
+                       Y, Z)
+    Y, Z, fit_noise, _ = _picard_measuring_every_step(
+        _LINEAR, xi, grid, bundle, basis, solver._PICARD_MAX_ITER, solver._PICARD_TOL)
+    pic = sq.picard_solve(_LINEAR, xi, grid, bundle, basis)
+    assert fit_noise is not None and _expands_to(pic, Y, Z)
+
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_solved_field_holds_its_terminal_column_and_coordinates(basis_fixture, request, example1):
+    # a field of per-path columns held 2 M (N + 1) floats; this one holds the
+    # terminal column and a few floats per node
+    basis = request.getfixturevalue(basis_fixture)
+    grid = sq.build_grid(1.0, 8, "uniform")
+    bundle = sq.sample_paths(grid, 1, 20_000, 43)
+    bundle.projectors(basis)               # the bundle's own caches outlive any solve
+    idx = TruncationIndex(4, 4)
+    g = truncate_generator(example1, idx)
+    xi = truncate_terminal(sq.make_terminal("clamp-bt", bound=3.0), idx)
+    tracemalloc.start()
+    try:
+        sol = sq.solve_bounded(g, xi, grid, bundle, basis)
+        held = tracemalloc.get_traced_memory()[0]      # what is still allocated: the field
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * bundle.count * 8, held
+    assert sol.fit_noise is not None
