@@ -249,7 +249,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
 
     cloud = cond_mod.build_cloud(cfg.horizon, cfg.dims, cfg.cloud_samples,
                                  "random", seed=cfg.seed + 1)
-    idx = TruncationIndex(max(cfg.ladder), max(cfg.ladder))
+    # the rung the ladder returned, which the comparison check solves again
+    idx = TruncationIndex(ladder.n_levels[-1], ladder.q_levels[-1])
 
     for check in cfg.checks:
         if check in cond_mod.CONDITION_IDS:
@@ -484,19 +485,18 @@ def _cmd_lemma_tests(args) -> int:
             raise ConfigurationError(f"unknown family {name!r} for {args.lemma}; "
                                      f"have: {', '.join(families)}")
         f = families[name](args.seed)
+        extra, remainder = "", "pass"           # A1 has no remainder
         if args.lemma == "A1":
             r = lemmaA1_check(f, f.k1, f.k2, samples)
-            extra = ""
-        elif args.lemma == "A2":
-            con = construct_A2_envelope(f, f.a, f.k)
-            r = lemmaA2_check(f, f.a, f.k, samples, construction=con)
-            extra = f"; remainder {remainder_check(con, samples).verdict}"
         else:
-            con = construct_A3_envelope(f, f.a, f.k)
-            r = lemmaA3_check(f, f.a, f.k, samples, construction=con)
-            extra = f"; remainder {remainder_check(con, samples).verdict}"
+            build, check = ((construct_A2_envelope, lemmaA2_check) if args.lemma == "A2"
+                            else (construct_A3_envelope, lemmaA3_check))
+            con = build(f, f.a, f.k)
+            r = check(f, f.a, f.k, samples, construction=con)
+            remainder = remainder_check(con, samples).verdict
+            extra = f"; remainder {remainder}"
         print(f"{args.lemma}/{name}: {r.verdict} (worst margin {r.worst_margin!r}){extra}")
-        if r.verdict != "pass":
+        if r.verdict != "pass" or remainder != "pass":
             status = 1
     return status
 

@@ -249,7 +249,7 @@ def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
 
 
 def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
-              basis: RegressionBasis, rungs=None, keep=None):
+              basis: RegressionBasis, rungs=None):
     """Backward sweep of R problems on one bundle, stacked on a leading rung axis.
 
     ``at(t, b, z, idx=None)`` freezes the R drivers of a step (`Generator.at`,
@@ -266,10 +266,9 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
 
     Yields ``(j, y, c, zc, noise)`` for j = N, ..., 0: the values (R, M) at
     node j and their coordinates (R, p) in step j's projector, the
-    coordinates (p, d) of rung ``keep``'s Z on step j before its division by
-    dt, and the fit noise (R,) at node j (per step, `noise_sq` of each rung's
-    value residual, all rungs in one call).  At j = N, c and zc are None, and
-    so is zc without ``keep``.
+    coordinates (R, p, d) of Z on step j before its division by dt, and the
+    fit noise (R,) at node j (per step, `noise_sq` of each rung's value
+    residual, all rungs in one call).  At j = N, c and zc are None.
     """
     levels, projs = bundle.levels, bundle.projectors(basis)
     R = len(y_end)
@@ -299,13 +298,13 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
         gval = None
         noise_sq = noise_sq + proj.noise_sq(resid)
         y_next, resid = y, None
-        yield j, y, c, None if keep is None else zc[keep], np.sqrt(noise_sq)
+        yield j, y, c, zc, np.sqrt(noise_sq)
 
 
 def _field(steps, bundle: PathBundle, basis: RegressionBasis, rung: int) -> SolutionField:
     """The field of rung ``rung`` from the ``(j, y, c, zc, noise)`` that ``steps``
-    yields in a `_backward` pass that keeps that rung's Z: its coordinates, a
-    copy of its terminal column and its fit noise."""
+    yields in a `_backward` pass: its coordinates, a copy of its terminal column
+    and its fit noise."""
     grid = bundle.grid
     N = grid.steps
     y_coords, z_coords = [None] * N, [None] * N
@@ -315,7 +314,7 @@ def _field(steps, bundle: PathBundle, basis: RegressionBasis, rung: int) -> Solu
         if j == N:
             terminal = y[rung].copy()       # not a view that holds every rung's terminal
         else:
-            y_coords[j], z_coords[j] = c[rung], zc
+            y_coords[j], z_coords[j] = c[rung], zc[rung]
     return SolutionField(terminal=terminal, y_coords=tuple(y_coords), z_coords=tuple(z_coords),
                          z_divisor=grid.dt, maps=tuple(bundle.projectors(basis)), bundle=bundle,
                          basis=basis, fit_noise=fit_noise)
@@ -336,7 +335,7 @@ def solve_bounded(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBu
     the caller's contract.
     """
     _check_inputs(grid, bundle)
-    steps = _backward(g.at, _terminal_values(xi, bundle)[None], grid, bundle, basis, keep=0)
+    steps = _backward(g.at, _terminal_values(xi, bundle)[None], grid, bundle, basis)
     return _field(steps, bundle, basis, 0)
 
 
@@ -355,34 +354,32 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     and Z_j = B_j G_j a_{j+1}, with the transfer operators C_j = coords_j(B_{j+1})
     and G_j = coords_j(diag(dB_j) (B_{j+1} - B_j C_j)) / dt (the centred
     martingale-increment regression) built once per call; the terminal column
-    stands in for B_N, with a_N = 1.  Per step and sweep only the driver, its
-    projection and the two expansions touch every path.  One per-path (Y, Z)
-    working field is updated in place: step j reads the previous iterate at
-    node j and the new one at node j + 1.  The result holds the last sweep's
-    coordinates a_j and G_j a_{j+1} (its Z divisor is 1), and the working
-    field is dropped.
+    stands in for B_N, with a_N = 1.  The iterate is held as the per-node
+    coordinates a_j and G_j a_{j+1} that the result holds (its Z divisor is 1),
+    filled by the warm start.  Step j expands node j's previous coordinates for
+    the driver, then overwrites node j, which no later step of the sweep reads;
+    per step and sweep only the driver, its projection and those expansions
+    touch every path.
 
     Only the last sweep's gap and fit noise are read, so a sweep stops
     measuring (residual, noise, step gap) once a step has moved by
-    ``_PICARD_TOL`` or more: it cannot be the last.  Its remaining steps only
-    evaluate the driver, take its coordinates and expand the new iterate
-    straight into node j.  A NaN gap keeps the sweep measuring, and the sweep
-    at ``_PICARD_MAX_ITER`` measures every step, so the error's gap is the
-    whole sweep's.
+    ``_PICARD_TOL`` or more: it cannot be the last.  A measured step expands the
+    new Y and Z once, for the residual, the step gap and the next step's node
+    j + 1; the remaining steps only evaluate the driver and update the
+    coordinates.  A NaN gap keeps the sweep measuring, and the sweep at
+    ``_PICARD_MAX_ITER`` measures every step, so the error's gap is the whole
+    sweep's.
     """
     _check_inputs(grid, bundle)
     levels = bundle.levels
-    M, N, d = bundle.count, grid.steps, bundle.dims
+    N, d = grid.steps, bundle.dims
     projs = bundle.projectors(basis)
-    Y = step_major_empty((M, N + 1))
-    Z = step_major_empty((M, N, d))
     terminal = _terminal_values(xi, bundle)
-    Y[:, N] = terminal
 
     # driver-free warm start Y_j = fit(Y_{j+1}), building the operators on the way
     nodes, dts = grid.nodes, grid.dt
-    C, G = [None] * N, [None] * N
-    nxt, a = Y[:, N, None], np.ones(1)
+    C, G, ys, zs = [None] * N, [None] * N, [None] * N, [None] * N
+    nxt, a = terminal[:, None], np.ones(1)
     for j in reversed(range(N)):
         proj, dt = projs[j], float(dts[j])
         db = levels[:, j + 1, :] - levels[:, j, :]
@@ -391,64 +388,44 @@ def picard_solve(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         for k in range(d):
             D, E = proj.cross([nxt, proj], db[:, k])
             G[j][k] = (D - E @ C[j]) / dt
-        proj.expand((G[j] @ a).T, out=Z[:, j, :])
-        a = C[j] @ a
-        proj.expand(a, out=Y[:, j])
+        zs[j] = (G[j] @ a).T
+        a = ys[j] = C[j] @ a
         nxt = proj
 
-    y = np.empty(M)
-    z = np.empty((M, d))
-    diff = np.empty(M)
     gap = math.inf
     step_gap = np.empty(N)
     step_noise_sq = np.zeros(N)
-    sweep_a, sweep_zc = [None] * N, [None] * N      # this sweep's coordinates per step
     for sweep in range(_PICARD_MAX_ITER):
         a = np.ones(1)
+        y_next = terminal
         measure = True
         for j in reversed(range(N)):
             dt = float(dts[j])
             proj = projs[j]
-            frozen = g(float(nodes[j]), levels[:, j, :], Y[:, j], Z[:, j, :])
-            z_coords = (G[j] @ a).T
+            y_prev, z_prev = proj.expand(ys[j]), proj.expand(zs[j])
+            frozen = g(float(nodes[j]), levels[:, j, :], y_prev, z_prev)
             f_coords = proj.coords(frozen)
             # a non-finite driver value makes its coordinates non-finite
             if not np.all(np.isfinite(f_coords)):
                 raise PreconditionViolationError(f"driver produced non-finite values at step {j}")
-            a = C[j] @ a + dt * f_coords
-            sweep_a[j], sweep_zc[j] = a, z_coords
+            zs[j] = (G[j] @ a).T
+            a = ys[j] = C[j] @ a + dt * f_coords
             if not measure:
-                # the driver value (maybe a view of node j) is in f_coords:
-                # node j takes the new iterate directly
-                proj.expand(z_coords, out=Z[:, j, :])
-                proj.expand(a, out=Y[:, j])
                 continue
-            proj.expand(z_coords, out=z)
-            proj.expand(a, out=y)
-            # the driver may return a view of node j: use it before node j is
-            # written; the residual target - Y_j, in place
-            np.multiply(frozen, dt, out=diff)
-            diff += Y[:, j + 1]
-            diff -= y
-            step_noise_sq[j] = proj.noise_sq(diff)
+            y, z = proj.expand(a), proj.expand(zs[j])
+            step_noise_sq[j] = proj.noise_sq(frozen * dt + y_next - y)
             # the driver reads both fields, so both must settle
-            np.abs(np.subtract(y, Y[:, j], out=diff), out=diff)
-            step_gap[j] = np.max(diff)
-            for k in range(d):
-                np.abs(np.subtract(z[:, k], Z[:, j, k], out=diff), out=diff)
-                step_gap[j] = np.maximum(step_gap[j], np.max(diff))
-            Y[:, j] = y
-            Z[:, j, :] = z
+            step_gap[j] = np.maximum(np.max(np.abs(y - y_prev)), np.max(np.abs(z - z_prev)))
+            y_next = y
             # a step that moved by the tolerance rules this sweep out as the
             # last (a NaN gap does not); the sweep at the limit measures all
             measure = not step_gap[j] >= _PICARD_TOL or sweep == _PICARD_MAX_ITER - 1
         # a sweep that stopped measuring holds a step gap >= _PICARD_TOL
         gap = float(np.max(step_gap))
         if gap < _PICARD_TOL:
-            return SolutionField(terminal=terminal, y_coords=tuple(sweep_a),
-                                 z_coords=tuple(sweep_zc), z_divisor=np.ones(N),
-                                 maps=tuple(projs), bundle=bundle, basis=basis,
-                                 fit_noise=_fit_noise(step_noise_sq))
+            return SolutionField(terminal=terminal, y_coords=tuple(ys), z_coords=tuple(zs),
+                                 z_divisor=np.ones(N), maps=tuple(projs), bundle=bundle,
+                                 basis=basis, fit_noise=_fit_noise(step_noise_sq))
     raise IterationLimitError(_PICARD_MAX_ITER, gap)
 
 
@@ -554,14 +531,13 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
         comparisons += low_y.size
         finite = finite and bool(np.isfinite(low_noise + high_noise).all())
 
-    def walk(keys, compare, last):
-        # one pass over the walk's rungs, each compared with the one before; yields the last rung
+    def walk(keys, compare):
+        # one pass over the walk's rungs, each compared with the one before; yields its steps
         rungs = keys if keys is row else keys[1:]   # the row pass solves the first rung too
         n, q = (np.array([[k[i]] for k in rungs], dtype=float) for i in (0, 1))
         xis = [truncate_terminal(xi, TruncationIndex(*k)) for k in rungs]
         y_end = np.stack([_terminal_values(x, bundle) for x in xis])
-        steps = _backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs,
-                          keep=-1 if last else None)
+        steps = _backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs)
         del y_end                           # the pass holds it until its first step
         on_diagonal = keys == diagonal
         node_gaps = np.empty((len(keys) - 1, N + 1))
@@ -589,9 +565,9 @@ def solve_ladder(g: Generator, xi: TerminalData, grid: TimeGrid, bundle: PathBun
     *walks, final_walk = [(keys, compare) for keys, compare in walks
                           if keys is row or len(keys) > 1]
     for keys, compare in walks:
-        for _ in walk(keys, compare, False):
+        for _ in walk(keys, compare):
             pass
-    final = _field(walk(*final_walk, True), bundle, basis, -1)
+    final = _field(walk(*final_walk), bundle, basis, -1)
     if not finite:
         violations = comparisons = 0
     return LadderResult(final=final, violations=violations, comparisons=comparisons,

@@ -1,6 +1,7 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,6 +312,17 @@ def test_lemma_tests_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "A2/convex-ray-spline: pass" in out and out.rstrip().endswith("; remainder pass"), out
+
+
+@pytest.mark.parametrize("lemma, family", [("A2", "convex-ray-spline"), ("A3", "abs")])
+def test_lemma_tests_exit_code_reads_the_remainder_verdict(lemma, family, capsys, monkeypatch):
+    # the band holds but its remainder fails: the command must not exit 0
+    monkeypatch.setattr("subquad_bsde.cli.remainder_check",
+                        lambda con, samples: SimpleNamespace(verdict="fail"))
+    rc = main(["lemma-tests", "--lemma", lemma, "--family", family, "--samples", "500"])
+    out = capsys.readouterr().out
+    assert f"{lemma}/{family}: pass" in out and out.rstrip().endswith("; remainder fail"), out
+    assert rc == 1
 
 
 def test_parser_rejects_unknown_subcommand():

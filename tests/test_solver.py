@@ -345,22 +345,34 @@ def test_picard_in_two_dimensions_matches_fresh_buffer_reference(poly_basis):
     assert _close(sol.Y, Y) and _close(sol.Z, Z) and _close(sol.fit_noise, fit_noise)
 
 
-@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
-def test_picard_holds_one_field(grid24, basis_fixture, request):
-    # the iterate is updated in place: no second (Y, Z) pair is alive
-    basis = request.getfixturevalue(basis_fixture)
-    bundle = sq.sample_paths(grid24, 1, 4000, 23)
+def _picard_peak(grid, basis):
+    """Traced peak of a 4000-path Picard solve, and the bytes of its whole (Y, Z)."""
+    bundle = sq.sample_paths(grid, 1, 4000, 23)
     bundle.projectors(basis)               # the bundle's own caches outlive any solve
     g = sq.make_generator("linear", 1.5, b_y=-1.0, b_z=0.5)
     xi = sq.make_terminal("clamp-bt", bound=3.0)
     tracemalloc.start()
     try:
-        sol = sq.picard_solve(g, xi, grid24, bundle, basis)
+        sol = sq.picard_solve(g, xi, grid, bundle, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    field = sol.Y.nbytes + sol.Z.nbytes
+    return peak, sol.Y.nbytes + sol.Z.nbytes
+
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_picard_holds_one_field(grid24, basis_fixture, request):
+    # the iterate is overwritten node by node: no second (Y, Z) pair is alive
+    peak, field = _picard_peak(grid24, request.getfixturevalue(basis_fixture))
     assert peak <= 1.5 * field, (peak, field)
+
+
+@pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
+def test_picard_holds_no_per_path_field_while_it_iterates(grid24, basis_fixture, request):
+    # the iterate lives in projector coordinates: a step expands only its own
+    # node's columns, so the peak stays far below one whole (Y, Z) field
+    peak, field = _picard_peak(grid24, request.getfixturevalue(basis_fixture))
+    assert peak <= 0.5 * field, (peak, field)
 
 
 @pytest.mark.parametrize("basis_fixture", ["poly_basis", "bins_basis"])
@@ -372,8 +384,8 @@ def test_picard_non_finite_driver_names_step(grid24, bundle24, basis_fixture, re
 
 
 def test_picard_driver_returning_a_view_of_its_inputs(grid24, poly_basis):
-    # g(t, b, y, z) = y handed back as the stored node itself: the step must
-    # read it before it writes that node
+    # g(t, b, y, z) = y handed back as its own input column: the step reads it
+    # after it has updated that node's coordinates
     bundle = sq.sample_paths(grid24, 1, 2000, 29)
     linear = sq.make_generator("linear", 1.5, b_y=1.0, b_z=0.0)
     g = dataclasses.replace(linear, fn=lambda t, b, y, z: y)
@@ -775,17 +787,19 @@ def test_ladder_names_an_empty_level_list_before_solving(n_levels, q_levels, nam
 
 
 def _walk(g, xi, grid, bundle, basis, rungs):
-    """Y and fit noise of every rung and Z of the last, from one stacked pass
-    of the solver's kernel."""
+    """Y, Z and fit noise of every rung, from one stacked pass of the solver's
+    kernel."""
     n, q = (np.array([[k[i]] for k in rungs], dtype=float) for i in (0, 1))
     y_end = np.stack([truncate_terminal(xi, TruncationIndex(*k))(bundle.terminal()) for k in rungs])
     R, M, N = len(rungs), bundle.count, grid.steps
-    Y, noise, Z = np.empty((R, M, N + 1)), np.empty((R, N + 1)), np.empty((M, N, bundle.dims))
-    steps = solver._backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs, keep=-1)
+    Y, noise = np.empty((R, M, N + 1)), np.empty((R, N + 1))
+    Z = np.empty((R, M, N, bundle.dims))
+    steps = solver._backward(truncated_at(g, n, q), y_end, grid, bundle, basis, rungs)
     for j, y, _, zc, nz in steps:
         Y[:, :, j], noise[:, j] = y, nz
         if zc is not None:      # Z's coordinates, divided by dt after expansion
-            Z[:, j] = bundle.projectors(basis)[j].expand(zc) / grid.dt[j]
+            for r in range(R):
+                Z[r, :, j] = bundle.projectors(basis)[j].expand(zc[r]) / grid.dt[j]
     return Y, noise, Z
 
 
@@ -809,8 +823,8 @@ def test_every_rung_of_a_walk_matches_its_own_solve(basis, example1):
             ref = sq.solve_bounded(g, truncate_terminal(xi, idx), grid, bundle, basis)
             assert np.array_equal(Y[r], ref.Y), rung
             assert np.array_equal(noise[r], ref.fit_noise), rung
+            assert np.array_equal(Z[r], ref.Z), rung
             sweeps.add(len(calls))
-        assert np.array_equal(Z, ref.Z), rung
     assert len(sweeps) > 1              # the rungs of a pass settle after different sweeps
 
 
