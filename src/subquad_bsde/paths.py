@@ -195,11 +195,20 @@ class _Projector:
     vector or a block of columns) in B, ``expand(c)`` is B c, and
     ``cross(others, w)`` holds coords(diag(w) X) per other, X the basis of a
     projector of the same kind or the entry itself, an (M, c) block of columns.
+    ``coords_rows`` and ``expand_rows`` apply ``coords`` and ``expand`` to each
+    leading row of a stack, (R, M, ...) to (R, p, ...) and back; row r of
+    either result equals the projector's own call on row r bit for bit.
     """
 
     def fit(self, values: np.ndarray) -> np.ndarray:
         """The fitted values: the conditional-expectation proxy."""
         return self.expand(self.coords(values))
+
+    def coords_rows(self, values: np.ndarray) -> np.ndarray:
+        return np.stack([self.coords(v) for v in values])
+
+    def expand_rows(self, coords: np.ndarray) -> np.ndarray:
+        return np.stack([self.expand(c) for c in coords])
 
     def noise_sq(self, resid: np.ndarray):
         """Squared standard error of the fit, from its residual on the M paths:
@@ -214,34 +223,15 @@ class _Projector:
             return np.inf if resid.ndim == 1 else np.full(resid.shape[:-1], np.inf)
         return np.var(resid, axis=-1) * self.rank / (M - self.rank)
 
-    def rows(self, count: int) -> "_Rows":
-        """This projector applied to ``count`` stacked rows: see `_Rows`."""
-        return _Rows(self)
-
-
-class _Rows:
-    """A projector applied to each leading row of a stack.
-
-    ``coords`` maps (R, M, ...) to (R, p, ...) and ``expand`` maps back; row
-    r of either result equals the projector's own call on row r bit for bit.
-    """
-
-    def __init__(self, proj: _Projector):
-        self.proj = proj
-
-    def coords(self, values: np.ndarray) -> np.ndarray:
-        return np.stack([self.proj.coords(v) for v in values])
-
-    def expand(self, coords: np.ndarray) -> np.ndarray:
-        return np.stack([self.proj.expand(c) for c in coords])
-
 
 class _SVDProjector(_Projector):
     """Projection onto the feature columns, factored once.
 
     B is the left singular vectors ``u`` of the design, an orthonormal basis
     of its column span, so ``coords`` is u^T values and rank-deficient designs
-    project onto the true span instead of failing.
+    project onto the true span instead of failing.  Stacked rows take one
+    matrix product per row, because one product over all rows would sum in
+    another order.
     """
 
     def __init__(self, features: np.ndarray):
@@ -255,8 +245,8 @@ class _SVDProjector(_Projector):
         # contiguous copy so equal values give equal bits in any layout
         return self.u.T @ np.ascontiguousarray(values)
 
-    def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        return np.matmul(self.u, coords, out=out)
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        return self.u @ coords
 
     def cross(self, others, weights: np.ndarray = None) -> list:
         left = self.u.T if weights is None else self.u.T * weights     # formed once
@@ -279,27 +269,22 @@ class _PartitionProjector(_Projector):
         self._denom = np.maximum(counts, 1).astype(float)
 
     def coords(self, values: np.ndarray) -> np.ndarray:
-        return self._means(self.idx, np.asarray(values, dtype=float), 1)[0]
-
-    def rows(self, count: int) -> "_PartitionRows":
-        return _PartitionRows(self, count)
-
-    def _means(self, index: np.ndarray, values: np.ndarray, parts: int) -> np.ndarray:
-        # bin means, (parts, size[, c]); ``index`` numbers the bins of ``parts``
-        # partitions stacked one after the other.  One scatter-add into zeros
-        # over (bin, column) pairs sums each bin in path order, per column.  It sums
-        # non-finite values without a warning: the callers check the means.
+        # one bincount over (bin, column) pairs sums each bin in path order, per
+        # column, and sums non-finite values without a warning: callers check the means
+        values = np.asarray(values, dtype=float)
         cols = values.shape[1:]
         c = cols[0] if cols else 1
-        pairs = index if c == 1 else (index[:, None] * c + np.arange(c)).ravel()
-        sums = np.zeros(parts * self.size * c)
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.add.at(sums, pairs, np.ascontiguousarray(values).ravel())
-        return sums.reshape((parts, self.size) + cols) / (self._denom[:, None] if cols
-                                                          else self._denom)
+        pairs = self.idx if c == 1 else (self.idx[:, None] * c + np.arange(c)).ravel()
+        sums = np.bincount(pairs, weights=np.ascontiguousarray(values).ravel(),
+                           minlength=self.size * c)
+        return sums.reshape((self.size,) + cols) / (self._denom[:, None] if cols
+                                                    else self._denom)
 
-    def expand(self, coords: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        return np.take(coords, self.idx, axis=0, out=out)
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        return np.take(coords, self.idx, axis=0)
+
+    def expand_rows(self, coords: np.ndarray) -> np.ndarray:
+        return np.take(coords, self.idx, axis=1)
 
     def cross(self, others, weights: np.ndarray = None) -> list:
         return [self._cross(x, weights) for x in others]
@@ -311,25 +296,6 @@ class _PartitionProjector(_Projector):
         sums = np.bincount(self.idx * other.size + other.idx, weights=weights,
                            minlength=self.size * other.size)
         return sums.reshape(self.size, other.size) / self._denom[:, None]
-
-
-class _PartitionRows(_Rows):
-    """Partition rows: bin k of row r is stacked bin r K + k, so one scatter-add
-    (`_PartitionProjector._means`) regresses every row, summing each bin in
-    path order as the row's own call does."""
-
-    def __init__(self, proj: _PartitionProjector, count: int):
-        super().__init__(proj)
-        self._count = count
-        self._stacked = (np.arange(count)[:, None] * proj.size + proj.idx).ravel()
-
-    def coords(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        return self.proj._means(self._stacked, values.reshape((-1,) + values.shape[2:]),
-                                self._count)
-
-    def expand(self, coords: np.ndarray) -> np.ndarray:
-        return np.take(coords, self.proj.idx, axis=1)
 
 
 BASIS_KINDS = ("polynomial", "piecewise-constant-bins")

@@ -167,10 +167,11 @@ def _diverged(step: int, rungs, gap: np.ndarray, bad: np.ndarray, cause: str) ->
                                None if rungs is None else rungs[rung], cause)
 
 
-def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
+def _implicit_update(g_at, proj, m: np.ndarray, dt: float, step: int, rungs,
                      bins: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Implicit value update y = fit(Y_next + dt g(y)) of all rungs at once, in
-    the projector coordinates c (R, p) of y.
+    the coordinates c (R, p) of y in the step's projector ``proj``, which
+    regresses and expands the rungs row by row (`coords_rows`, `expand_rows`).
 
     It solves r(c) = m + dt coords(g(expand c)) - c = 0, with m the coordinates
     of Y_next.  The first sweep takes the fixed-point step c + r; later sweeps
@@ -199,14 +200,14 @@ def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
     c_prev = r_prev = g_prev = None
     for _ in range(_FP_MAX_ITER):
         gval = g_at(c)
-        g_coords = rows.coords(gval)
+        g_coords = proj.coords_rows(gval)
         if not np.isfinite(g_coords).all():
             _check_finite(gval, step, rungs)
         r = m + dt * g_coords - c
-        gap = np.abs(r) if bins else np.max(np.abs(rows.expand(r)), axis=1, keepdims=True)
+        gap = np.abs(r) if bins else np.max(np.abs(proj.expand_rows(r)), axis=1, keepdims=True)
         done |= gap < _FP_TOL
         if done.all():
-            return c, rows.expand(c), gval
+            return c, proj.expand_rows(c), gval
         if bins:
             gval = None                 # not held through the next driver call
             lo = np.where(r > 0.0, np.maximum(lo, c), lo)
@@ -235,12 +236,12 @@ def _implicit_update(g_at, rows, m: np.ndarray, dt: float, step: int, rungs,
                 np.multiply(fallback, 0.5, out=fallback, where=two_sided)
                 nxt = np.where(inside, nxt, fallback)
             else:
-                dy = rows.expand(dc)
+                dy = proj.expand_rows(dc)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     slopes = np.where(dy != 0.0, (gval - g_prev) / dy, slopes)
                 dy, nxt, eye = None, c.copy(), np.eye(c.shape[1])
                 for k in np.flatnonzero(~done[:, 0]):
-                    jac = dt * rows.proj.cross([rows.proj], slopes[k])[0] - eye
+                    jac = dt * proj.cross([proj], slopes[k])[0] - eye
                     nxt[k] -= np.linalg.solve(jac, r[k])
         g_prev = gval
         c_prev, r_prev = c, r
@@ -261,8 +262,9 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
     `SolverDivergedError` naming the step, rung and cause).  On the partition
     basis the driver is frozen per bin, so its z-part is evaluated once per
     bin; on the polynomial basis it is frozen per path and composed with
-    ``expand``.  Each rung's regressions and updates are those of its own
-    one-rung solve, bit for bit.
+    ``expand``.  Every regression takes the rungs' stacked rows through the
+    step's projector at once (`coords_rows`, `expand_rows`), so each rung's
+    regressions and updates are those of its own one-rung solve, bit for bit.
 
     Yields ``(j, y, c, zc, noise)`` for j = N, ..., 0: the values (R, M) at
     node j and their coordinates (R, p) in step j's projector, the
@@ -279,21 +281,20 @@ def _backward(at, y_end: np.ndarray, grid: TimeGrid, bundle: PathBundle,
     for j in reversed(range(grid.steps)):
         t, dt = float(grid.nodes[j]), float(grid.dt[j])
         b, proj = levels[:, j, :], projs[j]
-        rows = proj.rows(R)
-        m = rows.coords(y_next)
-        m_fit = rows.expand(m)
+        m = proj.coords_rows(y_next)
+        m_fit = proj.expand_rows(m)
         # centered martingale-increment estimator: E_t[(Y_{t+dt} - E_t Y_{t+dt}) dB] / dt
-        zc = rows.coords((levels[:, j + 1, :] - b) * (y_next - m_fit)[:, :, None])
+        zc = proj.coords_rows((levels[:, j + 1, :] - b) * (y_next - m_fit)[:, :, None])
         m_fit = None
         if bins:
             # a gather commutes with / dt: Z = fit(weighted) / dt
             g_at = at(t, b, zc / dt, proj.idx)
         else:
-            z = rows.expand(zc)
+            z = proj.expand_rows(zc)
             z /= dt
             frozen = at(t, b, z)
-            g_at = lambda c: frozen(rows.expand(c))
-        c, y, gval = _implicit_update(g_at, rows, m, dt, j, rungs, bins)
+            g_at = lambda c: frozen(proj.expand_rows(c))
+        c, y, gval = _implicit_update(g_at, proj, m, dt, j, rungs, bins)
         resid = y_next + dt * gval - y      # spread the value fit had to average out
         gval = None
         noise_sq = noise_sq + proj.noise_sq(resid)

@@ -351,10 +351,6 @@ def test_fit_is_expand_of_coords(basis, spread):
     proj, _, block = _projector_pair(basis, spread)
     for values in (block[:, 0], block[:, 1], block):
         assert np.array_equal(proj.expand(proj.coords(values)), proj.fit(values))
-    for values in (block[:, 2], block):
-        out = np.empty(values.shape)
-        assert proj.expand(proj.coords(values), out=out) is out
-        assert np.array_equal(out, proj.fit(values))
 
 
 def _bin_means_reference(idx, size, values):
@@ -377,19 +373,51 @@ def test_partition_coords_and_fit_are_the_bin_means(count):
         means, fitted = _bin_means_reference(proj.idx, BINS12.size, values)
         assert np.array_equal(proj.coords(values), means)
         assert np.array_equal(proj.fit(values), fitted)
-    # stacked rows, one scatter for all of them: each row is its own bin means,
-    # also where bins are empty, and on the (M, c) column path with c = 1 and c = 3
-    narrow = BINS12.projector(0.2 * rng.standard_normal((count, 1)))
-    assert np.any(np.bincount(narrow.idx, minlength=BINS12.size) == 0)
+
+
+@pytest.mark.parametrize("count", [100, 50_000])
+@pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])
+def test_stacked_rows_are_the_projector_row_by_row(basis, count):
+    # each row of coords_rows and expand_rows is the projector's own call on it, bit
+    # for bit, also where bins are empty, and on the (M, c) column path, c = 1 and 3
+    rng = np.random.default_rng(22)
+    proj = basis.projector(rng.standard_normal((count, 1)))
+    narrow = basis.projector(0.2 * rng.standard_normal((count, 1)))
+    if basis is BINS12:
+        assert np.any(np.bincount(narrow.idx, minlength=BINS12.size) == 0)
     stack = rng.standard_normal((4, count, 3))
     for p in (proj, narrow):
-        rows = p.rows(len(stack))
         for values in (stack[..., 0], stack[..., :1], stack):
-            coords = rows.coords(values)
-            assert coords.shape == (len(stack), BINS12.size) + values.shape[2:]
+            coords = p.coords_rows(values)
+            fitted = p.expand_rows(coords)
+            assert coords.shape == (len(stack), p.rank if basis is POLY4 else BINS12.size) \
+                + values.shape[2:]
+            assert fitted.shape == values.shape
             for r in range(len(stack)):
-                assert np.array_equal(coords[r], _bin_means_reference(p.idx, BINS12.size,
-                                                                      values[r])[0]), r
+                assert np.array_equal(coords[r], p.coords(values[r])), r
+                assert np.array_equal(fitted[r], p.expand(coords[r])), r
+                if basis is BINS12:
+                    assert np.array_equal(coords[r], _bin_means_reference(p.idx, BINS12.size,
+                                                                          values[r])[0]), r
+
+
+def test_stacked_bin_means_sum_non_finite_values_without_a_warning():
+    # one row's fullest bin holds +inf, -inf and NaN, another's two 1e308 entries that
+    # overflow their sum: the means are NaN and inf, as the reference's, and the suite's
+    # error::RuntimeWarning filter sees no warning
+    rng = np.random.default_rng(23)
+    proj = BINS12.projector(rng.standard_normal((500, 1)))
+    fullest = np.flatnonzero(proj.idx == np.argmax(np.bincount(proj.idx)))
+    stack = rng.standard_normal((3, 500))
+    stack[0, fullest[:3]] = np.inf, -np.inf, np.nan
+    stack[1, fullest[:2]] = 1e308
+    coords = proj.coords_rows(stack)
+    fitted = proj.expand_rows(coords)
+    assert np.isnan(coords[0, proj.idx[fullest[0]]]) and coords[1, proj.idx[fullest[0]]] == np.inf
+    for r in range(len(stack)):
+        means, gathered = _bin_means_reference(proj.idx, BINS12.size, stack[r])
+        assert np.array_equal(coords[r], means, equal_nan=True), r
+        assert np.array_equal(fitted[r], gathered, equal_nan=True), r
 
 
 @pytest.mark.parametrize("basis", [POLY4, BINS12], ids=["poly", "bins"])

@@ -414,20 +414,20 @@ def _picard_measuring_every_step(g, xi, grid, bundle, basis, max_iter, tol):
         for k in range(d):
             D, E = proj.cross([nxt, proj], db[:, k])
             G[j][k] = (D - E @ C[j]) / dt
-        proj.expand((G[j] @ a).T, out=Z[:, j, :])
+        Z[:, j, :] = proj.expand((G[j] @ a).T)
         a = C[j] @ a
-        proj.expand(a, out=Y[:, j])
+        Y[:, j] = proj.expand(a)
         nxt = proj
-    y, z, diff = np.empty(M), np.empty((M, d)), np.empty(M)
+    diff = np.empty(M)
     step_gap, step_noise_sq, gaps = np.empty(N), np.zeros(N), []
     for _ in range(max_iter):
         a = np.ones(1)
         for j in reversed(range(N)):
             dt, proj = float(grid.dt[j]), projs[j]
             frozen = g(float(grid.nodes[j]), levels[:, j, :], Y[:, j], Z[:, j, :])
-            proj.expand((G[j] @ a).T, out=z)
+            z = proj.expand((G[j] @ a).T)
             a = C[j] @ a + dt * proj.coords(frozen)
-            proj.expand(a, out=y)
+            y = proj.expand(a)
             np.multiply(frozen, dt, out=diff)
             diff += Y[:, j + 1]
             diff -= y
@@ -871,6 +871,8 @@ def test_ladder_memory_holds_three_rungs(bins_basis, example1):
     # live: two neighbour Ys (9 nodes) and one whole rung (9 + 8) = 35/17 ~ 2.1 rungs, plus
     # ~0.7 of per-step temporaries; caching all 13 rungs with float32 snapshots held ~16.4
     assert peak <= 4 * rung, (peak, rung)
+    # in path columns of M floats: 34.2; a per-step (5 M) int64 stacked bin index held 38.2
+    assert peak <= 36 * bundle.count * 8, peak / (bundle.count * 8)
 
 
 def test_theta_residual_identities(grid24, bundle24, poly_basis, example2):
@@ -1084,7 +1086,7 @@ def test_linear_driver_settles_in_three_sweeps_per_step(grid24, bundle24):
     assert len(calls) <= 3 * grid24.steps
 
 
-def _reference_bin_update(g_at, rows, m, dt, step, rungs):
+def _reference_bin_update(g_at, proj, m, dt, step, rungs):
     """The per-bin secant written out on its own, bins flattened: the
     reference that the shared routine must match bit for bit on bins
     (its failures only raise)."""
@@ -1097,12 +1099,12 @@ def _reference_bin_update(g_at, rows, m, dt, step, rungs):
     c_prev = r_prev = None
     for _ in range(solver._FP_MAX_ITER):
         gval = g_at(c.reshape(R, K))
-        g_mean = rows.coords(gval).ravel()
+        g_mean = proj.coords_rows(gval).ravel()
         assert np.isfinite(g_mean).all()
         r = m + dt * g_mean - c
         done |= np.abs(r) < solver._FP_TOL
         if done.all():
-            return c.reshape(R, K), rows.expand(c.reshape(R, K)), gval
+            return c.reshape(R, K), proj.expand_rows(c.reshape(R, K)), gval
         gval = None
         lo = np.where(r > 0.0, np.maximum(lo, c), lo)
         hi = np.where(r < 0.0, np.minimum(hi, c), hi)
@@ -1132,9 +1134,9 @@ def test_bin_steps_match_the_reference_secant_bit_for_bit(grid24, example1, monk
     lad = sq.solve_ladder(g, xi, grid24, bundle, basis, [1, 2, 4], [1, 2, 4])
     shared = len(calls)
 
-    def reference(g_at, rows, m, dt, step, rungs, bins):
+    def reference(g_at, proj, m, dt, step, rungs, bins):
         assert bins
-        return _reference_bin_update(g_at, rows, m, dt, step, rungs)
+        return _reference_bin_update(g_at, proj, m, dt, step, rungs)
 
     monkeypatch.setattr(solver, "_implicit_update", reference)
     del calls[:]
