@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.ma  # noqa: F401 - np.unique loads it lazily: load it here, not in a check
 
 from .constants import _OVERFLOW_LOG, _delta_p, _k_alpha
 from .errors import InvalidCoefficientError
@@ -185,14 +184,15 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
     if not 0.0 < total < math.inf:
         raise InvalidCoefficientError(f"Jensen majorant needs 0 < int(gamma) < inf, got {total}")
     zn = _norm(z_prime)
-    ln_term = np.add(zn, math.e)
-    np.log(ln_term, out=ln_term)
-    ln_term **= half
-    ln_int = ln_term @ weights
+    w = (zn @ weights) / total
+    # zn becomes the log term in place: one (M, N) array for both integrals
+    np.add(zn, math.e, out=zn)
+    np.log(zn, out=zn)
+    zn **= half
+    ln_int = zn @ weights
     log_ln, se_ln = log_mean_exp(p * ln_int ** (2.0 / alpha_star))
     ln_moment = MomentEstimate(log_ln, se_ln)
 
-    w = (zn @ weights) / total
     log_mj, se_mj = log_mean_exp(_delta_p(p, total, alpha_star) * np.log(_k_alpha(alpha_star) + w))
     majorant = MomentEstimate(log_mj, se_mj)
     slack = 3.0 * math.hypot(se_ln, se_mj)
@@ -206,7 +206,7 @@ def verify_fhat_moment(fhat: np.ndarray, grid, p: float, alpha_star: float,
 
 def _decile_indices(grid) -> np.ndarray:
     targets = np.linspace(0.0, 0.9, 10) * grid.horizon
-    idx = np.unique([int(np.argmin(np.abs(grid.nodes - s))) for s in targets])
+    idx = np.array(sorted({int(np.argmin(np.abs(grid.nodes - s))) for s in targets}))
     return idx[idx < grid.steps]
 
 

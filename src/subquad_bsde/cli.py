@@ -33,8 +33,8 @@ from .expressions import ExpressionError, compile_time_function
 from .families import FAMILY_REGISTRY
 from .generators import (GENERATOR_IDS, TERMINAL_IDS, TruncationIndex, make_generator,
                          make_terminal, truncate_generator, truncate_terminal)
-from .paths import (BASIS_KINDS, GRID_SCHEMES, RegressionBasis, as_step_major, build_grid,
-                    sample_paths)
+from .paths import (BASIS_KINDS, GRID_SCHEMES, SEED_LIMIT, RegressionBasis, as_step_major,
+                    build_grid, sample_paths)
 from .solver import SolutionField, solve_bounded, solve_ladder
 
 _BOUND_IDS = ("pointwise", "pointwise-one-sided", "sup", "comparison", "fhat-moment")
@@ -118,6 +118,8 @@ def _validate(cfg: ExperimentConfig, errors=()) -> ExperimentConfig:
     errors = list(errors)
     if cfg.paths < 1:
         errors.append("paths must be >= 1")
+    if not 0 <= cfg.seed < SEED_LIMIT - 1:      # run draws its condition cloud from seed + 1
+        errors.append(f"seed must lie in [0, 2**64 - 2], got {cfg.seed}")
     if cfg.dims < 1:
         errors.append(f"dims must be >= 1, got {cfg.dims}")
     elif cfg.basis == "piecewise-constant-bins" and cfg.dims != 1:
@@ -476,6 +478,8 @@ def _cmd_verify_bounds(args) -> int:
 def _cmd_lemma_tests(args) -> int:
     if args.samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {args.samples}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ConfigurationError(f"seed must lie in [0, 2**64), got {args.seed}")
     families = FAMILY_REGISTRY[args.lemma]
     names = [args.family] if args.family else list(families)
     samples = lemma_samples(args.samples, seed=args.seed)

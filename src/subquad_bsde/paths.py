@@ -141,12 +141,21 @@ STREAM_TAGS = {
 }
 
 
+SEED_LIMIT = 2 ** 64        # a seed is the first 64-bit word of a Philox key: 0 <= seed < 2**64
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def stream(seed: int, name: str) -> np.random.Generator:
     """The random stream ``name`` of ``seed``, one of `STREAM_TAGS`: a fresh
     Generator over Philox(key=[seed, 2**63 + tag]), disjoint from every path's
     stream of every seed and from every other name's."""
     if name not in STREAM_TAGS:
         raise KeyError(f"unknown random stream {name!r}; streams: {', '.join(STREAM_TAGS)}")
+    _check_seed(seed)
     key = np.array([seed, 2 ** 63 + STREAM_TAGS[name]], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -160,26 +169,29 @@ def sample_paths(grid: TimeGrid, dims: int, count: int, seed: int) -> PathBundle
         raise ValueError("dims must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_seed(seed)
     levels = step_major_empty((count, grid.steps + 1, dims))
     levels[:, 0, :] = 0.0
     # Counter-based keying: path i is the stream of Philox(key=[seed, i]), a
     # pure function of (seed, i), independent of how many other paths exist or
     # the order they are drawn.  One bit generator is re-keyed per path to
-    # that fresh state (counter 0, empty buffer) instead of being rebuilt; the
-    # state dict and its key are reused, and the draws of a chunk of paths go
-    # into one contiguous buffer before they are copied step-major.
+    # that fresh state (counter 0, empty buffer) instead of being rebuilt.  The
+    # state dict holds plain Python ints, which numpy's state setter converts
+    # at half the cost of uint64 arrays; it and its key are reused, only
+    # key[1] changes.  The draws of a chunk of paths go into one contiguous
+    # buffer before they are copied step-major.
     bitgen = np.random.Philox(0)
-    draw = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = np.array([seed, 0], dtype=np.uint64)
-    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
+    normal = np.random.Generator(bitgen).standard_normal
+    key = [int(seed), 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     chunk = np.empty((min(count, _SAMPLE_CHUNK), grid.steps, dims))
     for first in range(0, count, len(chunk)):
         rows = chunk[:min(len(chunk), count - first)]
         for i, row in enumerate(rows, first):
             key[1] = i
             bitgen.state = state
-            draw.standard_normal(out=row)
+            normal(out=row)
         levels[first:first + len(rows), 1:] = rows
     levels[:, 1:] *= np.sqrt(grid.dt)[None, :, None]
     # the running sum in place, step by step: each add reads and writes contiguous blocks
@@ -357,11 +369,36 @@ class RegressionBasis:
         return rows.T
 
     def bin_indices(self, state: np.ndarray) -> np.ndarray:
-        """Bin assignment per path (partition basis only); edges clip outliers."""
+        """Bin assignment per path (partition basis only); edges clip outliers.
+
+        Bin k holds edges[k] <= x < edges[k + 1] of the ``np.linspace`` edges,
+        x below lo falls into bin 0, and x at or above hi or NaN into the last:
+        ``clip(searchsorted(edges, x, "right") - 1, 0, size - 1)`` for every float.
+        """
         if self.kind != "piecewise-constant-bins":
             raise ValueError("bin indices only exist for the partition basis")
         state = np.atleast_2d(np.asarray(state, dtype=float))
         if state.shape[1] != 1:
             raise ValueError("piecewise-constant bins require a scalar state")
+        x = state[:, 0]
+        last = self.size - 1
         edges = np.linspace(self.lo, self.hi, self.size + 1)
-        return np.clip(np.searchsorted(edges, state[:, 0], side="right") - 1, 0, self.size - 1)
+        span = self.hi - self.lo
+        if not 32.0 * np.finfo(float).eps * self.size * max(abs(self.lo), abs(self.hi)) < span:
+            # bins within a few roundings of the magnitude of their edges: the
+            # arithmetic guess below may miss by more than one bin
+            return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, last)
+        # The bin by arithmetic, off by at most one from the rounded edges, then
+        # one correction against those edges on each side.  A NaN guess goes to
+        # the last bin (fmin), where searchsorted puts NaN; |x| near the double
+        # limit may overflow the product to inf, which clips the same way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            guess = np.subtract(x, self.lo)
+            guess *= self.size / span
+            np.floor(guess, out=guess)
+            np.fmin(guess, last, out=guess)
+            np.maximum(guess, 0.0, out=guess)
+        k = guess.astype(np.intp)
+        k -= (k > 0) & (x < edges[k])
+        k += (k < last) & (x >= edges[k + 1])
+        return k

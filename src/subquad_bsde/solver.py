@@ -122,12 +122,34 @@ class SolutionField:
         for j in range(N + 1):
             y = self.y(j)
             y_mean[j] = y.mean()
-            y_q05[j], y_q95[j] = np.quantile(y, [0.05, 0.95])
+            y_q05[j], y_q95[j] = _q05_q95(y)
             if j < N:
                 z_norm_mean[j] = _norm(self.z(j)).mean()
         z_norm_mean[N] = z_norm_mean[N - 1]
         return {"time": self.grid.nodes.copy(), "y_mean": y_mean, "y_q05": y_q05,
                 "y_q95": y_q95, "z_norm_mean": z_norm_mean}
+
+
+def _q05_q95(y: np.ndarray) -> np.ndarray:
+    """``np.quantile(y, [0.05, 0.95])`` of a 1-D sample, bit for bit: numpy's
+    linear method on the same partition.  np.quantile imports numpy.ma (through
+    np.unique) on first use, about 9 ms and 1 MB in every process that writes a
+    summary."""
+    n = len(y)
+    pos = (n - 1) * np.array([0.05, 0.95])
+    below = np.floor(pos)
+    above = below + 1
+    top = pos >= n - 1                       # only when n = 1: both sides read the last value
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    s = np.partition(y, sorted({0, -1, *below.tolist(), *above.tolist()}))
+    a, b, t = s[below], s[above], pos - below
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(s[-1]):                      # a NaN sorts last and makes every quantile NaN
+        out[:] = s[-1]
+    return out
 
 
 def _check_inputs(grid: TimeGrid, bundle: PathBundle) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ def test_fhat_moment_trivial_cases(grid24):
     assert m0.moment.log_value == pytest.approx(0.0)
     m1 = verify_fhat_moment(np.ones((500, grid24.steps)), grid24, 2.0, 3.0, **jensen)
     assert m1.moment.log_value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_fhat_moment_holds_one_path_field(grid24):
+    # the log term is built in the buffer of |Z'|: the check holds one (M, N)
+    # float array at a time, besides a few per-path columns
+    count, steps = 20_000, grid24.steps
+    rng = np.random.default_rng(4)
+    fhat = rng.uniform(0.0, 1.0, (count, steps))
+    z_prime = sq.paths.as_step_major(rng.standard_normal((count, steps, 1)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        verify_fhat_moment(fhat, grid24, 2.0, 1.5, gamma=lambda t: 1.0 + 0.0 * np.asarray(t),
+                           z_prime=z_prime)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (steps + 8) * count * 8
 
 
 def test_fhat_moment_jensen_closed_form(grid24):

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -687,6 +690,15 @@ paths = 200
                  "samples must be >= 1, got 0", id="lemma-samples-zero"),
     pytest.param(["lemma-tests", "--lemma", "A1", "--samples", "-5"], "",
                  "samples must be >= 1, got -5", id="lemma-samples-negative"),
+    pytest.param(["run"], "seed = -1", "seed must lie in [0, 2**64 - 2], got -1", id="seed-negative"),
+    pytest.param(["run"], f"seed = {2 ** 64 - 1}",      # its cloud would be keyed 2**64
+                 f"seed must lie in [0, 2**64 - 2], got {2 ** 64 - 1}", id="seed-cloud-past-range"),
+    pytest.param(["solve", "--seed", "-1"], "", "seed must lie in [0, 2**64 - 2], got -1",
+                 id="solve-seed-negative"),
+    pytest.param(["lemma-tests", "--lemma", "A1", "--seed", "-1"], "",
+                 "seed must lie in [0, 2**64), got -1", id="lemma-seed-negative"),
+    pytest.param(["lemma-tests", "--lemma", "A1", "--seed", str(2 ** 64)], "",
+                 f"seed must lie in [0, 2**64), got {2 ** 64}", id="lemma-seed-past-range"),
 ])
 def test_bad_input_is_a_config_error_before_sampling(argv, lines, message, tiny_solve, tmp_path,
                                                       monkeypatch, capsys):
@@ -710,6 +722,33 @@ def test_bad_input_is_a_config_error_before_sampling(argv, lines, message, tiny_
     assert f"config error: {message}" in err, err
     assert err.count("config error:") == 1, err
     assert not (tmp_path / "run").exists()
+
+
+def test_the_largest_seeds_run(tmp_path, capsys):
+    cfg_file = tmp_path / "top.ini"
+    cfg_file.write_text(BAD_BASE + f"seed = {2 ** 64 - 2}\ncloud_samples = 500\n"
+                        f"out = {tmp_path / 'run'}\n")
+    assert main(["run", "--config", str(cfg_file)]) in (0, 1)
+    assert main(["lemma-tests", "--lemma", "A1", "--seed", str(2 ** 64 - 1),
+                 "--samples", "200"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
+def test_a_run_with_every_bound_check_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 9 ms of import and 1 MB in every process that loads it
+    text = SMALL_RUN.replace("paths = 1500", "paths = 300").replace(
+        "checks = EX1, UNprime-i, pointwise, comparison", "checks = " + ", ".join(_BOUND_IDS))
+    script = ("import sys\n"
+              "from subquad_bsde.cli import parse_config, run_experiment\n"
+              f"report = run_experiment(parse_config({text!r}, out={str(tmp_path)!r}))\n"
+              "assert len(report.bound_results) == 4 and len(report.fhat_checks) == 1\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("changes,message", [

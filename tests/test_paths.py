@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,24 @@ def test_rekeyed_sampler_matches_per_path_philox(dims, count):
     assert np.array_equal(bundle.levels, expected)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_out_of_range_seeds_are_refused_by_name(seed):
+    grid = build_grid(1.0, 4, "uniform")
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        sample_paths(grid, 1, 3, seed)
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        paths.stream(seed, "cloud")
+
+
+def test_the_largest_seed_keys_its_paths_and_streams():
+    grid = build_grid(1.0, 4, "uniform")
+    seed = 2 ** 64 - 1
+    steps = _per_path_philox_reference(grid, 1, 3, seed)
+    expected = np.concatenate([np.zeros((3, 1, 1)), np.cumsum(steps, axis=1)], axis=1)
+    assert np.array_equal(sample_paths(grid, 1, 3, seed).levels, expected)
+    assert _key(paths.stream(seed, "cloud")) == [seed, 2 ** 63 + paths.STREAM_TAGS["cloud"]]
+
+
 def _key(rng):
     return [int(w) for w in rng.bit_generator.state["state"]["key"]]
 
@@ -506,3 +525,29 @@ def test_noise_sq_is_inf_on_no_more_paths_than_the_rank():
     assert apart.rank == 2 and apart.noise_sq(np.array([0.0, 1.0])) == np.inf
     for basis in (POLY4, BINS12):
         assert basis.projector(np.zeros((1, 1))).noise_sq(np.array([3.0])) == np.inf
+
+
+def _searchsorted_bins(basis, x):
+    edges = np.linspace(basis.lo, basis.hi, basis.size + 1)
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, basis.size - 1)
+
+
+@pytest.mark.parametrize("lo,hi,size", [
+    (-4.8, 4.8, 30), (-1.0, 1.0, 8), (0.0, 1.0, 1), (-3.0, 3.0, 12), (2.5, 7.25, 1000),
+    (1.0, 1.0 + 1e-9, 30),            # a narrow range
+    (-1e-300, 1e-300, 7),             # a range of tiny magnitude
+    (1e16, 1e16 + 2.0, 30),           # bins narrower than the spacing of their edges
+])
+def test_bin_indices_follow_the_searchsorted_rule_on_every_float(lo, hi, size):
+    basis = RegressionBasis("piecewise-constant-bins", size, lo=lo, hi=hi)
+    edges = np.linspace(lo, hi, size + 1)
+    rng = np.random.default_rng(size)
+    x = np.concatenate([rng.uniform(lo - (hi - lo), hi + (hi - lo), 20_000), edges,
+                        np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                        [np.inf, -np.inf, np.nan, 1e308, -1e308, -0.0, 0.0, 5e-324, -5e-324]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = basis.bin_indices(x[:, None])
+    expected = _searchsorted_bins(basis, x)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)

@@ -1010,6 +1010,21 @@ def test_solution_summary_schema(grid24, bundle24, poly_basis):
     assert all(len(v) == grid24.steps + 1 for v in summary.values())
 
 
+@pytest.mark.parametrize("kind", ["normal", "signed-zeros", "ties", "non-finite"])
+def test_summary_quantiles_are_numpys_bit_for_bit(kind):
+    rng = np.random.default_rng(len(kind))
+    values = {"normal": lambda n: rng.standard_normal(n),
+              "signed-zeros": lambda n: rng.choice([0.0, -0.0, 1.0, -1.0], n),
+              "ties": lambda n: np.round(rng.standard_normal(n), 1),
+              "non-finite": lambda n: rng.choice([np.inf, -np.inf, np.nan, 1.0, -0.0], n)}[kind]
+    for n in [1, 2, 3, 19, 20, 21, 101, 4000] * 10:
+        y = values(n)
+        with np.errstate(invalid="ignore"):         # inf - inf, in both
+            expected = np.quantile(y, [0.05, 0.95])
+            got = solver._q05_q95(y)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (n, y)
+
+
 def test_consistency_residual_small_for_linear_driver(grid24, bundle24, poly_basis):
     g = sq.make_generator("linear", 1.5, b_y=0.0, b_z=0.5)
     sol = sq.solve_bounded(g, sq.make_terminal("bt"), grid24, bundle24, poly_basis)
