@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import sys
 import time
@@ -33,8 +34,8 @@ from .expressions import ExpressionError, compile_time_function
 from .families import FAMILY_REGISTRY
 from .generators import (GENERATOR_IDS, TERMINAL_IDS, TruncationIndex, make_generator,
                          make_terminal, truncate_generator, truncate_terminal)
-from .paths import (BASIS_KINDS, GRID_SCHEMES, SEED_LIMIT, RegressionBasis, as_step_major,
-                    build_grid, sample_paths)
+from .paths import (BASIS_KINDS, GRID_SCHEMES, SEED_LIMIT, RegressionBasis, build_grid,
+                    sample_paths)
 from .solver import SolutionField, solve_bounded, solve_ladder
 
 _BOUND_IDS = ("pointwise", "pointwise-one-sided", "sup", "comparison", "fhat-moment")
@@ -284,11 +285,6 @@ def _check_bound(report: ReportDocument, bound_id: str, gen, constants, sol,
         report.bound_results.append(
             bounds_mod.verify_sup_bound(sol, constants, xi_vals, prof.f, p=cfg.p))
     elif bound_id == "comparison":
-        # the allowance includes both fields' regression noise, so a field without it
-        # would be compared on a narrower allowance than a fresh solve gets
-        if sol.fit_noise is None:
-            raise ConfigurationError("the solution has no 'fit_noise' array, which the comparison "
-                                     "check needs; re-solve it with `subquad-bsde solve`")
         shifted = replace(cfg, terminal_shift=cfg.terminal_shift + cfg.comparison_shift)
         xi_hi = truncate_terminal(_build_terminal(shifted), idx)
         sol_hi = solve_bounded(truncate_generator(gen, idx), xi_hi, sol.grid, sol.bundle, sol.basis)
@@ -406,12 +402,15 @@ def _cmd_solve(args) -> int:
     sol = ladder.final
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the config without the file's own path, so that one solve saved anywhere holds one meta
-    meta = {k: v for k, v in vars(cfg).items() if k != "out"} | {
+    # the config without the file's own path, so that one solve saved anywhere holds one
+    # meta, and without the ladder key: the levels walked are n_levels and q_levels
+    meta = {k: v for k, v in vars(cfg).items() if k not in ("out", "ladder")} | {
         "n_levels": list(ladder.n_levels), "q_levels": list(ladder.q_levels),
-        "n_max": n_max, "q_max": q_max}
-    np.savez_compressed(out, Y=sol.Y, Z=sol.Z, nodes=grid.nodes, fit_noise=sol.fit_noise,
-                        meta=json.dumps(meta))
+        "n_max": n_max, "q_max": q_max, "terminal_sha256": hashlib.sha256(sol.terminal).hexdigest()}
+    np.savez_compressed(out, meta=json.dumps(meta), nodes=grid.nodes, fit_noise=sol.fit_noise,
+                        z_divisor=sol.z_divisor,
+                        **{f"y_coords_{j}": c for j, c in enumerate(sol.y_coords)},
+                        **{f"z_coords_{j}": c for j, c in enumerate(sol.z_coords)})
     _write_csv(out.with_suffix(".csv"), sol.summary())
     share = f" ({100 * ladder.violation_fraction:.4f}%)" if ladder.comparisons else ""
     print(f"ladder {ladder.verdict}: violations {ladder.violations}/{ladder.comparisons}"
@@ -423,36 +422,49 @@ def _cmd_solve(args) -> int:
 def _load_solution(path: str, **overrides):
     """The saved field, the config it was solved for, and the truncation of its final rung.
 
-    A key the file lacks takes the config default; files written before the whole
-    config was saved hold beta and gamma as numbers, which load as their text.  Nodes, Y
-    and Z that disagree with the saved config are a configuration error, and so is a terminal
-    column Y[:, N] (every check's xi) other than the config's terminal at the final rung.
+    The file holds the field's coordinates (`_cmd_solve`), read in the projectors
+    of the bundle that its config re-samples; a config key the file lacks takes
+    its default.  A file without every array and meta key of that format, nodes
+    that disagree with the config, a terminal column (every check's xi) whose hash
+    is not the stored one, and coordinates of another shape than their rebuilt
+    projector's are configuration errors.
     """
     path = path if path.endswith(".npz") else path + ".npz"
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
+    with np.load(path, allow_pickle=False) as npz:
+        data = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(data["meta"])) if "meta" in data else {}
+    N = len(data["nodes"]) - 1 if "nodes" in data else 0
+    names = [f"{v}_coords_{j}" for j in range(N) for v in "yz"]
+    missing = ([k for k in ("meta", "nodes", "fit_noise", "z_divisor", *names) if k not in data]
+               + [k for k in ("n_max", "q_max", "terminal_sha256") if k not in meta])
+    if missing:
+        raise ConfigurationError(f"{path}: not a solution file of projector coordinates (it lacks "
+                                 f"{', '.join(missing[:3])}{', ...' * (len(missing) > 3)}); "
+                                 f"re-solve it with `subquad-bsde solve`")
     cfg = ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in meta.items() if k in _CONFIG_KEYS})
-    cfg = _validate(replace(cfg, beta=str(cfg.beta), gamma=str(cfg.gamma), **overrides))
+    cfg = _validate(replace(cfg, **overrides))
     grid = build_grid(cfg.horizon, cfg.steps, cfg.scheme)
-    Y, Z = data["Y"], data["Z"]
     if not np.array_equal(data["nodes"], grid.nodes):
         raise ConfigurationError(f"{path}: its nodes differ from the {cfg.steps}-step "
                                  f"{cfg.scheme} grid on [0, {cfg.horizon}] of its config")
-    for name, saved, shape in (("Y", Y, (cfg.paths, cfg.steps + 1)),
-                               ("Z", Z, (cfg.paths, cfg.steps, cfg.dims))):
-        if saved.shape != shape:
-            raise ConfigurationError(f"{path}: {name} has shape {saved.shape}, "
-                                     f"its config (paths, steps, dims) needs {shape}")
     bundle = sample_paths(grid, cfg.dims, cfg.paths, cfg.seed)
     idx = TruncationIndex(meta["n_max"], meta["q_max"])
-    xi = truncate_terminal(_build_terminal(cfg), idx)
-    if not np.array_equal(Y[:, -1], xi(bundle.terminal())):
-        raise ConfigurationError(f"{path}: its Y[:, {cfg.steps}] is not its config's terminal "
+    terminal = truncate_terminal(_build_terminal(cfg), idx)(bundle.terminal())
+    if hashlib.sha256(terminal).hexdigest() != meta["terminal_sha256"]:
+        raise ConfigurationError(f"{path}: its terminal hash is not that of its config's terminal "
                                  f"truncated at ({idx.n}, {idx.q}) on the paths of seed {cfg.seed}")
-    # per-node columns in the solvers' layout, whatever order the file was written in
-    sol = SolutionField.from_columns(as_step_major(Y), as_step_major(Z), bundle,
-                                     _build_basis(cfg), fit_noise=data.get("fit_noise"))
+    basis = _build_basis(cfg)
+    projs = bundle.projectors(basis)
+    shapes = [(N + 1,), (N,)] + [s for p in projs for s in ((p.size,), (p.size, cfg.dims))]
+    for name, shape in zip(("fit_noise", "z_divisor", *names), shapes):
+        if data[name].shape != shape:
+            raise ConfigurationError(f"{path}: {name} has shape {data[name].shape}, the "
+                                     f"projectors of its config need {shape}")
+    sol = SolutionField(terminal=terminal, y_coords=tuple(data[k] for k in names[::2]),
+                        z_coords=tuple(data[k] for k in names[1::2]),
+                        z_divisor=data["z_divisor"], maps=tuple(projs), bundle=bundle,
+                        basis=basis, fit_noise=data["fit_noise"])
     return sol, cfg, idx
 
 

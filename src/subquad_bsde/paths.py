@@ -85,12 +85,6 @@ def step_major_empty(shape: tuple) -> np.ndarray:
     return np.empty((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
 
 
-def as_step_major(values: np.ndarray) -> np.ndarray:
-    """A per-path field in the layout of ``step_major_empty``; no copy if it
-    already is."""
-    return np.ascontiguousarray(values.swapaxes(0, 1)).swapaxes(0, 1)
-
-
 @dataclass(frozen=True)
 class PathBundle:
     """Brownian values at the grid nodes, ``levels`` of shape (count, steps + 1, dims).
@@ -207,6 +201,7 @@ class _Projector:
     vector or a block of columns) in B, ``expand(c)`` is B c, and
     ``cross(others, w)`` holds coords(diag(w) X) per other, X the basis of a
     projector of the same kind or the entry itself, an (M, c) block of columns.
+    B has ``size`` columns, so coordinates have ``size`` leading entries.
     ``coords_rows`` and ``expand_rows`` apply ``coords`` and ``expand`` to each
     leading row of a stack, (R, M, ...) to (R, p, ...) and back; row r of
     either result equals the projector's own call on row r bit for bit.
@@ -247,10 +242,15 @@ class _SVDProjector(_Projector):
     """
 
     def __init__(self, features: np.ndarray):
-        u, s, _ = np.linalg.svd(features, full_matrices=False)
-        # every design holds the constant column, so s[0] >= sqrt(M) > 0
-        self.u = u[:, s > s[0] * max(features.shape) * np.finfo(float).eps]
-        self.rank = self.u.shape[1]
+        u, s, vt = np.linalg.svd(features, full_matrices=False)
+        # every design holds the constant column, so s[0] >= sqrt(M) > 0; s is sorted
+        rank = int(np.count_nonzero(s > s[0] * max(features.shape) * np.finfo(float).eps))
+        # a LAPACK build may negate any singular pair: column k takes the sign that
+        # makes vt's row k largest-magnitude entry positive, exactly, in the rank
+        # cut's copy, laid out in the one order that BLAS's summation order reads
+        lead = vt[np.arange(rank), np.argmax(np.abs(vt[:rank]), axis=1)]
+        self.u = np.multiply(u[:, :rank], np.where(lead < 0.0, -1.0, 1.0), order="F")
+        self.rank = self.size = rank
 
     def coords(self, values: np.ndarray) -> np.ndarray:
         # BLAS picks its summation order by the stride of ``values``: use a

@@ -42,15 +42,6 @@ def _stacked(node, shape: tuple) -> np.ndarray:
     return out
 
 
-class _Columns:
-    """The identity map: a field read from per-path columns holds each node's column
-    as its coordinates."""
-
-    @staticmethod
-    def expand(coords: np.ndarray) -> np.ndarray:
-        return coords
-
-
 @dataclass(frozen=True)
 class SolutionField:
     """Discretized (Y, Z) on a path bundle, held as the solver computes it: Y has N+1
@@ -62,10 +53,9 @@ class SolutionField:
     sweep, whose Z regression is divided by dt per path, and 1 after Picard, whose
     operators already carry 1/dt.  Node N is the per-path ``terminal`` column.  So
     ``y(j)`` and ``z(j)`` expand one node, (paths,) and (paths, dims), bit for bit
-    the column the solver formed there.  A field read from per-path columns
-    (`from_columns`) holds them under the identity map, and reads them back as
-    they are.  ``Y`` (paths, N+1) and ``Z`` (paths, N, dims) expand the whole
-    field, step-major like ``PathBundle.levels``.  The grid is the bundle's.
+    the column the solver formed there.  ``Y`` (paths, N+1) and ``Z`` (paths, N,
+    dims) expand the whole field, step-major like ``PathBundle.levels``.  The grid
+    is the bundle's.
 
     ``fit_noise`` is the accumulated standard error (`noise_sq`) of the
     per-step value regressions from each node to the horizon: the honest
@@ -81,16 +71,6 @@ class SolutionField:
     bundle: PathBundle
     basis: RegressionBasis
     fit_noise: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_columns(cls, Y: np.ndarray, Z: np.ndarray, bundle: PathBundle,
-                     basis: RegressionBasis, fit_noise: Optional[np.ndarray] = None):
-        """The field whose per-path columns are ``Y`` (paths, N+1) and ``Z`` (paths, N,
-        dims), held as views under the identity map."""
-        N = Y.shape[1] - 1
-        return cls(terminal=Y[:, N], y_coords=tuple(Y[:, j] for j in range(N)),
-                   z_coords=tuple(Z[:, j, :] for j in range(N)), z_divisor=np.ones(N),
-                   maps=(_Columns,) * N, bundle=bundle, basis=basis, fit_noise=fit_noise)
 
     @property
     def grid(self) -> TimeGrid:

@@ -132,7 +132,8 @@ def test_fhat_moment_holds_one_path_field(grid24):
     count, steps = 20_000, grid24.steps
     rng = np.random.default_rng(4)
     fhat = rng.uniform(0.0, 1.0, (count, steps))
-    z_prime = sq.paths.as_step_major(rng.standard_normal((count, steps, 1)))
+    z_prime = sq.paths.step_major_empty((count, steps, 1))
+    z_prime[...] = rng.standard_normal((count, steps, 1))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -610,14 +611,14 @@ def test_sup_bound_matches_whole_field_reference(example1, example1_pair, kind, 
         assert np.array_equal(a, b), name
 
 
-def test_sup_bound_adds_the_z_term_in_step_order(grid24, poly_basis, zero_constants):
+def test_sup_bound_adds_the_z_term_in_step_order(grid24, poly_basis, zero_constants,
+                                                 field_from_columns):
     # Y = 0, so the left side is the |Z|^2 term alone; on 5 paths its mean keeps the
     # last bits of each path's sum, which show the order of the additions
     rng = np.random.default_rng(11)
     bundle = sq.sample_paths(grid24, 1, 5, 3)
     M, N = bundle.count, grid24.steps
-    sol = sq.SolutionField.from_columns(np.zeros((M, N + 1)), rng.normal(size=(M, N, 1)),
-                                        bundle, poly_basis)
+    sol = field_from_columns(np.zeros((M, N + 1)), rng.normal(size=(M, N, 1)), bundle, poly_basis)
     f = lambda t, b: np.zeros(np.atleast_2d(b).shape[0])
     for p in (2.0, 3.0):
         r = verify_sup_bound(sol, zero_constants, np.zeros(M), f, p=p)
@@ -636,11 +637,11 @@ def _comparison_reference(sol, sol_prime):
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "piecewise-constant-bins"])
-def test_comparison_matches_whole_field_reference(example1_pair, kind):
+def test_comparison_matches_whole_field_reference(example1_pair, kind, field_from_columns):
     lo, hi, _ = example1_pair[kind]
     # the third pair pits lo against its own paths in reverse order: the order
     # fails on about half of them, so per-node counts are mixed
-    reversed_lo = sq.SolutionField.from_columns(lo.Y[::-1], lo.Z, lo.bundle, lo.basis, lo.fit_noise)
+    reversed_lo = field_from_columns(lo.Y[::-1], lo.Z, lo.bundle, lo.basis, lo.fit_noise)
     for a, b in ((lo, hi), (hi, lo), (lo, reversed_lo)):
         arrays, fraction = _comparison_reference(a, b)
         r = verify_comparison(a, b)

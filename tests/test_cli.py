@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -242,8 +243,8 @@ def test_solve_file_holds_both_level_lists(tmp_path, capsys):
                  "--seed", "2", "--out", sol_file]) == 0
     meta = json.loads(str(np.load(sol_file)["meta"]))
     assert (meta["n_levels"], meta["q_levels"]) == ([1, 2, 4, 8, 16], [1, 2, 4])
-    # the config's own ladder key is kept, not replaced by a walked list
-    assert tuple(meta["ladder"]) == ExperimentConfig().ladder
+    # the config's own ladder key would hold its default, not the levels walked
+    assert "ladder" not in meta
 
 
 def test_two_solves_to_different_paths_save_one_meta(tmp_path, capsys):
@@ -474,60 +475,89 @@ def test_bound_csv_headers(tmp_path):
         assert csv_file.read_text().splitlines()[0] == header, bound
 
 
-@pytest.mark.parametrize("basis", [["--basis", "polynomial", "--basis-size", "3"],
-                                   ["--basis", "piecewise-constant-bins", "--basis-size", "20"]],
-                         ids=["polynomial", "bins"])
-def test_a_reloaded_field_reads_the_bytes_of_the_solved_field(basis, tmp_path, capsys):
-    # the loaded field holds the file's columns as they are; the solved field expands
-    # its coordinates: every node, and both whole fields, agree bit for bit
+_BASES = {"polynomial": ["--basis", "polynomial", "--basis-size", "3"],
+          "bins": ["--basis", "piecewise-constant-bins", "--basis-size", "20"]}
+
+
+@pytest.fixture(scope="module", params=list(_BASES))
+def basis_solve(request, tmp_path_factory):
+    """An example-1 solve on each basis, 1000 paths and 6 steps, and its solver-built field."""
     import subquad_bsde as sq
     import subquad_bsde.cli as cli
-    sol_file = str(tmp_path / "s.npz")
+    sol_file = str(tmp_path_factory.mktemp(request.param) / "s.npz")
     assert main(["solve", "--generator", "example1", "--steps", "6", "--paths", "1000",
-                 "--ladder", "4", "4", "--seed", "6", *basis, "--out", sol_file]) == 0
-    loaded, cfg, _ = cli._load_solution(sol_file)
+                 "--ladder", "4", "4", "--seed", "6", *_BASES[request.param],
+                 "--out", sol_file]) == 0
+    cfg = cli._load_solution(sol_file)[1]
     grid = sq.build_grid(cfg.horizon, cfg.steps, cfg.scheme)
     solved = sq.solve_ladder(cli._build_generator(cfg), cli._build_terminal(cfg), grid,
                              sq.sample_paths(grid, cfg.dims, cfg.paths, cfg.seed),
                              cli._build_basis(cfg), [1, 2, 4], [1, 2, 4]).final
+    return sol_file, solved
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_a_solve_file_holds_no_per_path_array(basis_solve):
+    # the field's coordinates, its fit noise and z divisors, the nodes and the meta
+    sol_file, solved = basis_solve
     data = np.load(sol_file)
+    steps = solved.grid.steps
+    assert set(data.files) == {"meta", "nodes", "fit_noise", "z_divisor",
+                               *(f"{v}_coords_{j}" for v in "yz" for j in range(steps))}
+    assert all(1000 not in data[k].shape and data[k].size < 100 for k in data.files)
+    meta = json.loads(str(data["meta"]))
+    assert meta["terminal_sha256"] == hashlib.sha256(solved.terminal.tobytes()).hexdigest()
+    for j in range(steps):
+        assert _same_bits(data[f"y_coords_{j}"], solved.y_coords[j]), j
+        assert _same_bits(data[f"z_coords_{j}"], solved.z_coords[j]), j
+    assert _same_bits(data["z_divisor"], solved.z_divisor)
+    assert _same_bits(data["fit_noise"], solved.fit_noise)
 
-    def same(a, b):
-        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
-    for j in range(cfg.steps + 1):
-        assert same(loaded.y(j), solved.y(j)) and same(loaded.y(j), data["Y"][:, j]), j
-    for j in range(cfg.steps):
-        assert same(loaded.z(j), solved.z(j)) and same(loaded.z(j), data["Z"][:, j, :]), j
-    assert same(loaded.Y, solved.Y) and same(loaded.Z, solved.Z)
-    assert same(loaded.Y, data["Y"]) and same(loaded.Z, data["Z"])
-
-
-def test_loaded_fields_are_step_major_and_path_major_files_still_load(tmp_path, capsys):
+def test_a_reloaded_field_reads_the_bytes_of_the_solved_field(basis_solve):
+    # the loaded field holds the file's coordinates over the re-sampled bundle's
+    # projectors: every node, and both whole fields, agree with the solver's bit for bit
     import subquad_bsde.cli as cli
-    sol_file = str(tmp_path / "s.npz")
-    assert main(["solve", "--generator", "example1", "--steps", "6", "--paths", "1000",
-                 "--ladder", "2", "2", "--seed", "6", "--out", sol_file]) == 0
-    # a file as the path-major layout wrote it: C-order Y (paths, N+1) and Z (paths, N, d)
-    data = dict(np.load(sol_file))
-    old_file = str(tmp_path / "c_order.npz")
-    np.savez_compressed(old_file, Y=np.ascontiguousarray(data["Y"]),
-                        Z=np.ascontiguousarray(data["Z"]), nodes=data["nodes"], meta=data["meta"])
-    assert np.load(old_file)["Y"].flags.c_contiguous
+    sol_file, solved = basis_solve
+    loaded = cli._load_solution(sol_file)[0]
+    assert loaded.basis == solved.basis
+    assert loaded.maps == tuple(loaded.bundle.projectors(loaded.basis))
+    for j in range(solved.grid.steps + 1):
+        assert _same_bits(loaded.y(j), solved.y(j)), j
+    for j in range(solved.grid.steps):
+        assert _same_bits(loaded.z(j), solved.z(j)), j
+    assert _same_bits(loaded.Y, solved.Y) and _same_bits(loaded.Z, solved.Z)
+    assert _same_bits(loaded.fit_noise, solved.fit_noise)
 
-    new, old = cli._load_solution(sol_file)[0], cli._load_solution(old_file)[0]
-    assert np.array_equal(new.Y, old.Y) and np.array_equal(new.Z, old.Z)
-    for sol in (new, old):
-        assert all(sol.Y[:, j].flags.c_contiguous for j in range(sol.Y.shape[1]))
-        assert all(sol.Z[:, j, :].flags.c_contiguous for j in range(sol.Z.shape[1]))
 
-    capsys.readouterr()
-    verdicts = []
-    for path in (sol_file, old_file):
-        rc = main(["verify-bounds", "--run", path, "--bound", "pointwise"])
-        verdicts.append((rc, capsys.readouterr().out))
-    assert verdicts[0] == verdicts[1]
-    assert verdicts[0][0] == 0 and "satisfied" in verdicts[0][1]
+def test_a_per_path_solution_file_is_refused_before_sampling(basis_solve, tmp_path, monkeypatch,
+                                                             capsys):
+    # the format before coordinates: per-path Y and Z, and a meta with the config's
+    # ladder key and no terminal hash.  Every check refuses it and says to re-solve
+    import subquad_bsde.cli as cli
+    sol_file, solved = basis_solve
+    data = np.load(sol_file)
+    meta = json.loads(str(data["meta"]))
+    del meta["terminal_sha256"]
+    meta["ladder"] = [1, 2, 4, 8, 16]
+    old_file = str(tmp_path / "per_path.npz")
+    np.savez_compressed(old_file, Y=solved.Y, Z=solved.Z, nodes=data["nodes"],
+                        fit_noise=data["fit_noise"], meta=json.dumps(meta))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a path was sampled")
+
+    monkeypatch.setattr(cli, "sample_paths", no_sampling)
+    for bound in _BOUND_IDS:
+        capsys.readouterr()
+        assert main(["verify-bounds", "--run", old_file, "--bound", bound]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {old_file}: not a solution file of projector "
+                              f"coordinates (it lacks z_divisor, y_coords_0, z_coords_0, ...); "
+                              f"re-solve it with `subquad-bsde solve`"), err
 
 
 @pytest.fixture(scope="module")
@@ -579,12 +609,14 @@ def test_comparison_uses_saved_field_with_one_solve(tiny_solve, tmp_path, monkey
     cli._write_csv(ref_file, ref.columns())
     assert csv_file.read_bytes() == ref_file.read_bytes()
 
-    # a file written before fit_noise was saved cannot be compared on the same allowance
+    # a file without fit_noise is no solution file: no check reads it, the comparison's
+    # allowance least of all
     old_file = _rewrite_meta(tiny_solve, tmp_path / "old.npz", drop=("fit_noise",))
-    capsys.readouterr()
-    assert main(["verify-bounds", "--run", old_file, "--bound", "comparison"]) == 2
-    assert "fit_noise" in capsys.readouterr().err
-    assert main(["verify-bounds", "--run", old_file, "--bound", "pointwise"]) == 0
+    for bound in _BOUND_IDS:
+        capsys.readouterr()
+        assert main(["verify-bounds", "--run", old_file, "--bound", bound]) == 2
+        err = capsys.readouterr().err
+        assert "lacks fit_noise)" in err and "re-solve it with `subquad-bsde solve`" in err, err
 
 
 def test_verify_bounds_reads_saved_comparison_shift(tiny_solve, tmp_path, capsys):
@@ -752,8 +784,6 @@ def test_a_run_with_every_bound_check_leaves_numpy_ma_unloaded(tmp_path):
 
 
 @pytest.mark.parametrize("changes,message", [
-    pytest.param({"paths": 900}, "Y has shape (800, 7), its config (paths, steps, dims) "
-                 "needs (900, 7)", id="paths"),
     pytest.param({"steps": 5}, "its nodes differ from the 5-step uniform grid on [0, 1.0] "
                  "of its config", id="steps"),
 ])
@@ -773,15 +803,43 @@ def test_solution_file_that_disagrees_with_its_config_is_a_config_error(
 
 
 def test_solution_file_solved_on_other_paths_is_a_config_error(tiny_solve, tmp_path, capsys):
-    # with an edited seed the file's terminal column is not its config's terminal on the
-    # re-sampled paths: no check may read it as the problem that was solved
-    bad_file = _rewrite_meta(tiny_solve, tmp_path / "reseeded.npz", seed=2)
-    for bound in ("pointwise", "sup", "comparison"):
-        capsys.readouterr()
-        assert main(["verify-bounds", "--run", bad_file, "--bound", bound]) == 2
-        err = capsys.readouterr().err
-        assert (f"config error: {bad_file}: its Y[:, 6] is not its config's terminal "
-                f"truncated at (2, 2) on the paths of seed 2") in err
+    # with an edited seed or path count the stored terminal hash is not that of its config's
+    # terminal on the re-sampled paths: no check may read it as the problem that was solved.
+    # The coordinates have no path axis, so an edited count is only caught here
+    for changes in ({"seed": 2}, {"paths": 900}):
+        bad_file = _rewrite_meta(tiny_solve, tmp_path / "reseeded.npz", **changes)
+        seed = changes.get("seed", 1)
+        for bound in ("pointwise", "sup", "comparison"):
+            capsys.readouterr()
+            assert main(["verify-bounds", "--run", bad_file, "--bound", bound]) == 2
+            err = capsys.readouterr().err
+            assert (f"config error: {bad_file}: its terminal hash is not that of its config's "
+                    f"terminal truncated at (2, 2) on the paths of seed {seed}") in err, err
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param("basis_size", "y_coords_1 has shape (4,), the projectors of its config need (5,)",
+                 id="basis_size"),
+    pytest.param("z_coords_3", "z_coords_3 has shape (4, 2), the projectors of its config need "
+                 "(4, 1)", id="z_coords"),
+    pytest.param("z_divisor", "z_divisor has shape (5,), the projectors of its config need (6,)",
+                 id="z_divisor"),
+])
+def test_coordinates_of_another_shape_are_a_config_error(edit, message, tiny_solve, tmp_path,
+                                                         capsys):
+    # the coordinates are read in the rebuilt projectors' bases: at basis_size 4 node 0
+    # still has rank 1 (every path at B_0 = 0), node 1 has 5 columns against the file's 4
+    if edit == "basis_size":
+        bad_file = _rewrite_meta(tiny_solve, tmp_path / "edited.npz", basis_size=4)
+    else:
+        data = dict(np.load(tiny_solve))
+        data[edit] = (np.concatenate([data[edit], data[edit]], axis=1) if edit == "z_coords_3"
+                      else data[edit][:-1])
+        bad_file = str(tmp_path / "edited.npz")
+        np.savez_compressed(bad_file, **data)
+    capsys.readouterr()
+    assert main(["verify-bounds", "--run", bad_file, "--bound", "pointwise"]) == 2
+    assert f"config error: {bad_file}: {message}" in capsys.readouterr().err
 
 
 def test_verify_bounds_gates_the_requested_bound(tiny_solve, tmp_path, capsys):

@@ -236,6 +236,34 @@ def test_fit_bits_do_not_depend_on_input_layout(basis, spread):
     assert np.array_equal(proj.fit(col), proj.fit(np.ascontiguousarray(col)))
 
 
+@pytest.mark.parametrize("spread", [0.0, 1.0], ids=["rank-deficient", "spread"])
+def test_svd_projector_columns_do_not_depend_on_the_singular_vector_signs(spread, monkeypatch):
+    # a LAPACK build may return any singular pair negated: the projector fixes each
+    # column's sign, so its columns, and every coordinate a solve file holds, keep their bits
+    rng = np.random.default_rng(9)
+    state = np.stack([spread * rng.standard_normal(2000), rng.standard_normal(2000)], axis=1)
+    basis = RegressionBasis("polynomial", 3)
+    u = basis.projector(state).u
+    svd = np.linalg.svd
+
+    def negated(*args, **kwargs):
+        u, s, vt = svd(*args, **kwargs)
+        return -u, s, -vt
+
+    monkeypatch.setattr(np.linalg, "svd", negated)
+    flipped = basis.projector(state).u
+    assert u.flags.f_contiguous and flipped.flags.f_contiguous
+    assert np.array_equal(flipped.view(np.uint64), u.view(np.uint64))
+    # the rule: each kept vt row, signed like its column, has its largest-magnitude entry positive
+    raw_u, _, raw_vt = svd(basis.features(state), full_matrices=False)
+    rank = u.shape[1]
+    assert rank == (4 if spread == 0.0 else 7)
+    signs = np.sign(np.sum(u * raw_u[:, :rank], axis=0))
+    assert np.array_equal(np.abs(u), np.abs(raw_u[:, :rank])) and set(signs) <= {-1.0, 1.0}
+    vt = signs[:, None] * raw_vt[:rank]
+    assert np.all(vt[np.arange(rank), np.argmax(np.abs(vt), axis=1)] > 0.0)
+
+
 def _per_path_philox_reference(grid, dims, count, seed):
     # the sampler as first written: a fresh Philox(key=[seed, i]) per path
     out = np.empty((count, grid.steps, dims))

@@ -948,7 +948,8 @@ def test_theta_residual_evaluates_a_shared_anchor_once(grid24, bundle24, bins_ba
     assert _same_theta_bits(shared, apart)
 
 
-def test_theta_residual_with_a_shared_non_finite_anchor_stays_nan(grid24, bundle24, bins_basis):
+def test_theta_residual_with_a_shared_non_finite_anchor_stays_nan(grid24, bundle24, bins_basis,
+                                                                 field_from_columns):
     # the driver is +inf at Y' = -1, which only the anchor reaches (on path 0):
     # the (g - g') term turns inf - inf into NaN on both paths
     zero = sq.make_generator("zero", 1.5)
@@ -961,7 +962,7 @@ def test_theta_residual_with_a_shared_non_finite_anchor_stays_nan(grid24, bundle
                            bins_basis)
     Yp = sol.Y.copy()
     Yp[0] = -1.0
-    ref = sq.SolutionField.from_columns(Yp, sol.Z, sol.bundle, sol.basis, sol.fit_noise)
+    ref = field_from_columns(Yp, sol.Z, sol.bundle, sol.basis, sol.fit_noise)
     with np.errstate(invalid="ignore"):
         shared = theta_residual(sol, ref, 0.5, g=g, g_prime=g)
         apart = theta_residual(sol, ref, 0.5, g=g, g_prime=dataclasses.replace(g, name="copy"))
