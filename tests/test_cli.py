@@ -783,18 +783,23 @@ def test_a_run_with_every_bound_check_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("changes,message", [
+@pytest.mark.parametrize("changes,message,sampled", [
+    # the coordinates have no path axis: an edited path count is caught by the terminal
+    # hash, once the paths are sampled
+    pytest.param({"paths": 900}, "its terminal hash is not that of its config's terminal "
+                 "truncated at (2, 2) on the paths of seed 1", True, id="paths"),
     pytest.param({"steps": 5}, "its nodes differ from the 5-step uniform grid on [0, 1.0] "
-                 "of its config", id="steps"),
+                 "of its config", False, id="steps"),
 ])
 def test_solution_file_that_disagrees_with_its_config_is_a_config_error(
-        changes, message, tiny_solve, tmp_path, monkeypatch, capsys):
+        changes, message, sampled, tiny_solve, tmp_path, monkeypatch, capsys):
     import subquad_bsde.cli as cli
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("a path was sampled")
 
-    monkeypatch.setattr(cli, "sample_paths", no_sampling)
+    if not sampled:
+        monkeypatch.setattr(cli, "sample_paths", no_sampling)
     bad_file = _rewrite_meta(tiny_solve, tmp_path / "edited.npz", **changes)
     for bound in ("pointwise", "sup"):
         capsys.readouterr()
@@ -803,18 +808,15 @@ def test_solution_file_that_disagrees_with_its_config_is_a_config_error(
 
 
 def test_solution_file_solved_on_other_paths_is_a_config_error(tiny_solve, tmp_path, capsys):
-    # with an edited seed or path count the stored terminal hash is not that of its config's
-    # terminal on the re-sampled paths: no check may read it as the problem that was solved.
-    # The coordinates have no path axis, so an edited count is only caught here
-    for changes in ({"seed": 2}, {"paths": 900}):
-        bad_file = _rewrite_meta(tiny_solve, tmp_path / "reseeded.npz", **changes)
-        seed = changes.get("seed", 1)
-        for bound in ("pointwise", "sup", "comparison"):
-            capsys.readouterr()
-            assert main(["verify-bounds", "--run", bad_file, "--bound", bound]) == 2
-            err = capsys.readouterr().err
-            assert (f"config error: {bad_file}: its terminal hash is not that of its config's "
-                    f"terminal truncated at (2, 2) on the paths of seed {seed}") in err, err
+    # with an edited seed the stored terminal hash is not that of its config's terminal on
+    # the re-sampled paths: no check may read it as the problem that was solved
+    bad_file = _rewrite_meta(tiny_solve, tmp_path / "reseeded.npz", seed=2)
+    for bound in ("pointwise", "sup", "comparison"):
+        capsys.readouterr()
+        assert main(["verify-bounds", "--run", bad_file, "--bound", bound]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: {bad_file}: its terminal hash is not that of its config's "
+                "terminal truncated at (2, 2) on the paths of seed 2") in err, err
 
 
 @pytest.mark.parametrize("edit,message", [
